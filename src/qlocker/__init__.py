@@ -73,6 +73,7 @@ from .verification import (
     enumerate_trajectories,
     iterate_once,
     perturbation_step,
+    run_box,
     run_verification,
     sample_acceptance,
     trajectory_record,

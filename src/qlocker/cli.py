@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from collections import Counter
 
@@ -30,7 +31,6 @@ import numpy as np
 
 from .gates import build_controlled0_rx, h, ry
 from .locker import (
-    InvalidMessageError,
     OtpParams,
     apply_inverse_rotation,
     apply_rotation,
@@ -41,7 +41,6 @@ from .locker import (
 )
 from .rng import RandomStream
 from .statevector import (
-    CapacityError,
     Measurement,
     StateVector,
     apply_gate,
@@ -62,7 +61,9 @@ from .tomography import (
 from .verification import (
     CLICK_POLICIES,
     PAPER_DEFAULT,
+    STRICT_ABORT,
     VerificationParams,
+    acceptance_probability,
     run_verification,
     sample_acceptance_runs,
     trajectory_record,
@@ -106,10 +107,34 @@ def _check(name: str, simulated: float, analytic: float, band: float,
     return entry
 
 
+def _in_range(cast, low, high=math.inf):
+    """Argument type: ``cast(text)`` within ``[low, high]``."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"expected a number in [{low}, {high}], got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _in_range(int, 1)
+_probability = _in_range(float, 0.0, 1.0)
+
+
+def _out_path(text: str) -> str:
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"no such directory for {text!r}")
+    return text
+
+
 def _parse_grid(text: str, cast=float) -> list:
     try:
         values = [cast(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}")
     if not values:
         raise argparse.ArgumentTypeError(f"empty grid {text!r}")
@@ -217,7 +242,10 @@ def cmd_converge(args) -> dict:
             all_zeros += 1
             one_given_zeros += traj.final_system_outcome
 
-    analytic_zeros = 0.5 + 0.5 * math.cos(args.theta) ** (2 * args.iterations)
+    # no click: the |1> half of |+> never clicks, and the |0> half survives
+    # all N couplings with the strict policy's acceptance probability
+    analytic_zeros = 0.5 + acceptance_probability(
+        0.5, VerificationParams(args.theta, args.iterations, STRICT_ABORT))
     analytic_cond = 0.5 / analytic_zeros
     zeros_frac = all_zeros / args.shots
     cond_frac = one_given_zeros / all_zeros if all_zeros else float("nan")
@@ -311,10 +339,8 @@ def cmd_locker_demo(args) -> dict:
     phi = apply_inverse_rotation(wrong_probe.copy(), params)
     overlaps = [qubit_probabilities(phi, k)[0]
                 for k in range(args.otp_qubits)]
-    analytic_accept = math.prod(overlaps)
-    if verification.click_policy != PAPER_DEFAULT:
-        decay = math.cos(args.theta) ** (2 * args.iterations)
-        analytic_accept = math.prod(o * decay for o in overlaps)
+    analytic_accept = math.prod(acceptance_probability(o, verification)
+                                for o in overlaps)
 
     accept_count = 0
     last_wrong = None
@@ -378,8 +404,6 @@ def cmd_sweep(args) -> dict:
         for iterations in args.grid_iterations:
             for n in args.grid_n:
                 for overlap in args.grid_overlap:
-                    if not 0.0 <= overlap <= 1.0:
-                        raise ValueError(f"overlap {overlap} outside [0, 1]")
                     if theta == 0.0:
                         cells.append({
                             "theta": theta, "iterations": iterations,
@@ -392,10 +416,7 @@ def cmd_sweep(args) -> dict:
                             "n": n, "overlap": overlap, "degenerate": False}
                     for policy in CLICK_POLICIES:
                         params = VerificationParams(theta, iterations, policy)
-                        per_qubit = overlap
-                        if policy != PAPER_DEFAULT:
-                            per_qubit *= math.cos(theta) ** (2 * iterations)
-                        analytic = per_qubit ** n
+                        analytic = acceptance_probability(overlap, params) ** n
                         accept = np.ones(args.shots, dtype=bool)
                         for k in range(n):
                             accept &= sample_acceptance_runs(
@@ -494,9 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
+        p.add_argument("--shots", type=_positive_int, default=DEFAULT_SHOTS)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, metavar="PATH")
+        p.add_argument("--out", type=_out_path, default=None, metavar="PATH")
 
     p = sub.add_parser("verify-demo",
                        help="single weak-coupling iteration with ancilla "
@@ -523,21 +544,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.1)
     p.add_argument("--iterations", type=int, default=38)
     p.add_argument("--policy", choices=CLICK_POLICIES, default=PAPER_DEFAULT)
-    p.add_argument("--repeat", type=int, default=1,
+    p.add_argument("--repeat", type=_positive_int, default=1,
                    help="wrong-password repetitions for rate estimation")
-    p.add_argument("--wrong-overlap", type=float, default=None,
+    p.add_argument("--wrong-overlap", type=_probability, default=None,
                    help="force the wrong password's per-qubit overlap")
     p.set_defaults(func=cmd_locker_demo)
 
     p = sub.add_parser("sweep",
                        help="false-accept tables over (n, theta, N, overlap)")
     add_common(p)
-    p.add_argument("--grid-n", type=lambda s: _parse_grid(s, int),
+    p.add_argument("--grid-n", type=lambda s: _parse_grid(s, _positive_int),
                    default=[1, 2, 3])
     p.add_argument("--grid-theta", type=_parse_grid, default=[0.1, 0.2, 0.5])
     p.add_argument("--grid-iterations", type=lambda s: _parse_grid(s, int),
                    default=[1, 5, 38])
-    p.add_argument("--grid-overlap", type=_parse_grid, default=[0.25, 0.5])
+    p.add_argument("--grid-overlap", type=lambda s: _parse_grid(s, _probability),
+                   default=[0.25, 0.5])
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -548,13 +570,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except (InvalidMessageError, CapacityError) as exc:
+    except ValueError as exc:  # InvalidMessageError and CapacityError too
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    emit(report, args)
+    try:
+        emit(report, args)
+    except OSError as exc:
+        parser.error(f"cannot write {args.out!r}: {exc.strerror}")
     return 0 if report["ok"] else 4
 
 

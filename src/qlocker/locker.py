@@ -1,13 +1,17 @@
 """The quantum locker protocol.
 
-A locker stores an m-bit message in message qubits and holds the secret
-rotation angles (theta1, theta2, theta3) per password qubit.  The one-time
-password is the n-qubit product state R|0...0> with R = Rz(theta3) Ry(theta2)
-Rx(theta1) per qubit.  An unlock attempt undoes the rotation, runs one
-verification box per password qubit, measures them, and transfers the message
-to blank qubits through multi-controlled NOTs that fire only when every
-measured password qubit reads 0.  The verification measurement collapses the
-password register, so a password cannot be replayed.
+A locker stores an m-bit message and holds the secret rotation angles
+(theta1, theta2, theta3) per password qubit.  The one-time password is the
+n-qubit product state R|0...0> with R = Rz(theta3) Ry(theta2) Rx(theta1) per
+qubit.  An unlock attempt undoes the rotation and runs the verification box
+(:func:`~qlocker.verification.run_box`) on each password qubit of the same
+n-qubit register, ending in a z-measurement of that qubit.  The message is
+released only if every run accepts.  In the protocol's circuit, NOTs
+controlled on the message qubits and on every measured password qubit
+reading 0 copy the message to blank qubits; all their inputs are basis
+states, so that copy is the classical rule ``message if accepted else
+zeros``.  The verification measurement collapses the password register, so
+a password cannot be replayed.
 
 Angle secrets live only in :class:`OtpParams`; logs carry a digest of the
 angles, never their values.
@@ -19,22 +23,16 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .gates import build_controlled0_rx, rx, ry, rz, x
+from .gates import rx, ry, rz
 from .rng import RandomStream
 from .statevector import (
     StateVector,
     apply_gate,
     basis_state,
-    combine,
-    measure_qubit,
     new_state,
     qubit_probabilities,
 )
-from .verification import (
-    STRICT_ABORT,
-    Trajectory,
-    VerificationParams,
-)
+from .verification import Trajectory, VerificationParams, run_box
 
 
 class InvalidMessageError(ValueError):
@@ -91,12 +89,11 @@ class OtpParams:
 
 @dataclass
 class LockerState:
-    """Message qubits plus the registered verification secrets."""
+    """The stored message plus the registered verification secrets."""
 
     message_bits: str
     params: OtpParams
     verification: VerificationParams
-    message_state: StateVector
     consumed_passwords: list[StateVector] = field(default_factory=list)
 
     @property
@@ -117,23 +114,18 @@ class UnlockResult:
 
 def store_message(bits: str, params: OtpParams,
                   verification: VerificationParams | None = None) -> LockerState:
-    """Arm a locker: encode the message qubits and register the secrets.
+    """Arm a locker: store the message and register the secrets.
 
-    Message qubits start in |0> and are flipped with X gates where the bit
-    string says 1.  An all-zero message is rejected as carrying no
-    information (a failed unlock also leaves all-zero blanks).
+    An all-zero message is rejected as carrying no information (a failed
+    unlock also leaves all-zero blanks).
     """
     if not bits or any(c not in "01" for c in bits):
         raise InvalidMessageError(f"message must be a nonempty 0/1 string, got {bits!r}")
     if set(bits) == {"0"}:
         raise InvalidMessageError("all-zero message is not valid")
-    state = new_state(len(bits))
-    for k, c in enumerate(bits):
-        if c == "1":
-            state = apply_gate(state, x(k))
     if verification is None:
         verification = VerificationParams()
-    return LockerState(bits, params, verification, state)
+    return LockerState(bits, params, verification)
 
 
 def apply_rotation(state: StateVector, params: OtpParams) -> StateVector:
@@ -167,50 +159,17 @@ def generate_otp(params: OtpParams) -> StateVector:
     return apply_rotation(new_state(params.n_qubits), params)
 
 
-def _run_boxes(reg: StateVector, n: int, verification: VerificationParams,
-               rng: RandomStream) -> tuple[list[Trajectory], list[int]]:
-    """Run one verification box per password qubit on the joint register.
-
-    ``reg`` holds the n password qubits plus one shared ancilla at index n,
-    reset to |0> (conditional flip) after every readout.  Returns the
-    per-qubit trajectories and final measurement outcomes.
-    """
-    theta = verification.theta
-    strict = verification.click_policy == STRICT_ABORT
-    trajectories: list[Trajectory] = []
-    finals: list[int] = []
-    for k in range(n):
-        gate = build_controlled0_rx(theta, control=k, target=n)
-        outcomes: list[int] = []
-        p1s: list[float] = []
-        for _ in range(verification.iterations):
-            reg = apply_gate(reg, gate)
-            p1s.append(qubit_probabilities(reg, n)[1])
-            outcome, _, reg = measure_qubit(reg, n, "z", rng)
-            outcomes.append(outcome)
-            if outcome == 1:
-                reg = apply_gate(reg, x(n))  # ancilla reset for reuse
-                if strict:
-                    break
-        final, _, reg = measure_qubit(reg, k, "z", rng)
-        clicked = any(outcomes)
-        accepted = final == 0 and not (strict and clicked)
-        trajectories.append(Trajectory(outcomes, p1s, final, accepted))
-        finals.append(final)
-    return trajectories, finals
-
-
 def attempt_unlock(locker: LockerState, password: StateVector,
                    rng: RandomStream,
                    blanks: StateVector | None = None) -> UnlockResult:
     """Present a password register to the locker.
 
     The register is collapsed in place by the verification measurements (the
-    one-time property) and may not be presented to this locker again.  Blank
-    qubits default to |0...0> and must be supplied that way.  Message
-    transfer happens through m multi-controlled NOTs, each controlled on
-    every measured password qubit being 0 plus the matching message qubit;
-    with the strict click policy, any click aborts before the transfer.
+    one-time property) and may not be presented to this locker again.  The
+    message is retrieved only if every box accepts (with the strict click
+    policy, any click rejects); otherwise the retrieved bits are all zero.
+    ``blanks``, if given, must be m qubits in |0...0> and is overwritten
+    with the retrieved bits.
     """
     n = locker.n_password_qubits
     m = locker.m_bits
@@ -220,41 +179,27 @@ def attempt_unlock(locker: LockerState, password: StateVector,
         )
     if any(prev is password for prev in locker.consumed_passwords):
         raise PasswordConsumedError("password register already consumed")
-    if blanks is None:
-        blanks = new_state(m)
-    if blanks.n_qubits != m:
-        raise ValueError(f"blank register must have {m} qubits")
-    if abs(blanks.amplitudes[0] - 1.0) > 1e-12:
-        raise ValueError("blank qubits must be supplied in the |0...0> state")
+    if blanks is not None:
+        if blanks.n_qubits != m:
+            raise ValueError(f"blank register must have {m} qubits")
+        if abs(blanks.amplitudes[0] - 1.0) > 1e-12:
+            raise ValueError("blank qubits must be supplied in the |0...0> state")
 
     locker.consumed_passwords.append(password)
-    phi = apply_inverse_rotation(password, locker.params)
-    reg = combine(phi, new_state(1))
-    trajectories, finals = _run_boxes(reg, n, locker.verification, rng)
+    reg = apply_inverse_rotation(password, locker.params)
+    trajectories = []
+    for k in range(n):
+        traj, reg = run_box(reg, k, locker.verification, rng)
+        trajectories.append(traj)
 
     # the presented register is now the measured eigenstate
-    password.amplitudes[:] = basis_state(finals).amplitudes
+    password.amplitudes[:] = basis_state(
+        [t.final_system_outcome for t in trajectories]).amplitudes
 
     accepted = all(t.accepted for t in trajectories)
-    strict = locker.verification.click_policy == STRICT_ABORT
-    aborted = strict and any(t.clicked() for t in trajectories)
-
-    if aborted:
-        retrieved = "0" * m
-    else:
-        # transfer register: password outcomes | message qubits | blanks
-        transfer = combine(basis_state(finals),
-                           combine(locker.message_state.copy(), blanks))
-        zero_controls = tuple((k, 0) for k in range(n))
-        for i in range(m):
-            controls = zero_controls + ((n + i, 1),)
-            transfer = apply_gate(transfer, x(n + m + i, controls=controls))
-        bits = []
-        for i in range(m):
-            outcome, _, transfer = measure_qubit(transfer, n + m + i, "z", rng)
-            bits.append("1" if outcome else "0")
-        retrieved = "".join(bits)
-    blanks.amplitudes[:] = basis_state(retrieved).amplitudes
+    retrieved = locker.message_bits if accepted else "0" * m
+    if blanks is not None:
+        blanks.amplitudes[:] = basis_state(retrieved).amplitudes
     return UnlockResult(accepted, retrieved, tuple(trajectories))
 
 

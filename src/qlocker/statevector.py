@@ -82,8 +82,11 @@ def basis_state(bits: Union[str, Sequence[int]],
 
 def combine(low: StateVector, high: StateVector) -> StateVector:
     """Tensor product; ``low`` keeps qubits [0, low.n), ``high`` follows."""
+    n = low.n_qubits + high.n_qubits
+    if n > DEFAULT_MAX_QUBITS:  # checked before allocating
+        raise CapacityError(f"{n} qubits exceed the {DEFAULT_MAX_QUBITS}-qubit cap")
     amps = (high.amplitudes[:, None] * low.amplitudes[None, :]).ravel()
-    return StateVector(low.n_qubits + high.n_qubits, amps)
+    return StateVector(n, amps)
 
 
 def _free_index_base(n_qubits: int, fixed: Iterable[int]) -> np.ndarray:

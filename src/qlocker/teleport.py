@@ -37,7 +37,6 @@ class TeleportRecord:
 
     channel_id: str
     classical_bits: tuple[int, int]
-    consumed: bool = True
 
     def record_line(self) -> str:
         m1, m2 = self.classical_bits

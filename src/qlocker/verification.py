@@ -1,16 +1,25 @@
-"""The verification box: iterated weak coupling with ancilla readout.
+"""The verification box: a repeated two-outcome weak measurement of one qubit.
 
-Each iteration couples the one-qubit system ``alpha|0> + beta|1>`` to a fresh
-ancilla in |0> through a control-on-zero Rx(2 theta), then z-measures the
-ancilla.  Outcome probabilities per iteration:
+Each iteration of the source paper's circuit couples the system qubit
+``alpha|0> + beta|1>`` to a fresh ancilla in |0> through a control-on-zero
+Rx(2 theta), then z-measures the ancilla.  Traced over the ancilla, that is
+the measurement with Kraus operators
+
+    K0 = diag(cos(theta), 1)          (ancilla reads 0)
+    K1 = -i sin(theta) |0><0|         (ancilla reads 1, a "click")
+
+so the per-iteration outcome probabilities are
 
     p0 = |alpha|^2 cos^2(theta) + |beta|^2
     p1 = |alpha|^2 sin^2(theta)
 
-Outcome 0 renormalizes the system to (alpha cos(theta)|0> + beta|1>)/sqrt(p0),
-nudging it toward |1>; outcome 1 (a "click") projects it onto |0> exactly.
-|0> and |1> are fixed points of the whole loop, which is what lets the box
-discriminate the zero state from superpositions over many iterations.
+:func:`run_box` applies these operators to qubit ``k`` of any register, so
+the same box verifies a lone qubit and each qubit of an entangled password;
+no ancilla is simulated.  Outcome 0 renormalizes the qubit toward |1>;
+a click projects it onto |0> exactly.  |0> and |1> are fixed points of the
+whole loop, which is what lets the box discriminate the zero state from
+superpositions over many iterations.  The explicit ancilla circuit is kept
+where the ancilla itself is measured (``verify-demo``).
 
 Two click policies are supported.  The default keeps iterating after a click
 (the run then accepts, since the system sits in |0>); the strict variant
@@ -22,20 +31,12 @@ iteration count; under strict-abort it is |alpha|^2 cos(theta)^(2N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import build_controlled0_rx
 from .rng import RandomStream
-from .statevector import (
-    CapacityError,
-    StateVector,
-    apply_gate,
-    combine,
-    measure_qubit,
-    new_state,
-)
+from .statevector import NORM_TOL, CapacityError, StateVector, measure_qubit
 
 PAPER_DEFAULT = "paper"
 STRICT_ABORT = "strict"
@@ -99,56 +100,77 @@ def _require_single_qubit(system: StateVector):
         raise ValueError("the verification box acts on a single-qubit system")
 
 
-def _iterate(system: StateVector, gate, rng: RandomStream):
-    joint = combine(system, new_state(1))  # system = qubit 0, ancilla = qubit 1
-    joint = apply_gate(joint, gate)
-    outcome, prob, joint = measure_qubit(joint, 1, "z", rng)
-    p1 = prob if outcome == 1 else 1.0 - prob
-    if outcome == 1:
-        new_system = StateVector(1, np.array([1.0, 0.0], dtype=complex))
-    else:
-        new_system = StateVector(1, joint.amplitudes[:2].copy())
-    return outcome, new_system, p1
+def _kraus_step(amps: np.ndarray, k: int, theta: float,
+                rng: RandomStream) -> tuple[int, float, np.ndarray]:
+    """One iteration of the box on qubit ``k``: ``(outcome, p1, new_amps)``.
+
+    Both branches are computed over the whole register with the coupling
+    gate's own constants and stacked as the coupled register's ancilla-0
+    and ancilla-1 halves, so p0, p1 and the sampled outcome are bit for bit
+    those of the ancilla circuit followed by :func:`measure_qubit`.
+    """
+    branches = np.zeros((2, amps.size), dtype=complex)
+    out = branches.reshape(2, -1, 2, 1 << k)
+    a = amps.reshape(-1, 2, 1 << k)
+    out[0, :, 0, :] = complex(math.cos(theta)) * a[:, 0, :]
+    out[0, :, 1, :] = a[:, 1, :]
+    out[1, :, 0, :] = (-1j * math.sin(theta)) * a[:, 0, :]
+    probs = np.abs(branches) ** 2
+    p0 = float(probs[0].sum())
+    p1 = float(probs[1].sum())
+    total = p0 + p1
+    outcome = 0 if rng.random() < p0 / total else 1
+    prob = (p0 if outcome == 0 else p1) / total
+    return outcome, p1, branches[outcome] / np.sqrt(prob * total)
+
+
+def run_box(state: StateVector, k: int, params: VerificationParams,
+            rng: RandomStream) -> tuple[Trajectory, StateVector]:
+    """Run the box on qubit ``k`` of ``state``: N iterations, then a closing
+    z-measurement of that qubit.
+
+    Each iteration draws one uniform.  Under the strict policy a click stops
+    the iteration loop; the closing measurement still executes (the clicked
+    qubit sits in |0>, so it is deterministic) but the run is rejected.
+    Returns the trajectory and the collapsed register; ``state`` itself is
+    left untouched.
+    """
+    if not 0 <= k < state.n_qubits:
+        raise IndexError(f"qubit {k} out of range")
+    strict = params.click_policy == STRICT_ABORT
+    amps = state.amplitudes
+    outcomes: list[int] = []
+    p1s: list[float] = []
+    for _ in range(params.iterations):
+        outcome, p1, amps = _kraus_step(amps, k, params.theta, rng)
+        outcomes.append(outcome)
+        p1s.append(p1)
+        if outcome == 1 and strict:
+            break
+    final, _, collapsed = measure_qubit(StateVector(state.n_qubits, amps), k,
+                                        "z", rng)
+    accepted = final == 0 and not (strict and any(outcomes))
+    return Trajectory(outcomes, p1s, final, accepted), collapsed
 
 
 def iterate_once(system: StateVector, params: VerificationParams,
                  rng: RandomStream) -> tuple[int, StateVector, float]:
-    """One coupling + ancilla measurement step.
+    """One iteration of the box on a single-qubit system.
 
     Returns ``(outcome, new_system, p1)`` where ``p1`` is the pre-measurement
-    click probability of this step.  On a click the system is set to |0>
-    exactly (the surviving branch, with its global phase dropped).
+    click probability of this step.  On a click the system is projected onto
+    |0> (up to a global phase).
     """
     _require_single_qubit(system)
-    return _iterate(system, build_controlled0_rx(params.theta, 0, 1), rng)
+    outcome, p1, amps = _kraus_step(system.amplitudes, 0, params.theta, rng)
+    return outcome, StateVector(1, amps), p1
 
 
 def run_verification(system: StateVector, params: VerificationParams,
                      rng: RandomStream) -> Trajectory:
-    """Full run: N iterations, then a closing z-measurement of the system.
-
-    Under the strict policy a click stops the iteration loop; the closing
-    measurement still executes (the post-click system is the |0> eigenstate,
-    so it is deterministic) but the run is marked rejected.
-    """
+    """Full run of the box on a single-qubit system; see :func:`run_box`."""
     _require_single_qubit(system)
-    gate = build_controlled0_rx(params.theta, 0, 1)
-    outcomes: list[int] = []
-    p1s: list[float] = []
-    state = system
-    for _ in range(params.iterations):
-        outcome, state, p1 = _iterate(state, gate, rng)
-        outcomes.append(outcome)
-        p1s.append(p1)
-        if outcome == 1 and params.click_policy == STRICT_ABORT:
-            break
-    final, _, _ = measure_qubit(state, 0, "z", rng)
-    clicked = any(outcomes)
-    if params.click_policy == STRICT_ABORT:
-        accepted = final == 0 and not clicked
-    else:
-        accepted = final == 0
-    return Trajectory(outcomes, p1s, final, accepted)
+    return run_box(system, 0, params, rng)[0]
 
 
 def acceptance_probability(alpha_sq: float,
@@ -160,7 +182,7 @@ def acceptance_probability(alpha_sq: float,
     back to |alpha|^2.  Strict policy: ``alpha_sq * cos(theta)^(2N)``, the
     probability of surviving all N couplings in the |0> branch.
     """
-    if not 0.0 <= alpha_sq <= 1.0:
+    if not -NORM_TOL <= alpha_sq <= 1.0 + NORM_TOL:
         raise ValueError(f"alpha_sq must be in [0, 1], got {alpha_sq}")
     if params.click_policy == STRICT_ABORT:
         return alpha_sq * math.cos(params.theta) ** (2 * params.iterations)

@@ -1,0 +1,97 @@
+"""Gate-level reference implementations of the locker, kept as test oracles.
+
+The library runs the verification box as a two-outcome Kraus step on the
+password qubit and releases the message by the classical rule the transfer
+computes.  These oracles do the same jobs the literal way, as the circuit
+the protocol describes: one shared ancilla coupled to each password qubit
+by a control-on-zero Rx(2 theta), measured, and reset after every click;
+then an (n + 2m)-qubit transfer register in which m multi-controlled NOTs
+copy the message to blank qubits only if every measured password qubit
+reads 0.  Keep them small: the transfer register is exponential in m.
+"""
+
+from __future__ import annotations
+
+from qlocker import (
+    STRICT_ABORT,
+    Trajectory,
+    apply_gate,
+    apply_inverse_rotation,
+    basis_state,
+    build_controlled0_rx,
+    combine,
+    measure_qubit,
+    new_state,
+    qubit_probabilities,
+    x,
+)
+
+
+def ancilla_boxes(reg, qubits, verification, rng):
+    """One verification box per password qubit in ``qubits``, in order.
+
+    ``reg`` holds the n password qubits plus one shared ancilla at index n,
+    reset to |0> (conditional flip) after every readout.  Returns the
+    per-qubit trajectories, final outcomes and the final register.
+    """
+    n = reg.n_qubits - 1
+    theta = verification.theta
+    strict = verification.click_policy == STRICT_ABORT
+    trajectories, finals = [], []
+    for k in qubits:
+        gate = build_controlled0_rx(theta, control=k, target=n)
+        outcomes, p1s = [], []
+        for _ in range(verification.iterations):
+            reg = apply_gate(reg, gate)
+            p1s.append(qubit_probabilities(reg, n)[1])
+            outcome, _, reg = measure_qubit(reg, n, "z", rng)
+            outcomes.append(outcome)
+            if outcome == 1:
+                reg = apply_gate(reg, x(n))  # ancilla reset for reuse
+                if strict:
+                    break
+        final, _, reg = measure_qubit(reg, k, "z", rng)
+        clicked = any(outcomes)
+        accepted = final == 0 and not (strict and clicked)
+        trajectories.append(Trajectory(outcomes, p1s, final, accepted))
+        finals.append(final)
+    return trajectories, finals, reg
+
+
+def gate_transfer(finals, message_bits, rng):
+    """Copy the message to blanks through m multi-controlled NOTs, measure."""
+    n, m = len(finals), len(message_bits)
+    message = new_state(m)
+    for i, c in enumerate(message_bits):
+        if c == "1":
+            message = apply_gate(message, x(i))
+    # transfer register: password outcomes | message qubits | blanks
+    transfer = combine(basis_state(finals), combine(message, new_state(m)))
+    zero_controls = tuple((k, 0) for k in range(n))
+    for i in range(m):
+        controls = zero_controls + ((n + i, 1),)
+        transfer = apply_gate(transfer, x(n + m + i, controls=controls))
+    bits = []
+    for i in range(m):
+        outcome, _, transfer = measure_qubit(transfer, n + m + i, "z", rng)
+        bits.append("1" if outcome else "0")
+    return "".join(bits)
+
+
+def reference_unlock(message_bits, params, verification, password, rng):
+    """``(accepted, retrieved, trajectories, finals)`` of one unlock attempt.
+
+    Leaves ``password`` untouched.  With the strict policy any click aborts
+    before the transfer.
+    """
+    phi = apply_inverse_rotation(password, params)
+    reg = combine(phi, new_state(1))
+    trajectories, finals, _ = ancilla_boxes(reg, range(params.n_qubits),
+                                            verification, rng)
+    accepted = all(t.accepted for t in trajectories)
+    strict = verification.click_policy == STRICT_ABORT
+    if strict and any(t.clicked() for t in trajectories):
+        retrieved = "0" * len(message_bits)
+    else:
+        retrieved = gate_transfer(finals, message_bits, rng)
+    return accepted, retrieved, trajectories, finals

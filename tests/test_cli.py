@@ -188,3 +188,45 @@ def test_stdout_emission(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "sweep"
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--shots", "0"],
+    ["verify-demo", "--shots", "-3"],
+    ["locker-demo", "--repeat", "0"],
+    ["locker-demo", "--wrong-overlap", "2"],
+    ["locker-demo", "--wrong-overlap", "nan"],
+    ["sweep", "--grid-n", "0"],
+    ["sweep", "--grid-overlap", "0.5,1.5"],
+    ["converge", "--out", "/nonexistent/x"],
+])
+def test_bad_input_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1].startswith("qlocker ")
+    assert "error:" in stderr.splitlines()[-1]
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # the link's folder exists, its target's does not: open() itself fails
+    link = tmp_path / "report.json"
+    link.symlink_to(tmp_path / "missing" / "report.json")
+    with pytest.raises(SystemExit) as err:
+        main(["converge", "--shots", "8", "--out", str(link)])
+    assert err.value.code == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_overlap_one_reads_a_rounding_above_or_below_one(tmp_path):
+    # the forced overlap comes back from a floating-point sum; it must
+    # still be accepted by the analytic law
+    code, out = run_to_file(
+        tmp_path, "l.json",
+        ["locker-demo", "--wrong-overlap", "1", "--repeat", "3",
+         "--iterations", "4"])
+    assert code == 0
+    wrong = json.loads(out.read_text())["wrong_attempt"]
+    assert wrong["analytic_acceptance"] == pytest.approx(1.0, abs=1e-12)

@@ -1,0 +1,65 @@
+"""Golden reports: every CLI command, rerun in process, byte for byte.
+
+``tests/golden/MANIFEST.json`` maps each golden file to the argv that made
+it and the exit code it returned.  A refactor of the engine must leave all
+of them identical; regenerate one only for a deliberate behaviour change,
+and say why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qlocker.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+MANIFEST = GOLDEN / "MANIFEST.json"
+
+# name -> argv; the manifest records these with their exit codes
+CASES = {
+    "verify-demo": ["verify-demo", "--shots", "512"],
+    "converge": ["converge", "--shots", "512"],
+    "converge-strict": ["converge", "--shots", "512", "--policy", "strict"],
+    "locker-demo": ["locker-demo", "--shots", "512", "--repeat", "200"],
+    "locker-demo-strict-n3": [
+        "locker-demo", "--shots", "512", "--otp-qubits", "3",
+        "--message", "101101", "--policy", "strict",
+        "--wrong-overlap", "0.5", "--repeat", "200"],
+    "sweep": ["sweep", "--shots", "512"],
+}
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    entry = json.loads(MANIFEST.read_text())[name]
+    assert entry["argv"] == CASES[name]
+    code, text = run_cli(entry["argv"])
+    assert code == entry["exit_code"]
+    assert text.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def write_goldens() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    manifest = {}
+    for name, argv in CASES.items():
+        code, text = run_cli(argv)
+        (GOLDEN / f"{name}.json").write_bytes(text.encode())
+        manifest[name] = {"argv": argv, "exit_code": code}
+    MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    write_goldens()

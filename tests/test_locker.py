@@ -54,11 +54,6 @@ class TestOtpParams:
 
 
 class TestStoreMessage:
-    def test_encodes_bits_as_basis_state(self):
-        locker = q.store_message("101", OtpParams.random(1, RandomStream(2)))
-        np.testing.assert_array_equal(locker.message_state.amplitudes,
-                                      q.basis_state("101").amplitudes)
-
     def test_all_zero_rejected(self):
         with pytest.raises(InvalidMessageError):
             q.store_message("000", OtpParams.random(1, RandomStream(2)))

@@ -243,3 +243,10 @@ def test_overlap_and_combine(np_rng):
     assert joint.n_qubits == 2
     np.testing.assert_allclose(joint.amplitudes[2:], a.amplitudes, atol=1e-15)
     np.testing.assert_allclose(joint.amplitudes[:2], 0, atol=1e-15)
+
+
+def test_combine_enforces_the_cap_before_allocating():
+    # 13 + 12 qubits are two small registers whose product would be 512 MiB
+    with pytest.raises(CapacityError):
+        q.combine(q.new_state(13), q.new_state(12))
+    assert q.combine(q.new_state(2), q.new_state(3)).n_qubits == 5

@@ -347,3 +347,37 @@ def test_fixed_points_exactly_preserved_per_iteration():
             _, state, _ = q.iterate_once(state, params, root.substream(i))
             assert q.phase_aligned_distance(np.array(expect, dtype=complex),
                                             state.amplitudes) < 1e-12
+
+
+def test_acceptance_probability_takes_a_rounding_error_above_one():
+    params = VerificationParams(theta=0.3, iterations=4)
+    assert q.acceptance_probability(1.0 + 1e-15, params) == 1.0 + 1e-15
+
+
+class TestRunBox:
+    def test_entangled_register_keeps_other_qubit_correlated(self):
+        # Bell pair: the box on qubit 0 collapses qubit 1 with it
+        bell = q.apply_gate(q.apply_gate(q.new_state(2), q.h(0)),
+                            q.cnot(0, 1))
+        params = VerificationParams(theta=0.3, iterations=5)
+        root = RandomStream(11)
+        for i in range(50):
+            traj, post = q.run_box(bell, 0, params, root.substream(i))
+            bit = traj.final_system_outcome
+            assert q.qubit_probabilities(post, 1)[bit] == pytest.approx(
+                1.0, abs=1e-12)
+        np.testing.assert_array_equal(
+            bell.amplitudes, np.array([1, 0, 0, 1]) / math.sqrt(2))
+
+    def test_one_uniform_per_iteration_plus_closing(self):
+        params = VerificationParams(theta=0.2, iterations=7)
+        rng = RandomStream(12)
+        q.run_box(q.new_state(3), 1, params, rng)
+        reference = RandomStream(12)
+        for _ in range(8):
+            reference.random()
+        assert rng.random() == reference.random()
+
+    def test_qubit_index_checked(self):
+        with pytest.raises(IndexError):
+            q.run_box(q.new_state(2), 2, VerificationParams(), RandomStream(0))
