@@ -67,6 +67,7 @@ from .tomography import (
 from .verification import (
     PAPER_DEFAULT,
     STRICT_ABORT,
+    BoxShots,
     Trajectory,
     VerificationParams,
     acceptance_probability,
@@ -74,8 +75,8 @@ from .verification import (
     iterate_once,
     perturbation_step,
     run_box,
+    run_box_shots,
     run_verification,
-    sample_acceptance,
     trajectory_record,
 )
 

@@ -41,6 +41,7 @@ from .locker import (
 )
 from .rng import RandomStream
 from .statevector import (
+    DEFAULT_MAX_QUBITS,
     Measurement,
     StateVector,
     apply_gate,
@@ -64,7 +65,7 @@ from .verification import (
     STRICT_ABORT,
     VerificationParams,
     acceptance_probability,
-    run_verification,
+    run_box_shots,
     sample_acceptance_runs,
     trajectory_record,
 )
@@ -123,6 +124,9 @@ def _in_range(cast, low, high=math.inf):
 
 _positive_int = _in_range(int, 1)
 _probability = _in_range(float, 0.0, 1.0)
+# sweep check j seeds password qubit k from sub-stream 8*j + k, so more than
+# 8 qubits would share sub-streams between checks
+_sweep_n = _in_range(int, 1, 8)
 
 
 def _out_path(text: str) -> str:
@@ -234,13 +238,13 @@ def cmd_converge(args) -> dict:
     outcome_counts: Counter[str] = Counter()
     all_zeros = 0
     one_given_zeros = 0
-    for shot in range(args.shots):
-        traj = run_verification(plus, params, master.substream(shot))
-        outcome_counts[traj.outcomes_bitstring()
-                       + str(traj.final_system_outcome)] += 1
-        if not traj.clicked():
-            all_zeros += 1
-            one_given_zeros += traj.final_system_outcome
+    for runs in run_box_shots(plus, 0, params, args.shots, master):
+        outcome_counts.update(
+            record + str(final)
+            for record, final in zip(runs.bitstrings(), runs.final.tolist()))
+        quiet = ~runs.clicked()
+        all_zeros += int(quiet.sum())
+        one_given_zeros += int(runs.final[quiet].sum())
 
     # no click: the |1> half of |+> never clicks, and the |0> half survives
     # all N couplings with the strict policy's acceptance probability
@@ -540,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="store, teleport, and unlock end to end")
     add_common(p)
     p.add_argument("--message", default="1011")
-    p.add_argument("--otp-qubits", type=int, default=1)
+    p.add_argument("--otp-qubits", type=_in_range(int, 1, DEFAULT_MAX_QUBITS),
+                   default=1)
     p.add_argument("--theta", type=float, default=0.1)
     p.add_argument("--iterations", type=int, default=38)
     p.add_argument("--policy", choices=CLICK_POLICIES, default=PAPER_DEFAULT)
@@ -553,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep",
                        help="false-accept tables over (n, theta, N, overlap)")
     add_common(p)
-    p.add_argument("--grid-n", type=lambda s: _parse_grid(s, _positive_int),
+    p.add_argument("--grid-n", type=lambda s: _parse_grid(s, _sweep_n),
                    default=[1, 2, 3])
     p.add_argument("--grid-theta", type=_parse_grid, default=[0.1, 0.2, 0.5])
     p.add_argument("--grid-iterations", type=lambda s: _parse_grid(s, int),

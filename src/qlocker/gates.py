@@ -245,12 +245,3 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     if abs(overlap) > 1e-300:
         b = b * (overlap / abs(overlap))
     return float(np.max(np.abs(a - b)))
-
-
-def format_matrix_dump(m: np.ndarray) -> str:
-    """Row-major text dump: one row per line, 're im' pairs per entry."""
-    m = np.asarray(m, dtype=complex)
-    lines = []
-    for row in m:
-        lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-    return "\n".join(lines)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass, field
 
 from .gates import rx, ry, rz
@@ -89,12 +90,17 @@ class OtpParams:
 
 @dataclass
 class LockerState:
-    """The stored message plus the registered verification secrets."""
+    """The stored message plus the registered verification secrets.
+
+    ``consumed_passwords`` maps ``id(register)`` to every register presented
+    so far; it holds them weakly, so a register the caller drops is freed.
+    """
 
     message_bits: str
     params: OtpParams
     verification: VerificationParams
-    consumed_passwords: list[StateVector] = field(default_factory=list)
+    consumed_passwords: weakref.WeakValueDictionary[int, StateVector] = field(
+        default_factory=weakref.WeakValueDictionary)
 
     @property
     def m_bits(self) -> int:
@@ -177,7 +183,7 @@ def attempt_unlock(locker: LockerState, password: StateVector,
         raise ValueError(
             f"password has {password.n_qubits} qubits, locker expects {n}"
         )
-    if any(prev is password for prev in locker.consumed_passwords):
+    if locker.consumed_passwords.get(id(password)) is password:
         raise PasswordConsumedError("password register already consumed")
     if blanks is not None:
         if blanks.n_qubits != m:
@@ -185,7 +191,7 @@ def attempt_unlock(locker: LockerState, password: StateVector,
         if abs(blanks.amplitudes[0] - 1.0) > 1e-12:
             raise ValueError("blank qubits must be supplied in the |0...0> state")
 
-    locker.consumed_passwords.append(password)
+    locker.consumed_passwords[id(password)] = password
     reg = apply_inverse_rotation(password, locker.params)
     trajectories = []
     for k in range(n):

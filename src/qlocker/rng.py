@@ -5,6 +5,11 @@ is fully determined by its 64-bit seed plus a path of sub-stream indices, so
 any shot, trajectory, or experiment can be replayed bit-for-bit, and derived
 sub-streams may be consumed in any order (or in parallel) without changing
 results.
+
+A batch of shots keeps that contract by drawing each shot's uniforms up
+front: :meth:`RandomStream.shot_uniforms` gives shot ``i`` the first ``k``
+draws of sub-stream ``(seed, i)``, the same doubles ``k`` calls of
+:meth:`RandomStream.random` on that sub-stream return.
 """
 
 from __future__ import annotations
@@ -26,6 +31,13 @@ class RandomStream:
     def substream(self, index: int) -> RandomStream:
         """Child stream at ``index``; independent of the parent and siblings."""
         return RandomStream(self.seed, self.path + (int(index),))
+
+    def shot_uniforms(self, shots: range, k: int) -> np.ndarray:
+        """Row ``j``: the first ``k`` uniforms of sub-stream ``shots[j]``.
+
+        Builds fresh sub-streams, so this stream itself does not advance.
+        """
+        return np.stack([self.substream(i).randoms(k) for i in shots])
 
     def random(self) -> float:
         """Next uniform double in [0, 1)."""

@@ -166,13 +166,3 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     det_b = max(float(np.linalg.det(b.matrix).real), 0.0)
     value = cross + 2.0 * math.sqrt(det_a * det_b)
     return min(max(value, 0.0), 1.0)
-
-
-def bloch_from_amplitudes(amplitudes) -> StokesVector:
-    """Exact Stokes vector of a pure single-qubit state."""
-    a, b = (complex(v) for v in amplitudes)
-    return StokesVector(
-        x=2 * (a.conjugate() * b).real,
-        y=2 * (a.conjugate() * b).imag,
-        z=abs(a) ** 2 - abs(b) ** 2,
-    )

@@ -1,4 +1,8 @@
-"""Gate-level reference implementations of the locker, kept as test oracles.
+"""Reference implementations kept as test oracles.
+
+``reference_sample_shots`` runs a circuit one shot at a time, each shot
+drawing lazily from its own sub-stream, as the shot-batched
+:func:`qlocker.sample_shots` must reproduce.
 
 The library runs the verification box as a two-outcome Kraus step on the
 password qubit and releases the message by the classical rule the transfer
@@ -12,8 +16,12 @@ reads 0.  Keep them small: the transfer register is exponential in m.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from qlocker import (
     STRICT_ABORT,
+    Measurement,
+    RandomStream,
     Trajectory,
     apply_gate,
     apply_inverse_rotation,
@@ -25,6 +33,27 @@ from qlocker import (
     qubit_probabilities,
     x,
 )
+
+
+def reference_sample_shots(n_qubits, ops, shots, seed, order=None):
+    """Counts of ``sample_shots``, one shot at a time in ``order`` (default
+    ``range(shots)``), shot ``i`` drawing lazily from sub-stream
+    ``(seed, i)``."""
+    root = RandomStream(seed)
+    counts = Counter()
+    for shot in range(shots) if order is None else order:
+        rng = root.substream(shot)
+        state = new_state(n_qubits)
+        bits = []
+        for op in ops:
+            if isinstance(op, Measurement):
+                outcome, _, state = measure_qubit(state, op.qubit, op.basis,
+                                                  rng)
+                bits.append(str(outcome))
+            else:
+                state = apply_gate(state, op)
+        counts["".join(bits)] += 1
+    return dict(counts)
 
 
 def ancilla_boxes(reg, qubits, verification, rng):

@@ -135,8 +135,9 @@ def test_criterion_5_acceptance_law():
                         if t.accepted)
                     worst_enum = max(worst_enum, abs(mass - alpha_sq))
                     runs = 100_000
-                    rate = q.sample_acceptance(alpha_sq, params, runs,
-                                               RandomStream(4242, (stream,)))
+                    rate = q.verification.sample_acceptance_runs(
+                        alpha_sq, params, runs,
+                        RandomStream(4242, (stream,))).mean()
                     stream += 1
                     sigma = math.sqrt(alpha_sq * (1 - alpha_sq) / runs)
                     if sigma == 0.0:

@@ -210,6 +210,30 @@ def test_bad_input_is_a_usage_error(argv, capsys):
     assert "error:" in stderr.splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv", [
+    # sweep check j seeds qubit k from sub-stream 8*j + k
+    ["sweep", "--grid-n", "1,9"],
+    # the password register is capped at 24 qubits
+    ["locker-demo", "--otp-qubits", "0"],
+    ["locker-demo", "--otp-qubits", "-1"],
+    ["locker-demo", "--otp-qubits", "25"],
+])
+def test_out_of_range_sizes_are_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert "error:" in stderr.splitlines()[-1]
+
+
+def test_largest_sizes_parse():
+    args = build_parser().parse_args(["sweep", "--grid-n", "1,8"])
+    assert args.grid_n == [1, 8]
+    args = build_parser().parse_args(["locker-demo", "--otp-qubits", "24"])
+    assert args.otp_qubits == 24
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     # the link's folder exists, its target's does not: open() itself fails
     link = tmp_path / "report.json"

@@ -7,7 +7,6 @@ import qlocker as q
 from qlocker.gates import (
     HADAMARD,
     PAULI_X,
-    format_matrix_dump,
     is_unitary,
     rx_matrix,
     ry_matrix,
@@ -162,6 +161,13 @@ class TestControlOnZeroDuality:
 def test_phase_aligned_distance_ignores_global_phase(np_rng):
     m = np_rng.normal(size=(4, 4)) + 1j * np_rng.normal(size=(4, 4))
     assert q.phase_aligned_distance(m, np.exp(0.7j) * m) < 1e-12
+
+
+def format_matrix_dump(m: np.ndarray) -> str:
+    """Row-major text dump: one row per line, 're im' pairs per entry."""
+    m = np.asarray(m, dtype=complex)
+    return "\n".join(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row)
+                     for row in m)
 
 
 def test_matrix_dump_round_trips():

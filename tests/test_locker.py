@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -180,6 +182,22 @@ class TestUnlock:
         q.attempt_unlock(locker, otp, RandomStream(59))
         with pytest.raises(PasswordConsumedError):
             q.attempt_unlock(locker, otp, RandomStream(60))
+
+    def test_consumed_registers_are_held_weakly(self):
+        params = OtpParams.random(1, RandomStream(64))
+        locker = q.store_message("1", params, SMALL)
+        kept = q.generate_otp(params)
+        dropped = q.generate_otp(params)
+        q.attempt_unlock(locker, kept, RandomStream(65))
+        q.attempt_unlock(locker, dropped, RandomStream(66))
+        ref = weakref.ref(dropped)
+        del dropped
+        gc.collect()
+        assert ref() is None
+        assert len(locker.consumed_passwords) == 1
+        # the live register is still refused
+        with pytest.raises(PasswordConsumedError):
+            q.attempt_unlock(locker, kept, RandomStream(67))
 
     def test_collapsed_copy_replays_per_eigenstate(self):
         params = OtpParams.random(1, RandomStream(61))

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ import pytest
 import qlocker as q
 from qlocker import CapacityError, Measurement, RandomStream
 from conftest import random_qubit_state
+from oracles import reference_sample_shots
 
 ALPHA = math.cos(math.pi / 8)  # system preparation used across the suite
 P0_SINGLE_ITERATION = 0.9663106718905499  # 1 - alpha^2 sin^2(0.2)
@@ -189,25 +189,13 @@ class TestSampleShots:
         assert a != c
 
     def test_shot_order_independence(self):
-        # tallying the per-shot sub-streams in reverse must give the same
-        # histogram sample_shots produced
+        # running the per-shot sub-streams one at a time, in reverse, must
+        # give the same histogram sample_shots produced
         ops = single_iteration_ops("x")
         hist = q.sample_shots(2, ops, 128, seed=5)
-        root = RandomStream(5)
-        counts = Counter()
-        for shot in reversed(range(128)):
-            rng = root.substream(shot)
-            state = q.new_state(2)
-            bits = []
-            for op in ops:
-                if isinstance(op, Measurement):
-                    outcome, _, state = q.measure_qubit(
-                        state, op.qubit, op.basis, rng)
-                    bits.append(str(outcome))
-                else:
-                    state = q.apply_gate(state, op)
-            counts["".join(bits)] += 1
-        assert dict(counts) == hist.counts
+        counts = reference_sample_shots(2, ops, 128, 5,
+                                        order=reversed(range(128)))
+        assert counts == hist.counts
 
     def test_interleaved_measurements(self):
         ops = [q.h(0), Measurement(0), q.cnot(0, 1), Measurement(1)]
@@ -234,6 +222,17 @@ def test_random_stream_reproducibility():
     child_b = RandomStream(1234).substream(3)
     assert child_a.random() == child_b.random()
     assert RandomStream(1234).substream(4).random() != child_b.random()
+
+
+def test_shot_uniforms_are_each_sub_streams_first_draws():
+    root = RandomStream(77, (2,))
+    rows = root.shot_uniforms(range(5, 9), 6)
+    assert rows.shape == (4, 6)
+    for row, shot in zip(rows, range(5, 9)):
+        sub = root.substream(shot)
+        assert row.tolist() == [sub.random() for _ in range(6)]
+    # the stream itself does not advance
+    assert root.random() == RandomStream(77, (2,)).random()
 
 
 def test_overlap_and_combine(np_rng):

@@ -6,6 +6,7 @@ import pytest
 
 import qlocker as q
 from qlocker import RandomStream, VerificationParams
+from qlocker.verification import sample_acceptance_runs
 from conftest import random_qubit_state
 
 
@@ -314,7 +315,8 @@ class TestPerturbationStep:
 class TestSampler:
     def test_matches_law_at_1e5(self):
         params = VerificationParams(theta=0.2, iterations=6)
-        rate = q.sample_acceptance(0.37, params, 100_000, RandomStream(5))
+        rate = sample_acceptance_runs(0.37, params, 100_000,
+                                      RandomStream(5)).mean()
         sigma = math.sqrt(0.37 * 0.63 / 100_000)
         assert abs(rate - 0.37) < 4 * sigma
 
@@ -322,14 +324,17 @@ class TestSampler:
         params = VerificationParams(theta=0.3, iterations=4,
                                     click_policy=q.STRICT_ABORT)
         expect = 0.6 * math.cos(0.3) ** 8
-        rate = q.sample_acceptance(0.6, params, 100_000, RandomStream(6))
+        rate = sample_acceptance_runs(0.6, params, 100_000,
+                                      RandomStream(6)).mean()
         sigma = math.sqrt(expect * (1 - expect) / 100_000)
         assert abs(rate - expect) < 4 * sigma
 
     def test_endpoints_exact(self):
         params = VerificationParams(theta=0.2, iterations=10)
-        assert q.sample_acceptance(0.0, params, 5000, RandomStream(7)) == 0.0
-        assert q.sample_acceptance(1.0, params, 5000, RandomStream(8)) == 1.0
+        for alpha_sq, seed in ((0.0, 7), (1.0, 8)):
+            accept = sample_acceptance_runs(alpha_sq, params, 5000,
+                                            RandomStream(seed))
+            assert accept.mean() == alpha_sq
 
 
 def test_trajectory_record_format():
