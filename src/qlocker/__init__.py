@@ -67,15 +67,16 @@ from .tomography import (
 from .verification import (
     PAPER_DEFAULT,
     STRICT_ABORT,
-    BoxShots,
     Trajectory,
     VerificationParams,
+    WeakStep,
     acceptance_probability,
+    box_ops,
+    box_record,
     enumerate_trajectories,
     iterate_once,
     perturbation_step,
     run_box,
-    run_box_shots,
     run_verification,
     trajectory_record,
 )

@@ -65,7 +65,8 @@ from .verification import (
     STRICT_ABORT,
     VerificationParams,
     acceptance_probability,
-    run_box_shots,
+    box_ops,
+    box_record,
     sample_acceptance_runs,
     trajectory_record,
 )
@@ -232,19 +233,16 @@ def cmd_verify_demo(args) -> dict:
 def cmd_converge(args) -> dict:
     params = VerificationParams(theta=args.theta, iterations=args.iterations,
                                 click_policy=args.policy)
-    master = RandomStream(args.seed)
-    plus = apply_gate(new_state(1), h(0))
-
+    hist = sample_shots(1, [h(0), *box_ops(0, params)], args.shots,
+                        args.seed)
     outcome_counts: Counter[str] = Counter()
-    all_zeros = 0
-    one_given_zeros = 0
-    for runs in run_box_shots(plus, 0, params, args.shots, master):
-        outcome_counts.update(
-            record + str(final)
-            for record, final in zip(runs.bitstrings(), runs.final.tolist()))
-        quiet = ~runs.clicked()
-        all_zeros += int(quiet.sum())
-        one_given_zeros += int(runs.final[quiet].sum())
+    # counts keep the shots' order of first appearance, which breaks ties
+    # among the top outcomes
+    for key, count in hist.counts.items():
+        outcome_counts[box_record(key, params)] += count
+    quiet = "0" * args.iterations
+    one_given_zeros = outcome_counts[quiet + "1"]
+    all_zeros = outcome_counts[quiet + "0"] + one_given_zeros
 
     # no click: the |1> half of |+> never clicks, and the |0> half survives
     # all N couplings with the strict policy's acceptance probability
@@ -340,7 +338,7 @@ def cmd_locker_demo(args) -> dict:
     wrong_stream = master.substream(3)
     wrong_probe = _wrong_password(params, args.wrong_overlap,
                                   wrong_stream.substream(0))
-    phi = apply_inverse_rotation(wrong_probe.copy(), params)
+    phi = apply_inverse_rotation(wrong_probe, params)
     overlaps = [qubit_probabilities(phi, k)[0]
                 for k in range(args.otp_qubits)]
     analytic_accept = math.prod(acceptance_probability(o, verification)
@@ -349,9 +347,7 @@ def cmd_locker_demo(args) -> dict:
     accept_count = 0
     last_wrong = None
     for rep in range(args.repeat):
-        probe = _wrong_password(params, args.wrong_overlap,
-                                wrong_stream.substream(0))
-        last_wrong = attempt_unlock(locker, probe,
+        last_wrong = attempt_unlock(locker, wrong_probe.copy(),
                                     wrong_stream.substream(rep + 1))
         accept_count += last_wrong.accepted
     wrong_rate = accept_count / args.repeat
@@ -453,12 +449,6 @@ def cmd_sweep(args) -> dict:
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
-
-def _histogram_csv(writer, label: str, hist) -> None:
-    writer.writerow([f"# {label}"])
-    for bitstring, count in hist.csv_rows():
-        writer.writerow([bitstring, count])
-
 
 def report_to_csv(report: dict) -> str:
     buf = io.StringIO()

@@ -8,7 +8,11 @@ norm to within 1e-10; measurement renormalizes explicitly.
 The kernels work on a leading shot axis: an array of shape ``(S, 2**n)``
 holds S registers of one circuit, one per row.  A gate is a strided
 ``reshape`` view with one length-2 axis per gate qubit, its controls fixed
-as indices on their axes; a measurement takes one uniform per row.
+as indices on their axes.  Every sampled outcome goes through one
+two-outcome kernel: two Kraus operators, diagonal on one qubit's axis, and
+one uniform per row.  A projective x/y/z readout is that kernel with the
+projectors, between basis rotations; the verification box's weak step
+(:class:`qlocker.verification.WeakStep`) supplies its own K0 and K1.
 :func:`apply_gate` and :func:`measure_qubit` are the S = 1 calls, and
 :func:`sample_shots` runs a whole circuit once over every row of a block of
 shots, shot ``i`` drawing its uniforms up front from sub-stream
@@ -41,6 +45,12 @@ class CapacityError(ValueError):
     """Register size outside the supported range."""
 
 
+def _check_width(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= DEFAULT_MAX_QUBITS:
+        raise CapacityError(
+            f"n_qubits must be in [1, {DEFAULT_MAX_QUBITS}], got {n_qubits}")
+
+
 @dataclass
 class StateVector:
     """Complex amplitudes of an n-qubit register."""
@@ -49,9 +59,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _check_width(self.n_qubits)  # before touching the amplitudes
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.n_qubits < 1:
-            raise CapacityError("need at least one qubit")
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError(
                 f"amplitude vector of length {self.amplitudes.shape} does not "
@@ -65,26 +74,20 @@ class StateVector:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
-def new_state(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def new_state(n_qubits: int) -> StateVector:
     """All-zeros register |0...0>."""
-    if n_qubits < 1 or n_qubits > max_qubits:
-        raise CapacityError(
-            f"n_qubits must be in [1, {max_qubits}], got {n_qubits}"
-        )
+    _check_width(n_qubits)  # before allocating
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
 
 
-def basis_state(bits: Union[str, Sequence[int]],
-                max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def basis_state(bits: Union[str, Sequence[int]]) -> StateVector:
     """Product basis state; entry/character ``k`` is the value of qubit ``k``."""
     values = [int(b) for b in bits]
-    if not values:
-        raise CapacityError("need at least one qubit")
     if any(v not in (0, 1) for v in values):
         raise ValueError(f"bits must be 0/1, got {bits!r}")
-    state = new_state(len(values), max_qubits)
+    state = new_state(len(values))
     index = sum(v << k for k, v in enumerate(values))
     state.amplitudes[0] = 0.0
     state.amplitudes[index] = 1.0
@@ -94,8 +97,7 @@ def basis_state(bits: Union[str, Sequence[int]],
 def combine(low: StateVector, high: StateVector) -> StateVector:
     """Tensor product; ``low`` keeps qubits [0, low.n), ``high`` follows."""
     n = low.n_qubits + high.n_qubits
-    if n > DEFAULT_MAX_QUBITS:  # checked before allocating
-        raise CapacityError(f"{n} qubits exceed the {DEFAULT_MAX_QUBITS}-qubit cap")
+    _check_width(n)  # before allocating
     amps = (high.amplitudes[:, None] * low.amplitudes[None, :]).ravel()
     return StateVector(n, amps)
 
@@ -153,53 +155,75 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
                        _gate_rows(state.amplitudes[None], gate)[0])
 
 
-def _probabilities_rows(amps: np.ndarray,
-                        qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (P(qubit=0), P(qubit=1)) in the computational basis."""
-    if not 0 <= qubit < _n_qubits(amps):
-        raise IndexError(f"qubit {qubit} out of range")
-    probs = (np.abs(amps) ** 2).reshape(len(amps), -1, 2, 1 << qubit)
-    return (probs[:, :, 0, :].sum(axis=(1, 2)),
-            probs[:, :, 1, :].sum(axis=(1, 2)))
-
-
 def qubit_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
     """(P(qubit=0), P(qubit=1)) in the computational basis."""
-    p0, p1 = _probabilities_rows(state.amplitudes[None], qubit)
-    return float(p0[0]), float(p1[0])
+    if not 0 <= qubit < state.n_qubits:
+        raise IndexError(f"qubit {qubit} out of range")
+    probs = (np.abs(state.amplitudes) ** 2).reshape(1, -1, 2, 1 << qubit)
+    return (float(probs[:, :, 0, :].sum(axis=(1, 2))[0]),
+            float(probs[:, :, 1, :].sum(axis=(1, 2))[0]))
 
 
-_PRE_ROTATION = {"z": (), "x": (h,), "y": (sdg, h)}
-_BITS = np.array([[0], [1]])  # the measured qubit's axis, for broadcasting
-_POST_ROTATION = {"z": (), "x": (h,), "y": (h, s)}
+# gates into the computational basis before a readout, and back after it
+_ROTATIONS = {"z": ((), ()), "x": ((h,), (h,)), "y": ((sdg, h), (h, s))}
+_PROJECTORS = np.eye(2, dtype=complex)
 
 
-def _measure_rows(amps: np.ndarray, qubit: int, basis: str,
+@dataclass(frozen=True)
+class Measurement:
+    """A projective x, y or z measurement of one qubit, mid- or
+    end-of-circuit."""
+
+    qubit: int
+    basis: str = "z"
+
+    def __post_init__(self):
+        if self.basis not in _ROTATIONS:
+            raise ValueError(
+                f"basis must be one of x, y, z; got {self.basis!r}")
+
+    # K0 and K1 as rows of their diagonal entries on the measured qubit's
+    # axis, in the measured basis: here the two projectors
+    kraus = _PROJECTORS
+
+
+def _measure_rows(amps: np.ndarray, op,
                   uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                  np.ndarray]:
-    """Measure ``qubit`` of every row of ``amps``, row ``i`` drawing
-    ``uniforms[i]``; returns per row the outcome (as uint8), its
-    probability, and the collapsed row.  See :func:`measure_qubit`."""
-    if basis not in _PRE_ROTATION:
-        raise ValueError(f"basis must be one of x, y, z; got {basis!r}")
-    for g in _PRE_ROTATION[basis]:
+    """The two-outcome measurement ``op`` (a :class:`Measurement` or any
+    element with its ``qubit``, ``basis`` and ``kraus``) on every row of
+    ``amps``, row ``i`` drawing ``uniforms[i]``.
+
+    The row is rotated into ``op.basis``, and each outcome ``b`` applies
+    ``K_b`` (row ``b`` of ``op.kraus``) with ``p_b = |K_b a|^2``;
+    outcome 1 is picked when ``uniforms[i] >= p0 / (p0 + p1)``, and the
+    picked branch is renormalized and rotated back.  Returns per row the
+    outcome (as bool), ``(p0, p1)`` (shape ``(2, S)``) and the new row.
+    """
+    qubit = op.qubit
+    if not 0 <= qubit < amps.shape[1].bit_length() - 1:
+        raise IndexError(f"qubit {qubit} out of range")
+    to_z, back = _ROTATIONS[op.basis]
+    for g in to_z:
         amps = _gate_rows(amps, g(qubit))
-    p0, p1 = _probabilities_rows(amps, qubit)
-    if np.maximum(p0, p1).min() < _UNDERFLOW:
+    kraus = op.kraus[:, None, :, None]  # K_b's entry for each qubit value
+    branches = kraus * amps.reshape(-1, 2, 1 << qubit)
+    branches = branches.reshape(2, *amps.shape)
+    probs = np.add.reduce(np.abs(branches) ** 2, axis=2)
+    p0 = probs[0]
+    p1 = probs[1]
+    if np.minimum.reduce(np.maximum(p0, p1)) < _UNDERFLOW:
         i = int(np.argmin(np.maximum(p0, p1)))
         raise FloatingPointError(
             f"both outcome probabilities underflow ({p0[i]:.3e}, {p1[i]:.3e})"
         )
     total = p0 + p1
     click = uniforms >= p0 / total
-    prob = np.where(click, p1, p0) / total
-    view = amps.reshape(len(amps), -1, 2, 1 << qubit)
-    out = np.where(_BITS == click[:, None, None, None], view, 0.0)
-    out = out.reshape(amps.shape)
-    out /= np.sqrt(prob * total)[:, None]
-    for g in _POST_ROTATION[basis]:
+    out = np.where(click[:, None], branches[1], branches[0])
+    out /= np.sqrt(np.where(click, p1, p0) / total * total)[:, None]
+    for g in back:
         out = _gate_rows(out, g(qubit))
-    return click.view(np.uint8), prob, out
+    return click, probs, out
 
 
 def measure_qubit(state: StateVector, qubit: int, basis: str,
@@ -211,18 +235,13 @@ def measure_qubit(state: StateVector, qubit: int, basis: str,
     rotating back after the collapse.  Draws one uniform.  Returns (outcome,
     probability of that outcome, renormalized post-measurement state).
     """
-    outcome, prob, amps = _measure_rows(state.amplitudes[None], qubit, basis,
-                                        rng.randoms(1))
-    return (int(outcome[0]), float(prob[0]),
+    click, probs, amps = _measure_rows(state.amplitudes[None],
+                                       Measurement(qubit, basis),
+                                       rng.randoms(1))
+    outcome = int(click[0])
+    p0, p1 = probs[:, 0].tolist()
+    return (outcome, (p1 if outcome else p0) / (p0 + p1),
             StateVector(state.n_qubits, amps[0]))
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """A mid- or end-of-circuit measurement instruction."""
-
-    qubit: int
-    basis: str = "z"
 
 
 CircuitOp = Union[GateOp, Measurement]
@@ -242,15 +261,15 @@ class CountsHistogram:
     def probability(self, key: str) -> float:
         return self.counts.get(key, 0) / self.shots
 
-    def csv_rows(self) -> list[tuple[str, int]]:
-        return sorted(self.counts.items())
-
 
 def sample_shots(n_qubits: int, ops: Sequence[CircuitOp], shots: int,
                  seed: int) -> CountsHistogram:
     """Run ``shots`` independent trajectories of a circuit and tally outcomes.
 
-    Shot ``i`` draws its uniforms, one per measurement, up front from the
+    A measurement is a :class:`Measurement` or any other two-outcome element
+    with a ``qubit``, a ``basis`` and ``kraus`` (such as the verification
+    box's weak step); each adds its outcome bit to the shot's key.  Shot
+    ``i`` draws its uniforms, one per measurement, up front from the
     sub-stream ``(seed, i)``, so the histogram is identical no matter how
     the shots are ordered or grouped.  The circuit runs once per block of
     shots, over all of the block's rows.
@@ -258,10 +277,10 @@ def sample_shots(n_qubits: int, ops: Sequence[CircuitOp], shots: int,
     if shots < 1:
         raise ValueError("shots must be >= 1")
     for op in ops:
-        if not isinstance(op, (GateOp, Measurement)):
+        if not (isinstance(op, GateOp) or hasattr(op, "kraus")):
             raise TypeError(f"unsupported circuit element {op!r}")
     start = new_state(n_qubits).amplitudes
-    k = sum(isinstance(op, Measurement) for op in ops)
+    k = sum(not isinstance(op, GateOp) for op in ops)
     root = RandomStream(seed)
     counts: Counter[str] = Counter()
     for block in _shot_blocks(shots, start.size + k):
@@ -270,12 +289,11 @@ def sample_shots(n_qubits: int, ops: Sequence[CircuitOp], shots: int,
         bits = np.empty((len(block), k), dtype=np.uint8)
         j = 0
         for op in ops:
-            if isinstance(op, Measurement):
-                bits[:, j], _, amps = _measure_rows(amps, op.qubit, op.basis,
-                                                    uniforms[:, j])
-                j += 1
-            else:
+            if isinstance(op, GateOp):
                 amps = _gate_rows(amps, op)
+            else:
+                bits[:, j], _, amps = _measure_rows(amps, op, uniforms[:, j])
+                j += 1
         counts.update(row.tobytes().decode() for row in bits + ord("0"))
     return CountsHistogram(shots=shots, counts=dict(counts))
 

@@ -13,22 +13,22 @@ so the per-iteration outcome probabilities are
     p0 = |alpha|^2 cos^2(theta) + |beta|^2
     p1 = |alpha|^2 sin^2(theta)
 
-:func:`run_box` applies these operators to qubit ``k`` of any register, so
-the same box verifies a lone qubit and each qubit of an entangled password;
-no ancilla is simulated.  Outcome 0 renormalizes the qubit toward |1>;
-a click projects it onto |0> exactly.  |0> and |1> are fixed points of the
-whole loop, which is what lets the box discriminate the zero state from
-superpositions over many iterations.  The explicit ancilla circuit is kept
-where the ancilla itself is measured (``verify-demo``).
+One iteration is a :class:`WeakStep` on qubit ``k`` of any register, a
+two-outcome measurement run by the same kernel as a projective readout
+(:mod:`qlocker.statevector`), so the same box verifies a lone qubit and
+each qubit of an entangled password; no ancilla is simulated.  Outcome 0
+renormalizes the qubit toward |1>; a click projects it onto |0> exactly.
+|0> and |1> are fixed points of the whole loop, which is what lets the box
+discriminate the zero state from superpositions over many iterations.  The
+explicit ancilla circuit is kept where the ancilla itself is measured
+(``verify-demo``).
 
-The step and the box work on a leading shot axis, like the kernels of
-:mod:`qlocker.statevector`: rows of shape ``(S, 2**n)`` are S registers,
-each step takes one uniform per row, and under the strict policy a row
-that clicked records nothing more.  :func:`run_box` is the S = 1 call and
-draws its uniforms lazily from one stream (the locker shares a stream
-across its boxes, and a strict click stops the draws); :func:`run_box_shots`
-runs many shots at once, shot ``i`` drawing its N+1 uniforms up front from
-sub-stream ``(seed, i)``.
+:func:`run_box` runs one box, drawing its uniforms lazily from one stream
+(the locker shares a stream across its boxes, and a strict click stops the
+draws).  Many shots of a box are a circuit: :func:`box_ops` gives its N
+weak steps and closing readout for :func:`qlocker.statevector.sample_shots`,
+and :func:`box_record` reads each outcome key as :func:`run_box` records
+it.
 
 Two click policies are supported.  The default keeps iterating after a click
 (the run then accepts, since the system sits in |0>); the strict variant
@@ -40,8 +40,7 @@ iteration count; under strict-abort it is |alpha|^2 cos(theta)^(2N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,9 +48,9 @@ from .rng import RandomStream
 from .statevector import (
     NORM_TOL,
     CapacityError,
+    Measurement,
     StateVector,
     _measure_rows,
-    _shot_blocks,
 )
 
 PAPER_DEFAULT = "paper"
@@ -116,117 +115,43 @@ def _require_single_qubit(system: StateVector):
         raise ValueError("the verification box acts on a single-qubit system")
 
 
-def _kraus_diagonals(n_qubits: int, k: int, theta: float) -> np.ndarray:
-    """K0 and K1 on qubit ``k`` of an n-qubit register, as the rows of a
-    ``(2, 2**n)`` array of their diagonals.
+@dataclass(frozen=True)
+class WeakStep:
+    """One iteration of the box on ``qubit``: the two-outcome measurement
+    K0 = diag(cos(theta), 1), K1 = -i sin(theta) |0><0|.  Its outcome is the
+    ancilla's reading, and :func:`qlocker.statevector.sample_shots` runs it
+    like a readout."""
 
-    The entries are the coupling gate's own constants, laid out as the
-    coupled register's ancilla-0 and ancilla-1 halves, so that the branch
-    amplitudes and their probabilities are bit for bit those of the ancilla
-    circuit.
+    qubit: int
+    theta: float
+    basis = "z"  # not a field: the Kraus operators are diagonal in z
+    # K0 and K1 as rows of their diagonal entries on the qubit's axis
+    kraus: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the coupling gate's own constants, so that the branch amplitudes
+        # and their probabilities are bit for bit those of the ancilla circuit
+        object.__setattr__(self, "kraus", np.array(
+            [[math.cos(self.theta), 1.0], [-1j * math.sin(self.theta), 0.0]]))
+
+
+def box_ops(k: int, params: VerificationParams) -> list:
+    """The box on qubit ``k`` as circuit elements: N weak steps, then the
+    closing z readout."""
+    return [WeakStep(k, params.theta)] * params.iterations + [Measurement(k)]
+
+
+def box_record(key: str, params: VerificationParams) -> str:
+    """The ``sample_shots`` key of a box's N+1 bits as :func:`run_box`
+    records it: the outcome bits, then the closing readout.
+
+    A strict run stops at its first click, so its record is cut just after
+    it.  The qubit is then exactly |0>, which both Kraus operators keep up
+    to a phase, so the key's closing readout is 0.
     """
-    diagonals = np.zeros((2, 1 << n_qubits), dtype=complex)
-    view = diagonals.reshape(2, -1, 2, 1 << k)
-    view[0, :, 0, :] = complex(math.cos(theta))
-    view[0, :, 1, :] = 1.0
-    view[1, :, 0, :] = -1j * math.sin(theta)
-    return diagonals
-
-
-def _kraus_rows(amps: np.ndarray, kraus: np.ndarray, uniforms: np.ndarray,
-                probs: np.ndarray, click: np.ndarray) -> np.ndarray:
-    """One iteration of the box on every row of ``amps``, row ``i`` drawing
-    ``uniforms[i]``; returns the renormalized new rows.
-
-    ``kraus`` comes from :func:`_kraus_diagonals`.  Each row's p0 and p1 are
-    written to ``probs[0]`` and ``probs[1]`` (shape ``(2, S, 1)``) and
-    whether its ancilla clicked to ``click`` (shape ``(S, 1)``); they, and
-    the sampled outcome, are those of the ancilla circuit followed by a
-    z-measurement of the ancilla.
-    """
-    branches = kraus[:, None, :] * amps
-    np.add.reduce(np.abs(branches) ** 2, axis=2, keepdims=True, out=probs)
-    p0 = probs[0]
-    p1 = probs[1]
-    total = p0 + p1
-    np.greater_equal(uniforms[:, None], p0 / total, out=click)
-    prob = np.where(click, p1, p0) / total
-    new = np.where(click, branches[1], branches[0])
-    new /= np.sqrt(prob * total)
-    return new
-
-
-@dataclass
-class BoxShots:
-    """Runs of one box over a block of shots, one row per shot.
-
-    ``outcomes`` and ``step_p1`` have one column per iteration; past a
-    row's ``steps`` (a strict run stops at its first click) they hold 0.
-    """
-
-    shots: range
-    outcomes: np.ndarray
-    step_p1: np.ndarray
-    steps: np.ndarray
-    final: np.ndarray
-    accepted: np.ndarray
-
-    def clicked(self) -> np.ndarray:
-        return self.outcomes.any(axis=1)
-
-    def bitstrings(self) -> list[str]:
-        """Each row's :meth:`Trajectory.outcomes_bitstring`."""
-        chars = self.outcomes + ord("0")
-        return [row[:n].tobytes().decode()
-                for row, n in zip(chars, self.steps.tolist())]
-
-    def trajectory(self, row: int) -> Trajectory:
-        n = int(self.steps[row])
-        return Trajectory(self.outcomes[row, :n].tolist(),
-                          self.step_p1[row, :n].tolist(),
-                          int(self.final[row]), bool(self.accepted[row]))
-
-
-def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
-              draw: Callable[[int | np.ndarray], np.ndarray],
-              shots: range) -> tuple[BoxShots, np.ndarray]:
-    """The box on qubit ``k`` of every row: N iterations, then a closing
-    z-measurement of that qubit.
-
-    ``draw(j)`` returns each row's uniform number ``j``, where ``j`` is an
-    int or one index per row.  Returns the records and the collapsed rows.
-    """
-    rows, size = amps.shape
-    n_qubits = size.bit_length() - 1
-    if not 0 <= k < n_qubits:
-        raise IndexError(f"qubit {k} out of range")
-    n = params.iterations
-    strict = params.click_policy == STRICT_ABORT
-    kraus = _kraus_diagonals(n_qubits, k, params.theta)
-    probs = np.zeros((n, 2, rows, 1))
-    clicks = np.zeros((n, rows, 1), dtype=bool)
-    live = np.ones((rows, 1), dtype=bool)
-    for j in range(n):
-        amps = _kraus_rows(amps, kraus, draw(j), probs[j], clicks[j])
-        if strict and not live.all():
-            # a row that clicked records nothing more.  Its qubit k is
-            # exactly |0>, which both Kraus operators keep up to a phase, so
-            # its closing measurement reads 0 however many steps it takes
-            clicks[j] &= live
-            probs[j][:, ~live[:, 0]] = 0.0
-        if strict:
-            live &= ~clicks[j]
-            if not live.any():
-                break
-    outcomes = clicks[:, :, 0].T.view(np.uint8)
-    step_p1 = probs[:, 1, :, 0].T
-    clicked = outcomes.any(axis=1)
-    taken = np.full(rows, n)
-    if strict and clicked.any():  # a strict run stops at its first click
-        taken[clicked] = outcomes[clicked].argmax(axis=1) + 1
-    final, _, amps = _measure_rows(amps, k, "z", draw(taken))
-    accepted = (final == 0) & ~(clicked & strict)
-    return BoxShots(shots, outcomes, step_p1, taken, final, accepted), amps
+    if params.click_policy == STRICT_ABORT and "1" in key[:-1]:
+        return key[:key.index("1") + 1] + key[-1]
+    return key
 
 
 def run_box(state: StateVector, k: int, params: VerificationParams,
@@ -240,30 +165,21 @@ def run_box(state: StateVector, k: int, params: VerificationParams,
     Returns the trajectory and the collapsed register; ``state`` itself is
     left untouched.
     """
-    runs, amps = _box_rows(state.amplitudes[None], k, params,
-                           lambda j: rng.randoms(1), range(1))
-    return runs.trajectory(0), StateVector(state.n_qubits, amps[0])
-
-
-def run_box_shots(state: StateVector, k: int, params: VerificationParams,
-                  shots: int, root: RandomStream) -> Iterator[BoxShots]:
-    """Run the box on qubit ``k`` of ``shots`` copies of ``state``.
-
-    Shot ``i`` draws its N+1 uniforms up front from ``root.substream(i)``
-    and matches :func:`run_box` on that sub-stream.  Yields the records of
-    one block of shots at a time, in shot order.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    size = state.amplitudes.size
-    draws = params.iterations + 1
-    for block in _shot_blocks(shots, size + draws):
-        uniforms = root.shot_uniforms(block, draws)
-        index = np.arange(len(block))
-        amps = np.broadcast_to(state.amplitudes, (len(block), size))
-        runs, _ = _box_rows(amps, k, params, lambda j: uniforms[index, j],
-                            block)
-        yield runs
+    strict = params.click_policy == STRICT_ABORT
+    step = WeakStep(k, params.theta)
+    amps = state.amplitudes[None]
+    outcomes, step_p1 = [], []
+    for _ in range(params.iterations):
+        click, probs, amps = _measure_rows(amps, step, rng.randoms(1))
+        outcomes.append(int(click[0]))
+        step_p1.append(float(probs[1, 0]))
+        if strict and outcomes[-1]:
+            break
+    final, _, amps = _measure_rows(amps, Measurement(k), rng.randoms(1))
+    final = int(final[0])
+    accepted = final == 0 and not (strict and any(outcomes))
+    return (Trajectory(outcomes, step_p1, final, accepted),
+            StateVector(state.n_qubits, amps[0]))
 
 
 def iterate_once(system: StateVector, params: VerificationParams,
@@ -275,12 +191,10 @@ def iterate_once(system: StateVector, params: VerificationParams,
     |0> (up to a global phase).
     """
     _require_single_qubit(system)
-    probs = np.empty((2, 1, 1))
-    click = np.empty((1, 1), dtype=bool)
-    amps = _kraus_rows(system.amplitudes[None],
-                       _kraus_diagonals(1, 0, params.theta), rng.randoms(1),
-                       probs, click)
-    return int(click[0, 0]), StateVector(1, amps[0]), float(probs[1, 0, 0])
+    click, probs, amps = _measure_rows(system.amplitudes[None],
+                                       WeakStep(0, params.theta),
+                                       rng.randoms(1))
+    return int(click[0]), StateVector(1, amps[0]), float(probs[1, 0])
 
 
 def run_verification(system: StateVector, params: VerificationParams,

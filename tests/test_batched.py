@@ -1,13 +1,14 @@
 """The shot-batched kernels against the scalar paths they replace.
 
-``sample_shots`` runs a circuit once over a block of shots and
-``run_box_shots`` runs the verification box once over a block of shots;
-both must give every shot exactly what it gets alone on its own sub-stream,
-however the shots are split into blocks and in whatever order the blocks
-run.
+``sample_shots`` runs a circuit once over a block of shots, and the
+verification box is such a circuit (``box_ops``, read through
+``box_record``); every shot must get exactly what it gets alone on its own
+sub-stream, however the shots are split into blocks and in whatever order
+the blocks run.
 """
 
-import numpy as np
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,34 +28,45 @@ BATCH_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                           database=None)
 
 
-def random_register(n: int, seed: int) -> q.StateVector:
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return q.StateVector(n, v / np.linalg.norm(v))
+@st.composite
+def gates(draw, n):
+    """A gate of any kind on an n-qubit register, with random controls of
+    both polarities."""
+    target = draw(st.integers(0, n - 1))
+    others = [k for k in range(n) if k != target]
+    controls = tuple(
+        (k, draw(st.integers(0, 1)))
+        for k in draw(st.lists(st.sampled_from(others), unique=True,
+                               max_size=len(others)))) if others else ()
+    kind = draw(st.sampled_from(("x", "h", "s", "sdg", "rx", "ry", "rz")))
+    angle = draw(st.floats(-3.1, 3.1)) if kind.startswith("r") else None
+    return q.GateOp(kind, target, angle=angle, controls=controls)
 
 
 @st.composite
 def circuits(draw):
-    """A register width of 1 to 3 qubits and a circuit on it: gates of every
-    kind with random controls of both polarities, and x/y/z measurements
-    anywhere in the circuit."""
+    """A register width of 1 to 3 qubits and a circuit on it: gates, and
+    x/y/z measurements anywhere in the circuit."""
     n = draw(st.integers(1, 3))
     ops = []
     for _ in range(draw(st.integers(1, 8))):
         if draw(st.booleans()):
             ops.append(Measurement(draw(st.integers(0, n - 1)),
                                    draw(st.sampled_from("xyz"))))
-            continue
-        target = draw(st.integers(0, n - 1))
-        others = [k for k in range(n) if k != target]
-        controls = tuple(
-            (k, draw(st.integers(0, 1)))
-            for k in draw(st.lists(st.sampled_from(others), unique=True,
-                                   max_size=len(others)))) if others else ()
-        kind = draw(st.sampled_from(("x", "h", "s", "sdg", "rx", "ry", "rz")))
-        angle = (draw(st.floats(-3.1, 3.1)) if kind.startswith("r")
-                 else None)
-        ops.append(q.GateOp(kind, target, angle=angle, controls=controls))
+        else:
+            ops.append(draw(gates(n)))
+    return n, ops
+
+
+@st.composite
+def preps(draw):
+    """A register width of 1 to 3 qubits and gates preparing a state on it:
+    a random Ry on every qubit, a CNOT chain that entangles them, then
+    random gates."""
+    n = draw(st.integers(1, 3))
+    ops = [q.ry(draw(st.floats(0.1, 3.0)), k) for k in range(n)]
+    ops += [q.cnot(k, k + 1) for k in range(n - 1)]
+    ops += draw(st.lists(gates(n), max_size=4))
     return n, ops
 
 
@@ -68,7 +80,6 @@ def split(mp, cells, reverse=False):
             return original(shots, row_cells)[::-1]
 
         mp.setattr(statevector, "_shot_blocks", backwards)
-        mp.setattr(verification, "_shot_blocks", backwards)
 
 
 SPLITS = [(1, False), (3, False), (3, True), (40, True)]
@@ -87,62 +98,56 @@ def test_sample_shots_matches_the_per_shot_oracle(circuit, shots, seed):
             assert q.sample_shots(n, ops, shots, seed).counts == want
 
 
-def box_records(state, k, params, shots, seed):
-    """``{shot: (trajectory, bitstring, clicked)}`` from run_box_shots."""
-    records = {}
-    for runs in q.run_box_shots(state, k, params, shots, RandomStream(seed)):
-        assert len(runs.shots) == len(runs.final)
-        bitstrings = runs.bitstrings()
-        clicked = runs.clicked()
-        for row, shot in enumerate(runs.shots):
-            records[shot] = (runs.trajectory(row), bitstrings[row],
-                             bool(clicked[row]))
-    return records
+def box_histogram(n, prep, k, params, shots, seed):
+    """The box's records tallied from one ``sample_shots`` run."""
+    hist = q.sample_shots(n, [*prep, *q.box_ops(k, params)], shots, seed)
+    records = Counter()
+    for key, count in hist.counts.items():
+        records[q.box_record(key, params)] += count
+    return dict(records)
 
 
 @BATCH_SETTINGS
-@given(n=st.integers(1, 3), data=st.data(), theta=st.floats(0.05, 1.3),
+@given(prep=preps(), data=st.data(), theta=st.floats(0.05, 1.3),
        iterations=st.integers(0, 10),
        policy=st.sampled_from(verification.CLICK_POLICIES),
        shots=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-def test_batched_box_matches_run_box_shot_for_shot(n, data, theta,
-                                                  iterations, policy, shots,
-                                                  seed):
+def test_box_circuit_matches_run_box_per_shot(prep, data, theta, iterations,
+                                              policy, shots, seed):
+    n, ops = prep
     k = data.draw(st.integers(0, n - 1))
-    state = random_register(n, seed)
     params = VerificationParams(theta, iterations, policy)
+    state = q.new_state(n)
+    for gate in ops:
+        state = q.apply_gate(state, gate)
     root = RandomStream(seed)
-    records = box_records(state, k, params, shots, seed)
-    assert sorted(records) == list(range(shots))
-    for shot, (got, bitstring, clicked) in records.items():
-        want, _ = q.run_box(state, k, params, root.substream(shot))
-        assert got.ancilla_outcomes == want.ancilla_outcomes
-        assert got.step_p1 == want.step_p1
-        assert got.final_system_outcome == want.final_system_outcome
-        assert got.accepted == want.accepted
-        assert bitstring == want.outcomes_bitstring()
-        assert clicked == want.clicked()
+    want = Counter()
+    for shot in range(shots):
+        traj, _ = q.run_box(state, k, params, root.substream(shot))
+        want[traj.outcomes_bitstring() + str(traj.final_system_outcome)] += 1
+    want = dict(want)
+    assert box_histogram(n, ops, k, params, shots, seed) == want
     for cells, reverse in SPLITS:
         with pytest.MonkeyPatch.context() as mp:
             split(mp, cells, reverse)
-            assert box_records(state, k, params, shots, seed) == records
+            assert box_histogram(n, ops, k, params, shots, seed) == want
 
 
-def test_a_strict_click_stops_its_own_row_only():
-    # |+> clicks often at theta 1.2; rows that did not click keep iterating
-    plus = q.apply_gate(q.new_state(1), q.h(0))
+def test_strict_records_end_at_the_first_click():
+    # |+> clicks often at theta 1.2; runs that did not click keep iterating
     params = VerificationParams(1.2, 6, q.STRICT_ABORT)
-    (runs,) = q.run_box_shots(plus, 0, params, 200, RandomStream(8))
-    clicked = runs.clicked()
-    assert 0 < clicked.sum() < 200
-    assert set(runs.steps[~clicked].tolist()) == {6}
-    first = runs.outcomes[clicked].argmax(axis=1)
-    np.testing.assert_array_equal(runs.steps[clicked], first + 1)
-    assert not runs.accepted[clicked].any()
-    # nothing is recorded past a row's first click
-    past = np.arange(6)[None, :] >= runs.steps[:, None]
-    assert not runs.outcomes[past].any()
-    assert not runs.step_p1[past].any()
+    records = box_histogram(1, [q.h(0)], 0, params, 200, 8)
+    clicked = {r: c for r, c in records.items() if "1" in r[:-1]}
+    assert 0 < sum(clicked.values()) < 200
+    for record in records:
+        if record in clicked:
+            assert record.endswith("10") and record.count("1") == 1
+        else:
+            assert len(record) == 6 + 1
+    # the paper policy keeps every step after a click
+    paper = VerificationParams(1.2, 6)
+    assert {len(r) for r in box_histogram(1, [q.h(0)], 0, paper, 200, 8)} \
+        == {6 + 1}
 
 
 @pytest.mark.parametrize("shots,row_cells", [

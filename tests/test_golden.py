@@ -26,6 +26,11 @@ CASES = {
     "verify-demo": ["verify-demo", "--shots", "512"],
     "converge": ["converge", "--shots", "512"],
     "converge-strict": ["converge", "--shots", "512", "--policy", "strict"],
+    # many strict clicks, and ties among the top outcomes
+    "converge-strict-clicks": [
+        "converge", "--shots", "512", "--policy", "strict", "--theta", "1.2",
+        "--iterations", "6"],
+    "converge-csv": ["converge", "--shots", "512", "--format", "csv"],
     "locker-demo": ["locker-demo", "--shots", "512", "--repeat", "200"],
     "locker-demo-strict-n3": [
         "locker-demo", "--shots", "512", "--otp-qubits", "3",
@@ -33,6 +38,10 @@ CASES = {
         "--wrong-overlap", "0.5", "--repeat", "200"],
     "sweep": ["sweep", "--shots", "512"],
 }
+
+
+def golden_file(name: str, argv: list[str]) -> Path:
+    return GOLDEN / (name + (".csv" if "csv" in argv else ".json"))
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -48,7 +57,7 @@ def test_report_matches_golden(name):
     assert entry["argv"] == CASES[name]
     code, text = run_cli(entry["argv"])
     assert code == entry["exit_code"]
-    assert text.encode() == (GOLDEN / f"{name}.json").read_bytes()
+    assert text.encode() == golden_file(name, entry["argv"]).read_bytes()
 
 
 def write_goldens() -> None:
@@ -56,7 +65,7 @@ def write_goldens() -> None:
     manifest = {}
     for name, argv in CASES.items():
         code, text = run_cli(argv)
-        (GOLDEN / f"{name}.json").write_bytes(text.encode())
+        golden_file(name, argv).write_bytes(text.encode())
         manifest[name] = {"argv": argv, "exit_code": code}
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

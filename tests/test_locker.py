@@ -154,6 +154,20 @@ class TestUnlock:
         with pytest.raises(ValueError):
             q.attempt_unlock(locker, q.new_state(1), RandomStream(53))
 
+    @pytest.mark.parametrize("policy", q.verification.CLICK_POLICIES)
+    def test_all_zero_register_releases_nothing(self, policy):
+        # every box step refuses a register whose outcome probabilities
+        # both underflow, so an empty register cannot unlock the message
+        params = OtpParams.random(2, RandomStream(56))
+        locker = q.store_message("1011", params,
+                                 VerificationParams(0.1, 38, policy))
+        blanks = q.new_state(4)
+        with pytest.raises(FloatingPointError):
+            q.attempt_unlock(locker, q.StateVector(2, np.zeros(4)),
+                             RandomStream(57), blanks=blanks)
+        np.testing.assert_array_equal(blanks.amplitudes,
+                                      q.new_state(4).amplitudes)
+
     def test_blanks_must_be_zero(self):
         params = OtpParams.random(1, RandomStream(54))
         locker = q.store_message("10", params, SMALL)

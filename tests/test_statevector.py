@@ -32,11 +32,15 @@ class TestNewState:
             q.new_state(0)
 
     def test_capacity_cap(self):
+        # every check raises before it allocates a register of that width
         with pytest.raises(CapacityError):
             q.new_state(25)
-        q.new_state(3, max_qubits=3)
         with pytest.raises(CapacityError):
-            q.new_state(4, max_qubits=3)
+            q.basis_state("0" * 25)
+        with pytest.raises(CapacityError):
+            q.StateVector(25, np.zeros(2))
+        with pytest.raises(CapacityError):
+            q.StateVector(0, np.zeros(1))
 
 
 def test_basis_state_is_little_endian():
@@ -129,6 +133,20 @@ class TestMeasure:
     def test_bad_basis(self):
         with pytest.raises(ValueError):
             q.measure_qubit(q.new_state(1), 0, "w", RandomStream(0))
+
+    @pytest.mark.parametrize("basis", "xyz")
+    def test_all_zero_register_underflows(self, basis):
+        empty = q.StateVector(2, np.zeros(4))
+        with pytest.raises(FloatingPointError):
+            q.measure_qubit(empty, 1, basis, RandomStream(0))
+
+    def test_underflow_is_both_probabilities_below_1e_15(self):
+        tiny = q.StateVector(1, np.sqrt([0.9e-15, 0.8e-15]))
+        with pytest.raises(FloatingPointError):
+            q.measure_qubit(tiny, 0, "z", RandomStream(0))
+        small = q.StateVector(1, np.sqrt([1.1e-15, 0.8e-15]))
+        outcome, prob, post = q.measure_qubit(small, 0, "z", RandomStream(0))
+        assert post.norm_sq() == pytest.approx(1.0)
 
 
 def _random_gate(rng, n_qubits):
