@@ -124,6 +124,7 @@ def _in_range(cast, low, high=math.inf):
 
 
 _positive_int = _in_range(int, 1)
+_seed = _in_range(int, 0)  # SeedSequence takes non-negative integers only
 _probability = _in_range(float, 0.0, 1.0)
 # sweep check j seeds password qubit k from sub-stream 8*j + k, so more than
 # 8 qubits would share sub-streams between checks
@@ -508,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
         p.add_argument("--shots", type=_positive_int, default=DEFAULT_SHOTS)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=_out_path, default=None, metavar="PATH")

@@ -1,5 +1,7 @@
 """Reference implementations kept as test oracles.
 
+``reference_shot_uniforms`` builds one numpy generator per shot, as
+:meth:`qlocker.RandomStream.shot_uniforms` must reproduce without one.
 ``reference_sample_shots`` runs a circuit one shot at a time, each shot
 drawing lazily from its own sub-stream, as the shot-batched
 :func:`qlocker.sample_shots` must reproduce.
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from qlocker import (
     STRICT_ABORT,
     Measurement,
@@ -33,6 +37,13 @@ from qlocker import (
     qubit_probabilities,
     x,
 )
+
+
+def reference_shot_uniforms(stream, shots, k):
+    """Row ``j``: ``stream.substream(shots[j]).randoms(k)``, one sub-stream
+    (``SeedSequence``, ``Philox``, ``Generator``) per shot."""
+    rows = [stream.substream(i).randoms(k) for i in shots]
+    return np.array(rows, dtype=np.float64).reshape(len(shots), k)
 
 
 def reference_sample_shots(n_qubits, ops, shots, seed, order=None):

@@ -227,6 +227,18 @@ def test_out_of_range_sizes_are_rejected_at_parse_time(argv, capsys):
     assert "error:" in stderr.splitlines()[-1]
 
 
+@pytest.mark.parametrize("command", [
+    "verify-demo", "converge", "locker-demo", "sweep"])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args([command, "--seed", "-1"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert "error:" in stderr.splitlines()[-1] and "--seed" in stderr
+    assert build_parser().parse_args([command, "--seed", "0"]).seed == 0
+
+
 def test_largest_sizes_parse():
     args = build_parser().parse_args(["sweep", "--grid-n", "1,8"])
     assert args.grid_n == [1, 8]

@@ -1,0 +1,102 @@
+"""``RandomStream.shot_uniforms`` against numpy's per-shot generators.
+
+``shot_uniforms`` evaluates numpy's ``SeedSequence`` spawn and
+Philox4x64-10 as array arithmetic, so only these tests tie it to numpy:
+each shot's row must be bit for bit the first ``k`` doubles of
+``Generator(Philox(SeedSequence(seed, spawn_key=path + (i,))))``.  The
+pinned literals fail loudly if a numpy upgrade changes either algorithm.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlocker import RandomStream, statevector
+
+from oracles import reference_shot_uniforms
+
+RNG_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                        database=None)
+
+# seeds of 1 word, 63-bit spawn_seed values (2 words), and 5 or more words
+seeds = st.one_of(st.integers(0, 2), st.integers(0, 2**63 - 1),
+                  st.integers(2**128, 2**200))
+# (), one small entry, and entries of one, two or three words
+paths = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(0, 7)),
+    st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)),
+             max_size=3).map(tuple))
+# blocks of up to 12 shots anywhere in [0, 2**32), with any positive step
+shot_ranges = st.builds(
+    lambda start, length, step: range(start, start + length * step, step),
+    st.one_of(st.integers(0, 50), st.integers(0, 2**32 - 40)),
+    st.integers(0, 12), st.integers(1, 3))
+
+
+def numpy_rows(seed, path, shots, k):
+    """Each shot's first ``k`` doubles from numpy's own generators."""
+    rows = [np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        seed, spawn_key=path + (i,)))).random(k) for i in shots]
+    return np.array(rows, dtype=np.float64).reshape(len(shots), k)
+
+
+def assert_bits_equal(got, want):
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@RNG_SETTINGS
+@given(seed=seeds, path=paths, shots=shot_ranges, k=st.integers(0, 45))
+def test_shot_uniforms_are_numpys_doubles_bit_for_bit(seed, path, shots, k):
+    stream = RandomStream(seed, path)
+    got = stream.shot_uniforms(shots, k)
+    assert_bits_equal(got, reference_shot_uniforms(stream, shots, k))
+    assert_bits_equal(got, numpy_rows(seed, path, shots, k))
+
+
+@RNG_SETTINGS
+@given(seed=seeds, path=paths, shots=st.integers(1, 120),
+       k=st.integers(0, 9), cells=st.integers(1, 400))
+def test_every_block_split_gives_the_same_rows(seed, path, shots, k, cells):
+    stream = RandomStream(seed, path)
+    want = reference_shot_uniforms(stream, range(shots), k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "SHOT_BLOCK_CELLS", cells)
+        blocks = statevector._shot_blocks(shots, 2 + k)
+    got = np.concatenate([stream.shot_uniforms(b, k) for b in blocks])
+    assert_bits_equal(got, want)
+
+
+def test_pinned_doubles():
+    rows = RandomStream(42).shot_uniforms(range(2), 5)
+    assert [x.hex() for x in rows[0]] == [
+        "0x1.c208e833d7a0cp-3", "0x1.d32461ea93e24p-2",
+        "0x1.78ccc20390a98p-3", "0x1.c8ea9383e906cp-2",
+        "0x1.8a0ccac29beb6p-2"]
+    assert [x.hex() for x in rows[1]] == [
+        "0x1.8bdaec636abfep-1", "0x1.b236a1d43f5fap-2",
+        "0x1.d4b61cd7354c0p-7", "0x1.9365173ef6d16p-2",
+        "0x1.f9c8d4e1baa46p-2"]
+    # a 7-word seed, a two-word path entry and the largest one-word shot
+    row, = RandomStream(2**200 + 3, (7, 2**33)).shot_uniforms(
+        range(2**32 - 1, 2**32), 2)
+    assert [x.hex() for x in row] == ["0x1.d723b57de84b8p-3",
+                                      "0x1.3d5027b3d9a84p-3"]
+
+
+def test_no_draws_and_no_shots_keep_their_shapes():
+    stream = RandomStream(5)
+    assert stream.shot_uniforms(range(3), 0).shape == (3, 0)
+    assert stream.shot_uniforms(range(4, 4), 6).shape == (0, 6)
+
+
+@pytest.mark.parametrize("shots", [
+    range(2**32, 2**32 + 2),    # every index needs a second spawn-key word
+    range(2**32 - 1, 2**32 + 1),
+    range(-1, 1),
+])
+def test_shot_indices_outside_one_word_are_refused(shots):
+    with pytest.raises(ValueError):
+        RandomStream(5).shot_uniforms(shots, 3)
