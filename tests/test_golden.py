@@ -37,6 +37,23 @@ CASES = {
         "--message", "101101", "--policy", "strict",
         "--wrong-overlap", "0.5", "--repeat", "200"],
     "sweep": ["sweep", "--shots", "512"],
+    "verify-demo-csv": ["verify-demo", "--shots", "512", "--format", "csv"],
+    # off the reference point: no paper-hardware keys
+    "verify-demo-off-reference": [
+        "verify-demo", "--shots", "512", "--theta", "0.5",
+        "--prep-angle", "1.0"],
+    "converge-no-iterations": [
+        "converge", "--shots", "512", "--iterations", "0"],
+    "locker-demo-n2-csv": [
+        "locker-demo", "--shots", "512", "--otp-qubits", "2",
+        "--message", "1011", "--format", "csv"],
+    # a degenerate theta = 0 row
+    "sweep-degenerate": [
+        "sweep", "--shots", "512", "--grid-theta", "0,0.3",
+        "--grid-n", "1,2"],
+    "sweep-degenerate-csv": [
+        "sweep", "--shots", "512", "--grid-theta", "0,0.3",
+        "--grid-n", "1,2", "--format", "csv"],
 }
 
 
