@@ -28,7 +28,6 @@ from .locker import (
     apply_rotation,
     attempt_unlock,
     generate_otp,
-    otp_consumed_check,
     session_log,
     store_message,
 )
@@ -75,9 +74,7 @@ from .verification import (
     box_record,
     enumerate_trajectories,
     iterate_once,
-    perturbation_step,
     run_box,
-    run_verification,
     trajectory_record,
 )
 

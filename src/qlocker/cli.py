@@ -223,7 +223,6 @@ def cmd_verify_demo(args) -> dict:
         },
         "checks": checks,
     }
-    report["ok"] = all(c["ok"] for c in checks)
     return report
 
 
@@ -292,7 +291,6 @@ def cmd_converge(args) -> dict:
         },
         "checks": checks,
     }
-    report["ok"] = all(c["ok"] for c in checks)
     return report
 
 
@@ -389,7 +387,6 @@ def cmd_locker_demo(args) -> dict:
         },
         "checks": checks,
     }
-    report["ok"] = all(c["ok"] for c in checks)
     return report
 
 
@@ -443,7 +440,6 @@ def cmd_sweep(args) -> dict:
         "cells": cells,
         "checks": checks,
     }
-    report["ok"] = all(c["ok"] for c in checks)
     return report
 
 
@@ -552,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=lambda s: _parse_grid(s, _sweep_n),
                    default=[1, 2, 3])
     p.add_argument("--grid-theta", type=_parse_grid, default=[0.1, 0.2, 0.5])
-    p.add_argument("--grid-iterations", type=lambda s: _parse_grid(s, int),
+    p.add_argument("--grid-iterations",
+                   type=lambda s: _parse_grid(s, _in_range(int, 0)),
                    default=[1, 5, 38])
     p.add_argument("--grid-overlap", type=lambda s: _parse_grid(s, _probability),
                    default=[0.25, 0.5])
@@ -569,6 +566,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # InvalidMessageError and CapacityError too
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    report["ok"] = all(c["ok"] for c in report["checks"])
     try:
         emit(report, args)
     except OSError as exc:

@@ -1,11 +1,13 @@
 """Gate descriptions, their matrices, and the weak-coupling gate.
 
-A :class:`GateOp` is a single-qubit operation (named gate, rotation, or an
-arbitrary 2x2 unitary) dressed with any number of controls.  Each control is
-a ``(qubit, value)`` pair: the gate fires only on basis states where every
-control qubit holds its required value, so ``(q, 0)`` is a control-on-zero
-and ``(q, 1)`` the usual control-on-one.  Multi-controlled NOTs are plain
-``x`` gates with several controls.
+A :class:`GateOp` is a 2x2 unitary on one target qubit dressed with any
+number of controls.  Each control is a ``(qubit, value)`` pair: the gate
+fires only on basis states where every control qubit holds its required
+value, so ``(q, 0)`` is a control-on-zero and ``(q, 1)`` the usual
+control-on-one.  Multi-controlled NOTs are plain ``x`` gates with several
+controls.  The constructors (``x``, ``h``, ``s``, ``sdg``, ``z``, ``rx``,
+``ry``, ``rz`` and ``unitary`` for any other matrix) build and check the
+matrix once; the kernels read it back through :meth:`GateOp.base_matrix`.
 
 Rotation conventions (angle ``a``):
 
@@ -21,13 +23,9 @@ one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-ROTATION_KINDS = ("rx", "ry", "rz")
-FIXED_KINDS = ("x", "h", "s", "sdg")
-GATE_KINDS = FIXED_KINDS + ROTATION_KINDS + ("unitary",)
 
 UNITARY_TOL = 1e-10
 
@@ -39,34 +37,10 @@ def _const(rows) -> np.ndarray:
 
 
 PAULI_X = _const([[0, 1], [1, 0]])
-PAULI_Y = _const([[0, -1j], [1j, 0]])
 PAULI_Z = _const([[1, 0], [0, -1]])
 HADAMARD = _const(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 S_MATRIX = _const([[1, 0], [0, 1j]])
 S_DAGGER_MATRIX = _const([[1, 0], [0, -1j]])
-
-
-def rx_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def ry_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rz_matrix(angle: float) -> np.ndarray:
-    return np.array([[np.exp(-1j * angle / 2), 0], [0, np.exp(1j * angle / 2)]])
-
-
-_FIXED_MATRICES = {
-    "x": PAULI_X,
-    "h": HADAMARD,
-    "s": S_MATRIX,
-    "sdg": S_DAGGER_MATRIX,
-}
-_ROTATION_MATRICES = {"rx": rx_matrix, "ry": ry_matrix, "rz": rz_matrix}
 
 
 def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
@@ -78,32 +52,16 @@ def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class GateOp:
-    """One gate application: a 2x2 base operation plus optional controls."""
+    """One gate application: a 2x2 matrix on ``target`` plus optional
+    controls.  Build it through a constructor, which checks the matrix."""
 
-    kind: str
     target: int
-    angle: float | None = None
-    matrix: np.ndarray | None = None
-    controls: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    matrix: np.ndarray
+    controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.target < 0:
             raise IndexError(f"negative target index {self.target}")
-        if self.kind in ROTATION_KINDS:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} requires a finite angle")
-        if self.kind == "unitary":
-            if self.matrix is None:
-                raise ValueError("unitary gate requires a matrix")
-            m = np.array(self.matrix, dtype=complex)
-            if m.shape != (2, 2):
-                raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-            if not is_unitary(m):
-                raise ValueError("matrix is not unitary within tolerance")
-            m.flags.writeable = False
-            object.__setattr__(self, "matrix", m)
         controls = tuple((int(q), int(v)) for q, v in self.controls)
         object.__setattr__(self, "controls", controls)
         seen = {self.target}
@@ -118,10 +76,6 @@ class GateOp:
 
     def base_matrix(self) -> np.ndarray:
         """The uncontrolled 2x2 matrix this gate applies to its target."""
-        if self.kind in _FIXED_MATRICES:
-            return _FIXED_MATRICES[self.kind]
-        if self.kind in ROTATION_KINDS:
-            return _ROTATION_MATRICES[self.kind](self.angle)
         return self.matrix
 
     def qubits(self) -> tuple[int, ...]:
@@ -131,39 +85,57 @@ class GateOp:
 # -- constructors -------------------------------------------------------------
 
 def x(target: int, controls=()) -> GateOp:
-    return GateOp("x", target, controls=tuple(controls))
+    return GateOp(target, PAULI_X, controls)
 
 
 def h(target: int, controls=()) -> GateOp:
-    return GateOp("h", target, controls=tuple(controls))
+    return GateOp(target, HADAMARD, controls)
 
 
 def s(target: int, controls=()) -> GateOp:
-    return GateOp("s", target, controls=tuple(controls))
+    return GateOp(target, S_MATRIX, controls)
 
 
 def sdg(target: int, controls=()) -> GateOp:
-    return GateOp("sdg", target, controls=tuple(controls))
-
-
-def rx(angle: float, target: int, controls=()) -> GateOp:
-    return GateOp("rx", target, angle=float(angle), controls=tuple(controls))
-
-
-def ry(angle: float, target: int, controls=()) -> GateOp:
-    return GateOp("ry", target, angle=float(angle), controls=tuple(controls))
-
-
-def rz(angle: float, target: int, controls=()) -> GateOp:
-    return GateOp("rz", target, angle=float(angle), controls=tuple(controls))
-
-
-def unitary(matrix, target: int, controls=()) -> GateOp:
-    return GateOp("unitary", target, matrix=matrix, controls=tuple(controls))
+    return GateOp(target, S_DAGGER_MATRIX, controls)
 
 
 def z(target: int, controls=()) -> GateOp:
-    return unitary(PAULI_Z, target, controls)
+    return GateOp(target, PAULI_Z, controls)
+
+
+def _finite(angle: float) -> float:
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle}")
+    return angle
+
+
+def rx(angle: float, target: int, controls=()) -> GateOp:
+    angle = _finite(angle)
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return GateOp(target, _const([[c, -1j * s], [-1j * s, c]]), controls)
+
+
+def ry(angle: float, target: int, controls=()) -> GateOp:
+    angle = _finite(angle)
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return GateOp(target, _const([[c, -s], [s, c]]), controls)
+
+
+def rz(angle: float, target: int, controls=()) -> GateOp:
+    angle = _finite(angle)
+    return GateOp(target, _const([[np.exp(-1j * angle / 2), 0],
+                                  [0, np.exp(1j * angle / 2)]]), controls)
+
+
+def unitary(matrix, target: int, controls=()) -> GateOp:
+    m = _const(matrix)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not is_unitary(m):
+        raise ValueError("matrix is not unitary within tolerance")
+    return GateOp(target, m, controls)
 
 
 def cnot(control: int, target: int) -> GateOp:
@@ -180,8 +152,6 @@ def build_controlled0_rx(theta: float, control: int = 0, target: int = 1) -> Gat
     two-qubit operator ``[Rz(theta) (x) I][cos(theta) I - i sin(theta) C0NOT]``
     up to the global phase exp(-i theta / 2).
     """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
     return rx(2.0 * theta, target, controls=((control, 0),))
 
 
@@ -194,8 +164,6 @@ def decompose_controlled0_rx(theta: float, control: int = 0,
     control conjugated by X to flip its polarity.  The composed matrix equals
     the direct gate exactly (both live in SU(2), so no residual phase).
     """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
     half_pi = math.pi / 2
     return [
         x(control),

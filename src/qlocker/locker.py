@@ -3,7 +3,8 @@
 A locker stores an m-bit message and holds the secret rotation angles
 (theta1, theta2, theta3) per password qubit.  The one-time password is the
 n-qubit product state R|0...0> with R = Rz(theta3) Ry(theta2) Rx(theta1) per
-qubit.  An unlock attempt undoes the rotation and runs the verification box
+qubit; R and its inverse run as the same loop over the qubits, three gates
+on each.  An unlock attempt undoes the rotation and runs the verification box
 (:func:`~qlocker.verification.run_box`) on each password qubit of the same
 n-qubit register, ending in a z-measurement of that qubit.  The message is
 released only if every run accepts.  In the protocol's circuit, NOTs
@@ -26,13 +27,7 @@ from dataclasses import dataclass, field
 
 from .gates import rx, ry, rz
 from .rng import RandomStream
-from .statevector import (
-    StateVector,
-    apply_gate,
-    basis_state,
-    new_state,
-    qubit_probabilities,
-)
+from .statevector import StateVector, apply_gate, basis_state, new_state
 from .verification import Trajectory, VerificationParams, run_box
 
 
@@ -42,9 +37,6 @@ class InvalidMessageError(ValueError):
 
 class PasswordConsumedError(RuntimeError):
     """A password register was presented to the same locker twice."""
-
-
-_EIGENSTATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,30 +126,29 @@ def store_message(bits: str, params: OtpParams,
     return LockerState(bits, params, verification)
 
 
-def apply_rotation(state: StateVector, params: OtpParams) -> StateVector:
-    """Per-qubit R = Rz(theta3) Ry(theta2) Rx(theta1)."""
+def _per_qubit(state: StateVector, params: OtpParams, gates) -> StateVector:
+    """``gates(k, theta1, theta2, theta3)`` applied to qubit k, for each k
+    in turn."""
     if state.n_qubits != params.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, params cover {params.n_qubits}"
         )
-    for k, (t1, t2, t3) in enumerate(params.triples):
-        state = apply_gate(state, rx(t1, k))
-        state = apply_gate(state, ry(t2, k))
-        state = apply_gate(state, rz(t3, k))
+    for k, triple in enumerate(params.triples):
+        for gate in gates(k, *triple):
+            state = apply_gate(state, gate)
     return state
+
+
+def apply_rotation(state: StateVector, params: OtpParams) -> StateVector:
+    """Per-qubit R = Rz(theta3) Ry(theta2) Rx(theta1)."""
+    return _per_qubit(state, params, lambda k, t1, t2, t3: (
+        rx(t1, k), ry(t2, k), rz(t3, k)))
 
 
 def apply_inverse_rotation(state: StateVector, params: OtpParams) -> StateVector:
     """Per-qubit R^-1 = Rx(-theta1) Ry(-theta2) Rz(-theta3)."""
-    if state.n_qubits != params.n_qubits:
-        raise ValueError(
-            f"state has {state.n_qubits} qubits, params cover {params.n_qubits}"
-        )
-    for k, (t1, t2, t3) in enumerate(params.triples):
-        state = apply_gate(state, rz(-t3, k))
-        state = apply_gate(state, ry(-t2, k))
-        state = apply_gate(state, rx(-t1, k))
-    return state
+    return _per_qubit(state, params, lambda k, t1, t2, t3: (
+        rz(-t3, k), ry(-t2, k), rx(-t1, k)))
 
 
 def generate_otp(params: OtpParams) -> StateVector:
@@ -207,23 +198,6 @@ def attempt_unlock(locker: LockerState, password: StateVector,
     if blanks is not None:
         blanks.amplitudes[:] = basis_state(retrieved).amplitudes
     return UnlockResult(accepted, retrieved, tuple(trajectories))
-
-
-def otp_consumed_check(result: UnlockResult | None,
-                       password: StateVector) -> bool:
-    """True iff every qubit of the register sits in a z eigenstate.
-
-    A consumed one-time password has been fully measured, so replaying it
-    can only present |0> or |1> per qubit.  ``result`` is cross-checked for
-    width when given.
-    """
-    if result is not None and len(result.trajectories) != password.n_qubits:
-        raise ValueError("result does not match the password register width")
-    for k in range(password.n_qubits):
-        p0, p1 = qubit_probabilities(password, k)
-        if min(p0, p1) > _EIGENSTATE_TOL:
-            return False
-    return True
 
 
 def session_log(locker: LockerState, result: UnlockResult) -> list[str]:

@@ -10,7 +10,6 @@ single-use: teleporting measures the source qubit, destroying its state.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ class TeleportRecord:
 
 
 _channel_counter = itertools.count()
-_channel_lock = threading.Lock()
 
 
 class TeleportChannel:
@@ -52,8 +50,7 @@ class TeleportChannel:
 
     def __init__(self, channel_id: str | None = None):
         if channel_id is None:
-            with _channel_lock:
-                channel_id = f"ch{next(_channel_counter):06d}"
+            channel_id = f"ch{next(_channel_counter):06d}"
         self.channel_id = channel_id
         self.pair = make_bell_pair()
         self.consumed = False
@@ -61,6 +58,16 @@ class TeleportChannel:
 
 def open_channel(channel_id: str | None = None) -> TeleportChannel:
     return TeleportChannel(channel_id)
+
+
+def _sender_circuit(psi: StateVector, pair: StateVector) -> StateVector:
+    """Payload ``psi`` (qubit 0) beside ``pair`` (sender half qubit 1,
+    receiver half qubit 2), after the sender's CNOT and H."""
+    if psi.n_qubits != 1:
+        raise ValueError("teleport carries exactly one qubit")
+    joint = combine(psi, pair)
+    joint = apply_gate(joint, cnot(0, 1))
+    return apply_gate(joint, h(0))
 
 
 def teleport(psi: StateVector, channel: TeleportChannel,
@@ -72,17 +79,12 @@ def teleport(psi: StateVector, channel: TeleportChannel,
     with its measured eigenstate (its information is destroyed), and the
     channel is marked consumed; a second use raises.
     """
-    if psi.n_qubits != 1:
-        raise ValueError("teleport carries exactly one qubit")
+    joint = _sender_circuit(psi, channel.pair)
     if channel.consumed:
         raise ChannelConsumedError(
             f"channel {channel.channel_id} already consumed"
         )
     channel.consumed = True
-    # qubit 0: payload; qubit 1: sender half; qubit 2: receiver half
-    joint = combine(psi, channel.pair)
-    joint = apply_gate(joint, cnot(0, 1))
-    joint = apply_gate(joint, h(0))
     m1, _, joint = measure_qubit(joint, 0, "z", rng)
     m2, _, joint = measure_qubit(joint, 1, "z", rng)
     if m2:
@@ -107,11 +109,7 @@ def enumerate_teleport_branches(
     Pure analysis helper: forces each measurement pair by projection instead
     of sampling, and consumes no channel.
     """
-    if psi.n_qubits != 1:
-        raise ValueError("teleport carries exactly one qubit")
-    joint = combine(psi, make_bell_pair())
-    joint = apply_gate(joint, cnot(0, 1))
-    joint = apply_gate(joint, h(0))
+    joint = _sender_circuit(psi, make_bell_pair())
     branches = {}
     for m1 in (0, 1):
         for m2 in (0, 1):

@@ -25,10 +25,10 @@ explicit ancilla circuit is kept where the ancilla itself is measured
 
 :func:`run_box` runs one box, drawing its uniforms lazily from one stream
 (the locker shares a stream across its boxes, and a strict click stops the
-draws).  Many shots of a box are a circuit: :func:`box_ops` gives its N
-weak steps and closing readout for :func:`qlocker.statevector.sample_shots`,
-and :func:`box_record` reads each outcome key as :func:`run_box` records
-it.
+draws); a lone qubit is the one-qubit register and ``k = 0``.  Many shots
+of a box are a circuit: :func:`box_ops` gives its N weak steps and closing
+readout for :func:`qlocker.statevector.sample_shots`, and
+:func:`box_record` reads each outcome key as :func:`run_box` records it.
 
 Two click policies are supported.  The default keeps iterating after a click
 (the run then accepts, since the system sits in |0>); the strict variant
@@ -197,13 +197,6 @@ def iterate_once(system: StateVector, params: VerificationParams,
     return int(click[0]), StateVector(1, amps[0]), float(probs[1, 0])
 
 
-def run_verification(system: StateVector, params: VerificationParams,
-                     rng: RandomStream) -> Trajectory:
-    """Full run of the box on a single-qubit system; see :func:`run_box`."""
-    _require_single_qubit(system)
-    return run_box(system, 0, params, rng)[0]
-
-
 def acceptance_probability(alpha_sq: float,
                            params: VerificationParams) -> float:
     """Exact probability that a run accepts, given P(|0>) of the input.
@@ -228,7 +221,7 @@ def enumerate_trajectories(
     Walks the binary tree of ancilla outcomes with unnormalized branch
     amplitudes, so returned probabilities sum to 1 within 1e-12.  Branches of
     exactly zero probability are omitted.  Under the strict policy, paths are
-    truncated at their first click, mirroring :func:`run_verification`.
+    truncated at their first click, mirroring :func:`run_box`.
     """
     _require_single_qubit(system)
     if params.iterations > _ENUM_MAX_ITERATIONS:
@@ -275,23 +268,6 @@ def enumerate_trajectories(
     return results
 
 
-def perturbation_step(alpha: complex, beta: complex,
-                      theta: float) -> tuple[complex, complex]:
-    """Exact renormalized collapse after a no-click iteration.
-
-    ``alpha' = alpha cos(theta)/sqrt(p0)``, ``beta' = beta/sqrt(p0)`` with
-    ``p0 = |alpha cos(theta)|^2 + |beta|^2``.  |alpha'| <= |alpha| and
-    |beta'| >= |beta|, strictly when both amplitudes are nonzero.
-    """
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"input state not normalized (norm^2 = {norm})")
-    a = alpha * math.cos(theta)
-    p0 = abs(a) ** 2 + abs(beta) ** 2
-    root = math.sqrt(p0)
-    return a / root, beta / root
-
-
 def sample_acceptance_runs(alpha_sq: float, params: VerificationParams,
                            runs: int, rng: RandomStream) -> np.ndarray:
     """Boolean accept/reject outcome of ``runs`` independent verification runs.
@@ -299,7 +275,7 @@ def sample_acceptance_runs(alpha_sq: float, params: VerificationParams,
     Vectorized over runs: each run tracks its current P(|0>), draws per-step
     click outcomes with the exact per-iteration probabilities, and finishes
     with the closing z-measurement.  Statistically identical to repeated
-    :func:`run_verification`, at array speed.
+    :func:`run_box` on a single qubit, at array speed.
     """
     if not 0.0 <= alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq must be in [0, 1], got {alpha_sq}")

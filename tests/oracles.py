@@ -14,10 +14,15 @@ by a control-on-zero Rx(2 theta), measured, and reset after every click;
 then an (n + 2m)-qubit transfer register in which m multi-controlled NOTs
 copy the message to blank qubits only if every measured password qubit
 reads 0.  Keep them small: the transfer register is exponential in m.
+
+``perturbation_step`` is the closed-form no-click collapse of one box
+iteration, and ``otp_consumed_check`` tells whether a presented password
+register has been measured out.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -135,3 +140,39 @@ def reference_unlock(message_bits, params, verification, password, rng):
     else:
         retrieved = gate_transfer(finals, message_bits, rng)
     return accepted, retrieved, trajectories, finals
+
+
+def perturbation_step(alpha: complex, beta: complex,
+                      theta: float) -> tuple[complex, complex]:
+    """Exact renormalized collapse after a no-click iteration.
+
+    ``alpha' = alpha cos(theta)/sqrt(p0)``, ``beta' = beta/sqrt(p0)`` with
+    ``p0 = |alpha cos(theta)|^2 + |beta|^2``.  |alpha'| <= |alpha| and
+    |beta'| >= |beta|, strictly when both amplitudes are nonzero.
+    """
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"input state not normalized (norm^2 = {norm})")
+    a = alpha * math.cos(theta)
+    p0 = abs(a) ** 2 + abs(beta) ** 2
+    root = math.sqrt(p0)
+    return a / root, beta / root
+
+
+_EIGENSTATE_TOL = 1e-12
+
+
+def otp_consumed_check(result, password) -> bool:
+    """True iff every qubit of the register sits in a z eigenstate.
+
+    A consumed one-time password has been fully measured, so replaying it
+    can only present |0> or |1> per qubit.  ``result`` (an
+    ``UnlockResult``) is cross-checked for width when given.
+    """
+    if result is not None and len(result.trajectories) != password.n_qubits:
+        raise ValueError("result does not match the password register width")
+    for k in range(password.n_qubits):
+        p0, p1 = qubit_probabilities(password, k)
+        if min(p0, p1) > _EIGENSTATE_TOL:
+            return False
+    return True

@@ -91,16 +91,16 @@ def test_criterion_3_hardware_density_arithmetic():
 def test_criterion_4_many_iteration_convergence():
     with _Criterion(4, "38-iteration convergence statistics", 30.0) as c:
         params = VerificationParams(theta=0.1, iterations=38)
-        plus = q.apply_gate(q.new_state(1), q.h(0))
-        root = RandomStream(42)
         shots = 8192
+        # the converge circuit on |+>; shot i draws from sub-stream (42, i)
+        hist = q.sample_shots(1, [q.h(0), *q.box_ops(0, params)], shots, 42)
         all_zeros = 0
         ones_after_zeros = 0
-        for shot in range(shots):
-            traj = q.run_verification(plus, params, root.substream(shot))
-            if not traj.clicked():
-                all_zeros += 1
-                ones_after_zeros += traj.final_system_outcome
+        for key, count in hist.counts.items():
+            record = q.box_record(key, params)
+            if "1" not in record[:-1]:
+                all_zeros += count
+                ones_after_zeros += count * int(record[-1])
         analytic_zeros = 0.5 + 0.5 * math.cos(0.1) ** 76
         analytic_cond = 0.5 / analytic_zeros
         zeros_frac = all_zeros / shots

@@ -38,9 +38,10 @@ def gates(draw, n):
         (k, draw(st.integers(0, 1)))
         for k in draw(st.lists(st.sampled_from(others), unique=True,
                                max_size=len(others)))) if others else ()
-    kind = draw(st.sampled_from(("x", "h", "s", "sdg", "rx", "ry", "rz")))
-    angle = draw(st.floats(-3.1, 3.1)) if kind.startswith("r") else None
-    return q.GateOp(kind, target, angle=angle, controls=controls)
+    kind = draw(st.sampled_from((q.x, q.h, q.s, q.sdg, q.rx, q.ry, q.rz)))
+    if kind in (q.rx, q.ry, q.rz):
+        return kind(draw(st.floats(-3.1, 3.1)), target, controls)
+    return kind(target, controls)
 
 
 @st.composite

@@ -217,6 +217,9 @@ def test_bad_input_is_a_usage_error(argv, capsys):
     ["locker-demo", "--otp-qubits", "0"],
     ["locker-demo", "--otp-qubits", "-1"],
     ["locker-demo", "--otp-qubits", "25"],
+    # a theta = 0 cell builds no VerificationParams to reject it later
+    ["sweep", "--grid-theta", "0", "--grid-iterations", "-5"],
+    ["sweep", "--grid-iterations", "1,-1"],
 ])
 def test_out_of_range_sizes_are_rejected_at_parse_time(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -244,6 +247,8 @@ def test_largest_sizes_parse():
     assert args.grid_n == [1, 8]
     args = build_parser().parse_args(["locker-demo", "--otp-qubits", "24"])
     assert args.otp_qubits == 24
+    args = build_parser().parse_args(["sweep", "--grid-iterations", "0,38"])
+    assert args.grid_iterations == [0, 38]
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 import qlocker as q
-from qlocker.gates import (
-    HADAMARD,
-    PAULI_X,
-    is_unitary,
-    rx_matrix,
-    ry_matrix,
-    rz_matrix,
-)
+from qlocker.gates import HADAMARD, PAULI_X, is_unitary
 
 
 def coupling_matrix(theta: float) -> np.ndarray:
@@ -37,13 +30,14 @@ class TestMatrices:
         lam = 0.4
         c, s = math.cos(0.2), math.sin(0.2)
         np.testing.assert_allclose(
-            rx_matrix(lam), [[c, -1j * s], [-1j * s, c]], atol=1e-15
+            q.rx(lam, 0).base_matrix(), [[c, -1j * s], [-1j * s, c]],
+            atol=1e-15
         )
         np.testing.assert_allclose(
-            ry_matrix(lam), [[c, -s], [s, c]], atol=1e-15
+            q.ry(lam, 0).base_matrix(), [[c, -s], [s, c]], atol=1e-15
         )
         np.testing.assert_allclose(
-            rz_matrix(lam),
+            q.rz(lam, 0).base_matrix(),
             np.diag([np.exp(-0.2j), np.exp(0.2j)]), atol=1e-15
         )
 
@@ -60,20 +54,29 @@ class TestMatrices:
             m = q.gate_matrix(gate, n)
             assert np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) < 1e-10
 
+    def test_matrix_is_built_once_and_read_only(self):
+        for gate in (q.x(0), q.z(0), q.rx(0.3, 0), q.unitary(HADAMARD, 0)):
+            assert gate.base_matrix() is gate.base_matrix()
+            assert not gate.base_matrix().flags.writeable
+
     def test_is_unitary_rejects_nonunitary(self):
         assert not is_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
 class TestGateOpValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            q.GateOp("toffoli", 0)
-
     def test_rotation_needs_finite_angle(self):
-        with pytest.raises(ValueError):
-            q.GateOp("rx", 0)
-        with pytest.raises(ValueError):
-            q.rx(math.inf, 0)
+        for angle in (math.inf, -math.inf, math.nan):
+            for rotation in (q.rx, q.ry, q.rz):
+                with pytest.raises(ValueError):
+                    rotation(angle, 0)
+            with pytest.raises(ValueError):
+                q.build_controlled0_rx(angle)
+            with pytest.raises(ValueError):
+                q.decompose_controlled0_rx(angle)
+
+    def test_negative_target(self):
+        with pytest.raises(IndexError):
+            q.h(-1)
 
     def test_overlapping_control_and_target(self):
         with pytest.raises(IndexError):
@@ -117,10 +120,10 @@ class TestCoupling:
 class TestDecomposition:
     def test_uses_only_single_qubit_gates_and_cnot(self):
         for gate in q.decompose_controlled0_rx(0.3):
-            assert gate.kind in ("x", "ry", "rz")
             assert len(gate.controls) <= 1
             if gate.controls:
-                assert gate.kind == "x" and gate.controls[0][1] == 1
+                assert gate.base_matrix() is PAULI_X
+                assert gate.controls[0][1] == 1
 
     def test_zero_angle_composes_to_identity(self):
         seq = q.sequence_matrix(q.decompose_controlled0_rx(0.0), 2)
@@ -171,7 +174,7 @@ def format_matrix_dump(m: np.ndarray) -> str:
 
 
 def test_matrix_dump_round_trips():
-    m = rx_matrix(1.1)
+    m = q.rx(1.1, 0).base_matrix()
     dump = format_matrix_dump(m)
     rows = []
     for line in dump.splitlines():

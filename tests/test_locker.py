@@ -14,6 +14,8 @@ from qlocker import (
     VerificationParams,
 )
 
+from oracles import otp_consumed_check
+
 
 def rotation_oracle(t1: float, t2: float, t3: float) -> np.ndarray:
     """Explicit 2x2 chain Rz(t3) Ry(t2) Rx(t1), independent of gate plumbing."""
@@ -256,11 +258,11 @@ class TestUnlock:
         params = OtpParams.random(2, RandomStream(66))
         locker = q.store_message("11", params, SMALL)
         otp = q.generate_otp(params)
-        assert not q.otp_consumed_check(None, otp)
+        assert not otp_consumed_check(None, otp)
         result = q.attempt_unlock(locker, otp, RandomStream(67))
-        assert q.otp_consumed_check(result, otp)
+        assert otp_consumed_check(result, otp)
         with pytest.raises(ValueError):
-            q.otp_consumed_check(result, q.new_state(3))
+            otp_consumed_check(result, q.new_state(3))
 
     def test_strict_policy_aborts_transfer(self):
         # big theta makes clicks likely; any click must suppress the transfer

@@ -8,6 +8,7 @@ import qlocker as q
 from qlocker import RandomStream, VerificationParams
 from qlocker.verification import sample_acceptance_runs
 from conftest import random_qubit_state
+from oracles import perturbation_step
 
 
 def brute_force_acceptance(alpha_sq: float, theta: float, iterations: int,
@@ -102,7 +103,7 @@ class TestIterateOnce:
             outcome, nxt, _ = q.iterate_once(state, params,
                                              RandomStream(2).substream(i))
             if outcome == 0:
-                expect = q.perturbation_step(alpha, beta, 0.4)
+                expect = perturbation_step(alpha, beta, 0.4)
                 np.testing.assert_allclose(nxt.amplitudes, expect, atol=1e-12)
                 break
         else:
@@ -119,15 +120,15 @@ class TestRunVerification:
         params = VerificationParams(theta=0.3, iterations=5)
         root = RandomStream(77)
         for i in range(500):
-            traj = q.run_verification(q.new_state(1), params, root.substream(i))
+            traj, _ = q.run_box(q.new_state(1), 0, params, root.substream(i))
             assert traj.accepted and traj.final_system_outcome == 0
 
     def test_one_state_always_rejects(self):
         params = VerificationParams(theta=0.3, iterations=5)
         root = RandomStream(78)
         for i in range(500):
-            traj = q.run_verification(q.basis_state("1"), params,
-                                      root.substream(i))
+            traj, _ = q.run_box(q.basis_state("1"), 0, params,
+                                root.substream(i))
             assert not traj.accepted and traj.final_system_outcome == 1
             assert traj.outcomes_bitstring() == "00000"
 
@@ -137,7 +138,7 @@ class TestRunVerification:
         root = RandomStream(9)
         truncated = False
         for i in range(100):
-            traj = q.run_verification(q.new_state(1), params, root.substream(i))
+            traj, _ = q.run_box(q.new_state(1), 0, params, root.substream(i))
             assert len(traj.ancilla_outcomes) == len(traj.step_p1)
             if traj.clicked():
                 assert traj.ancilla_outcomes[-1] == 1
@@ -150,8 +151,8 @@ class TestRunVerification:
         params = VerificationParams(theta=0.25, iterations=12)
         root = RandomStream(10)
         for i in range(60):
-            traj = q.run_verification(random_qubit_state(np_rng), params,
-                                      root.substream(i))
+            traj, _ = q.run_box(random_qubit_state(np_rng), 0, params,
+                                root.substream(i))
             prefix_end = (traj.ancilla_outcomes.index(1)
                           if traj.clicked() else len(traj.step_p1))
             p1s = traj.step_p1[:prefix_end + 1]
@@ -260,7 +261,7 @@ class TestEnumeration:
         root = RandomStream(55)
         tally: dict[tuple[str, int], int] = {}
         for i in range(runs):
-            traj = q.run_verification(state, params, root.substream(i))
+            traj, _ = q.run_box(state, 0, params, root.substream(i))
             key = (traj.outcomes_bitstring(), traj.final_system_outcome)
             tally[key] = tally.get(key, 0) + 1
         assert set(tally) <= set(exact)
@@ -273,12 +274,12 @@ class TestEnumeration:
 
 class TestPerturbationStep:
     def test_fixed_points_exact(self):
-        assert q.perturbation_step(1.0, 0.0, 0.3) == (1.0, 0.0)
-        assert q.perturbation_step(0.0, 1.0, 0.3) == (0.0, 1.0)
+        assert perturbation_step(1.0, 0.0, 0.3) == (1.0, 0.0)
+        assert perturbation_step(0.0, 1.0, 0.3) == (0.0, 1.0)
 
     def test_balanced_state_small_theta(self):
         a = b = 1 / math.sqrt(2)
-        alpha, beta = q.perturbation_step(a, b, 0.01)
+        alpha, beta = perturbation_step(a, b, 0.01)
         assert abs(alpha) ** 2 == pytest.approx(0.49997499958334307, abs=1e-15)
         # first-order form of the collapse, accurate to O(theta^4)
         approx_alpha = a * (1 - abs(b) ** 2 * 0.01**2 / 2)
@@ -290,14 +291,14 @@ class TestPerturbationStep:
         for _ in range(50):
             state = random_qubit_state(np_rng)
             a, b = state.amplitudes
-            a2, b2 = q.perturbation_step(a, b, 0.2)
+            a2, b2 = perturbation_step(a, b, 0.2)
             if abs(a) > 1e-9 and abs(b) > 1e-9:
                 assert abs(a2) < abs(a)
                 assert abs(b2) > abs(b)
 
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValueError):
-            q.perturbation_step(1.0, 1.0, 0.1)
+            perturbation_step(1.0, 1.0, 0.1)
 
     def test_all_zero_trajectory_closed_form(self):
         a, b = 0.8, 0.6
@@ -305,7 +306,7 @@ class TestPerturbationStep:
         alpha, beta = complex(a), complex(b)
         beta_history = [abs(beta) ** 2]
         for _ in range(n):
-            alpha, beta = q.perturbation_step(alpha, beta, theta)
+            alpha, beta = perturbation_step(alpha, beta, theta)
             beta_history.append(abs(beta) ** 2)
         closed = b**2 / (b**2 + a**2 * math.cos(theta) ** (2 * n))
         assert abs(beta) ** 2 == pytest.approx(closed, rel=1e-12)
