@@ -54,6 +54,15 @@ CASES = {
     "sweep-degenerate-csv": [
         "sweep", "--shots", "512", "--grid-theta", "0,0.3",
         "--grid-n", "1,2", "--format", "csv"],
+    # strict clicks that cut the wrong-password records at different steps
+    "locker-demo-strict-n2-clicks": [
+        "locker-demo", "--shots", "512", "--otp-qubits", "2",
+        "--message", "1011", "--policy", "strict", "--theta", "0.3",
+        "--iterations", "12", "--wrong-overlap", "0.5", "--repeat", "100"],
+    # wrong-password presentations spanning more than one block of rows
+    "locker-demo-n5-blocks": [
+        "locker-demo", "--shots", "512", "--otp-qubits", "5",
+        "--message", "10110", "--wrong-overlap", "0.5", "--repeat", "800"],
 }
 
 
