@@ -27,6 +27,7 @@ from .locker import (
     apply_inverse_rotation,
     apply_rotation,
     attempt_unlock,
+    attempt_unlocks,
     generate_otp,
     session_log,
     store_message,

@@ -35,6 +35,7 @@ from .locker import (
     apply_inverse_rotation,
     apply_rotation,
     attempt_unlock,
+    attempt_unlocks,
     generate_otp,
     session_log,
     store_message,
@@ -121,6 +122,18 @@ def _in_range(cast, low, high=math.inf):
                 f"expected a number in [{low}, {high}], got {text!r}")
         return value
     return parse
+
+
+def _finite(text: str) -> float:
+    """Argument type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
 
 
 _positive_int = _in_range(int, 1)
@@ -344,10 +357,8 @@ def cmd_locker_demo(args) -> dict:
                                 for o in overlaps)
 
     accept_count = 0
-    last_wrong = None
-    for rep in range(args.repeat):
-        last_wrong = attempt_unlock(locker, wrong_probe.copy(),
-                                    wrong_stream.substream(rep + 1))
+    for last_wrong in attempt_unlocks(locker, wrong_probe, wrong_stream,
+                                      range(1, args.repeat + 1)):
         accept_count += last_wrong.accepted
     wrong_rate = accept_count / args.repeat
 
@@ -514,15 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="single weak-coupling iteration with ancilla "
                             "tomography in x, y, z")
     add_common(p)
-    p.add_argument("--theta", type=float, default=0.2)
-    p.add_argument("--prep-angle", type=float, default=math.pi / 4,
+    p.add_argument("--theta", type=_finite, default=0.2)
+    p.add_argument("--prep-angle", type=_finite, default=math.pi / 4,
                    help="Ry angle preparing the system qubit")
     p.set_defaults(func=cmd_verify_demo)
 
     p = sub.add_parser("converge",
                        help="many-iteration verification of |+>")
     add_common(p)
-    p.add_argument("--theta", type=float, default=0.1)
+    p.add_argument("--theta", type=_finite, default=0.1)
     p.add_argument("--iterations", type=int, default=38)
     p.add_argument("--policy", choices=CLICK_POLICIES, default=PAPER_DEFAULT)
     p.set_defaults(func=cmd_converge)
@@ -533,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--message", default="1011")
     p.add_argument("--otp-qubits", type=_in_range(int, 1, DEFAULT_MAX_QUBITS),
                    default=1)
-    p.add_argument("--theta", type=float, default=0.1)
+    p.add_argument("--theta", type=_finite, default=0.1)
     p.add_argument("--iterations", type=int, default=38)
     p.add_argument("--policy", choices=CLICK_POLICIES, default=PAPER_DEFAULT)
     p.add_argument("--repeat", type=_positive_int, default=1,

@@ -5,9 +5,12 @@ A locker stores an m-bit message and holds the secret rotation angles
 n-qubit product state R|0...0> with R = Rz(theta3) Ry(theta2) Rx(theta1) per
 qubit; R and its inverse run as the same loop over the qubits, three gates
 on each.  An unlock attempt undoes the rotation and runs the verification box
-(:func:`~qlocker.verification.run_box`) on each password qubit of the same
-n-qubit register, ending in a z-measurement of that qubit.  The message is
-released only if every run accepts.  In the protocol's circuit, NOTs
+on each password qubit of the same n-qubit register, ending in a
+z-measurement of that qubit.  The message is released only if every run
+accepts.  :func:`attempt_unlocks` presents many fresh copies of one probe
+as the rows of one array, each box running over all of them at once
+(:func:`~qlocker.verification._box_rows`); :func:`attempt_unlock` is its
+one-row call on a password register.  In the protocol's circuit, NOTs
 controlled on the message qubits and on every measured password qubit
 reading 0 copy the message to blank qubits; all their inputs are basis
 states, so that copy is the classical rule ``message if accepted else
@@ -24,11 +27,20 @@ import hashlib
 import math
 import weakref
 from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
 
 from .gates import rx, ry, rz
 from .rng import RandomStream
-from .statevector import StateVector, apply_gate, basis_state, new_state
-from .verification import Trajectory, VerificationParams, run_box
+from .statevector import (
+    StateVector,
+    _shot_blocks,
+    apply_gate,
+    basis_state,
+    new_state,
+)
+from .verification import Trajectory, VerificationParams, _box_rows
 
 
 class InvalidMessageError(ValueError):
@@ -156,6 +168,41 @@ def generate_otp(params: OtpParams) -> StateVector:
     return apply_rotation(new_state(params.n_qubits), params)
 
 
+def _check_password(locker: LockerState, password: StateVector) -> None:
+    n = locker.n_password_qubits
+    if password.n_qubits != n:
+        raise ValueError(
+            f"password has {password.n_qubits} qubits, locker expects {n}"
+        )
+    if locker.consumed_passwords.get(id(password)) is password:
+        raise PasswordConsumedError("password register already consumed")
+
+
+def _draws(locker: LockerState) -> int:
+    """Uniforms one unlock may read: N + 1 per password qubit."""
+    return locker.n_password_qubits * (locker.verification.iterations + 1)
+
+
+def _unlock_rows(locker: LockerState, amps: np.ndarray,
+                 uniforms: np.ndarray) -> list[UnlockResult]:
+    """The boxes on each password qubit in turn, over every row of ``amps``
+    (rows of the inversely rotated register), row ``r`` reading
+    ``uniforms[r]`` in order; each row's trajectories, acceptance and
+    release."""
+    col = np.zeros(len(amps), dtype=np.intp)
+    boxes = []
+    for k in range(locker.n_password_qubits):
+        trajectories, amps = _box_rows(amps, k, locker.verification,
+                                       uniforms, col)
+        boxes.append(trajectories)
+    results = []
+    for trajectories in zip(*boxes):
+        accepted = all(t.accepted for t in trajectories)
+        retrieved = locker.message_bits if accepted else "0" * locker.m_bits
+        results.append(UnlockResult(accepted, retrieved, trajectories))
+    return results
+
+
 def attempt_unlock(locker: LockerState, password: StateVector,
                    rng: RandomStream,
                    blanks: StateVector | None = None) -> UnlockResult:
@@ -166,16 +213,12 @@ def attempt_unlock(locker: LockerState, password: StateVector,
     message is retrieved only if every box accepts (with the strict click
     policy, any click rejects); otherwise the retrieved bits are all zero.
     ``blanks``, if given, must be m qubits in |0...0> and is overwritten
-    with the retrieved bits.
+    with the retrieved bits.  The n boxes read ``n * (N + 1)`` uniforms of
+    ``rng``, drawn up front, so ``rng`` advances by that many even when
+    strict clicks leave some of them unread.
     """
-    n = locker.n_password_qubits
+    _check_password(locker, password)
     m = locker.m_bits
-    if password.n_qubits != n:
-        raise ValueError(
-            f"password has {password.n_qubits} qubits, locker expects {n}"
-        )
-    if locker.consumed_passwords.get(id(password)) is password:
-        raise PasswordConsumedError("password register already consumed")
     if blanks is not None:
         if blanks.n_qubits != m:
             raise ValueError(f"blank register must have {m} qubits")
@@ -184,20 +227,39 @@ def attempt_unlock(locker: LockerState, password: StateVector,
 
     locker.consumed_passwords[id(password)] = password
     reg = apply_inverse_rotation(password, locker.params)
-    trajectories = []
-    for k in range(n):
-        traj, reg = run_box(reg, k, locker.verification, rng)
-        trajectories.append(traj)
+    (result,) = _unlock_rows(locker, reg.amplitudes[None],
+                             rng.randoms(_draws(locker))[None])
 
     # the presented register is now the measured eigenstate
     password.amplitudes[:] = basis_state(
-        [t.final_system_outcome for t in trajectories]).amplitudes
-
-    accepted = all(t.accepted for t in trajectories)
-    retrieved = locker.message_bits if accepted else "0" * m
+        [t.final_system_outcome for t in result.trajectories]).amplitudes
     if blanks is not None:
-        blanks.amplitudes[:] = basis_state(retrieved).amplitudes
-    return UnlockResult(accepted, retrieved, tuple(trajectories))
+        blanks.amplitudes[:] = basis_state(result.retrieved_bits).amplitudes
+    return result
+
+
+def attempt_unlocks(locker: LockerState, probe: StateVector,
+                    stream: RandomStream,
+                    shots: range) -> Iterator[UnlockResult]:
+    """Present a fresh copy of ``probe`` once per shot index ``i`` in
+    ``shots``, in order.
+
+    Copy ``i`` draws from sub-stream ``i`` of ``stream`` (the first
+    ``n * (N + 1)`` uniforms of ``stream.substream(i)``), so each result is
+    what ``attempt_unlock(locker, probe.copy(), stream.substream(i))``
+    returns.  The copies run as the rows of one array, a block of rows at a
+    time, and the results are yielded block by block.  ``probe`` itself is
+    neither collapsed nor registered as consumed; it is checked, and
+    inversely rotated once, when this is called.
+    """
+    _check_password(locker, probe)
+    phi = apply_inverse_rotation(probe, locker.params).amplitudes
+    draws = _draws(locker)
+    return (result
+            for block in _shot_blocks(len(shots), phi.size + draws)
+            for result in _unlock_rows(
+                locker, np.broadcast_to(phi, (len(block), phi.size)),
+                stream.shot_uniforms(shots[block.start:block.stop], draws)))
 
 
 def session_log(locker: LockerState, result: UnlockResult) -> list[str]:

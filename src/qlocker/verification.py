@@ -23,12 +23,16 @@ discriminate the zero state from superpositions over many iterations.  The
 explicit ancilla circuit is kept where the ancilla itself is measured
 (``verify-demo``).
 
-:func:`run_box` runs one box, drawing its uniforms lazily from one stream
-(the locker shares a stream across its boxes, and a strict click stops the
-draws); a lone qubit is the one-qubit register and ``k = 0``.  Many shots
-of a box are a circuit: :func:`box_ops` gives its N weak steps and closing
-readout for :func:`qlocker.statevector.sample_shots`, and
-:func:`box_record` reads each outcome key as :func:`run_box` records it.
+:func:`_box_rows` runs one box on qubit ``k`` of every row of an
+``(R, 2**n)`` array, row ``r`` reading its uniforms in order from row ``r``
+of a table drawn up front.  Each row keeps its own column pointer, so the
+boxes on a register's n qubits (the locker's unlock) read one row of draws
+in turn, and a strict row that clicked draws nothing more until its closing
+readout.  :func:`run_box` is its one-row call; a lone qubit is the
+one-qubit register and ``k = 0``.  Many shots of a box are a circuit:
+:func:`box_ops` gives its N weak steps and closing readout for
+:func:`qlocker.statevector.sample_shots`, and :func:`box_record` reads each
+outcome key as :func:`run_box` records it.
 
 Two click policies are supported.  The default keeps iterating after a click
 (the run then accepts, since the system sits in |0>); the strict variant
@@ -61,6 +65,8 @@ DEFAULT_THETA = 0.1
 DEFAULT_ITERATIONS = 38
 
 _ENUM_MAX_ITERATIONS = 16
+# longest box: a row holds n * (N + 1) uniforms up front
+MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,8 @@ class VerificationParams:
     """Coupling strength, iteration count, and click policy of one box.
 
     ``iterations`` may be 0, in which case a run degenerates to the closing
-    z-measurement alone (used for edge-case reporting).
+    z-measurement alone (used for edge-case reporting), and at most
+    :data:`MAX_ITERATIONS`.
     """
 
     theta: float = DEFAULT_THETA
@@ -78,8 +85,9 @@ class VerificationParams:
     def __post_init__(self):
         if not (0.0 < self.theta < math.pi / 2):
             raise ValueError(f"theta must be in (0, pi/2), got {self.theta}")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        if not 0 <= self.iterations <= MAX_ITERATIONS:
+            raise ValueError(f"iterations must be in [0, {MAX_ITERATIONS}], "
+                             f"got {self.iterations}")
         if self.click_policy not in CLICK_POLICIES:
             raise ValueError(f"unknown click policy {self.click_policy!r}")
 
@@ -154,32 +162,69 @@ def box_record(key: str, params: VerificationParams) -> str:
     return key
 
 
+def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
+              uniforms: np.ndarray,
+              col: np.ndarray) -> tuple[list[Trajectory], np.ndarray]:
+    """The box on qubit ``k`` of every row of ``amps`` (shape ``(R, 2**n)``).
+
+    Row ``r`` draws ``uniforms[r, col[r]]`` and moves ``col[r]`` on by one
+    per draw (``col`` is updated in place).  Under the paper policy every
+    row draws N+1 times.  Under the strict policy a row that clicks leaves
+    the weak steps: its amplitudes are kept bit for bit and it draws nothing
+    until the closing z readout, which runs on every row.  Returns each
+    row's trajectory and the collapsed rows.
+    """
+    strict = params.click_policy == STRICT_ABORT
+    step = WeakStep(k, params.theta)
+    rows = np.arange(len(amps))
+    # each row's next N uniforms; a row that clicked reads none of the rest
+    draws = uniforms[rows[:, None],
+                     col[:, None] + np.arange(params.iterations)]
+    clicks, p1s = [], []
+    steps = np.full(len(amps), params.iterations)
+    live = np.ones(len(amps), dtype=bool)  # rows still in the weak steps
+    for j in range(params.iterations):
+        click, probs, out = _measure_rows(amps, step, draws[:, j])
+        clicks.append(click)
+        p1s.append(probs[1])
+        if strict:
+            out[~live] = amps[~live]  # rows that clicked keep theirs
+            steps[live & click] = j + 1
+            live &= ~click
+        amps = out
+        if not live.any():
+            break
+    col += steps
+    final, _, amps = _measure_rows(amps, Measurement(k), uniforms[rows, col])
+    col += 1
+    # a strict row that clicked stays live = False, so it is rejected
+    accepted = live & ~final
+    outcomes = np.array(clicks, dtype=np.int8).reshape(-1, len(amps)).T
+    step_p1 = np.array(p1s).reshape(-1, len(amps)).T
+    trajectories = [
+        Trajectory(o[:cut], p[:cut], f, a) for o, p, cut, f, a in zip(
+            outcomes.tolist(), step_p1.tolist(), steps.tolist(),
+            final.astype(int).tolist(), accepted.tolist())]
+    return trajectories, amps
+
+
 def run_box(state: StateVector, k: int, params: VerificationParams,
             rng: RandomStream) -> tuple[Trajectory, StateVector]:
     """Run the box on qubit ``k`` of ``state``: N iterations, then a closing
     z-measurement of that qubit.
 
-    Each iteration draws one uniform.  Under the strict policy a click stops
-    the iteration loop; the closing measurement still executes (the clicked
-    qubit sits in |0>, so it is deterministic) but the run is rejected.
-    Returns the trajectory and the collapsed register; ``state`` itself is
-    left untouched.
+    The one-row :func:`_box_rows`.  It draws ``N + 1`` uniforms from ``rng``
+    up front, so ``rng`` advances by ``N + 1`` even when a strict click
+    leaves some of them unread.  Under the strict policy a click stops the
+    iterations; the closing measurement still executes (the clicked qubit
+    sits in |0>, so it is deterministic) but the run is rejected.  Returns
+    the trajectory and the collapsed register; ``state`` itself is left
+    untouched.
     """
-    strict = params.click_policy == STRICT_ABORT
-    step = WeakStep(k, params.theta)
-    amps = state.amplitudes[None]
-    outcomes, step_p1 = [], []
-    for _ in range(params.iterations):
-        click, probs, amps = _measure_rows(amps, step, rng.randoms(1))
-        outcomes.append(int(click[0]))
-        step_p1.append(float(probs[1, 0]))
-        if strict and outcomes[-1]:
-            break
-    final, _, amps = _measure_rows(amps, Measurement(k), rng.randoms(1))
-    final = int(final[0])
-    accepted = final == 0 and not (strict and any(outcomes))
-    return (Trajectory(outcomes, step_p1, final, accepted),
-            StateVector(state.n_qubits, amps[0]))
+    (trajectory,), amps = _box_rows(
+        state.amplitudes[None], k, params,
+        rng.randoms(params.iterations + 1)[None], np.zeros(1, dtype=np.intp))
+    return trajectory, StateVector(state.n_qubits, amps[0])
 
 
 def iterate_once(system: StateVector, params: VerificationParams,

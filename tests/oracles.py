@@ -15,6 +15,10 @@ then an (n + 2m)-qubit transfer register in which m multi-controlled NOTs
 copy the message to blank qubits only if every measured password qubit
 reads 0.  Keep them small: the transfer register is exponential in m.
 
+``reference_unlocks`` presents copies of one probe one ``attempt_unlock``
+at a time, each on its own sub-stream, as the row-batched
+:func:`qlocker.attempt_unlocks` must reproduce.
+
 ``perturbation_step`` is the closed-form no-click collapse of one box
 iteration, and ``otp_consumed_check`` tells whether a presented password
 register has been measured out.
@@ -34,6 +38,7 @@ from qlocker import (
     Trajectory,
     apply_gate,
     apply_inverse_rotation,
+    attempt_unlock,
     basis_state,
     build_controlled0_rx,
     combine,
@@ -70,6 +75,13 @@ def reference_sample_shots(n_qubits, ops, shots, seed, order=None):
                 state = apply_gate(state, op)
         counts["".join(bits)] += 1
     return dict(counts)
+
+
+def reference_unlocks(locker, probe, stream, shots):
+    """Results of ``attempt_unlocks``, one fresh copy of ``probe`` per shot
+    index ``i``, each unlocked alone on sub-stream ``i`` of ``stream``."""
+    return [attempt_unlock(locker, probe.copy(), stream.substream(i))
+            for i in shots]
 
 
 def ancilla_boxes(reg, qubits, verification, rng):

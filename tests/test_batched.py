@@ -4,7 +4,9 @@
 verification box is such a circuit (``box_ops``, read through
 ``box_record``); every shot must get exactly what it gets alone on its own
 sub-stream, however the shots are split into blocks and in whatever order
-the blocks run.
+the blocks run.  ``attempt_unlocks`` runs many presentations of one probe
+as rows, and each row must be the ``attempt_unlock`` of a fresh copy on its
+own sub-stream, however the rows are split into blocks.
 """
 
 from collections import Counter
@@ -16,13 +18,14 @@ from hypothesis import strategies as st
 import qlocker as q
 from qlocker import (
     Measurement,
+    OtpParams,
     RandomStream,
     VerificationParams,
     statevector,
     verification,
 )
 
-from oracles import reference_sample_shots
+from oracles import reference_sample_shots, reference_unlocks
 
 BATCH_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                           database=None)
@@ -149,6 +152,46 @@ def test_strict_records_end_at_the_first_click():
     paper = VerificationParams(1.2, 6)
     assert {len(r) for r in box_histogram(1, [q.h(0)], 0, paper, 200, 8)} \
         == {6 + 1}
+
+
+@BATCH_SETTINGS
+@given(prep=preps(), theta=st.floats(0.05, 1.3),
+       iterations=st.integers(0, 8),
+       policy=st.sampled_from(verification.CLICK_POLICIES),
+       count=st.integers(1, 12), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_unlock_rows_match_one_attempt_per_copy(prep, theta, iterations,
+                                                policy, count, data, seed):
+    n, ops = prep
+    first = data.draw(st.integers(0, 2**32 - count))
+    shots = range(first, first + count)
+    params = OtpParams.random(n, RandomStream(seed, (0,)))
+    locker = q.store_message("101", params,
+                             VerificationParams(theta, iterations, policy))
+    probe = q.new_state(n)
+    for gate in ops:
+        probe = q.apply_gate(probe, gate)
+    stream = RandomStream(seed, (1,))
+    want = reference_unlocks(locker, probe, stream, shots)
+
+    def check():
+        got = list(q.attempt_unlocks(locker, probe, stream, shots))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.accepted, a.retrieved_bits) == (b.accepted,
+                                                      b.retrieved_bits)
+            assert len(a.trajectories) == len(b.trajectories) == n
+            for s, t in zip(a.trajectories, b.trajectories):
+                assert s.ancilla_outcomes == t.ancilla_outcomes
+                assert s.step_p1 == t.step_p1
+                assert s.final_system_outcome == t.final_system_outcome
+                assert s.accepted == t.accepted
+
+    check()
+    for cells in (1, 3, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(statevector, "SHOT_BLOCK_CELLS", cells)
+            check()
 
 
 @pytest.mark.parametrize("shots,row_cells", [

@@ -242,6 +242,41 @@ def test_negative_seed_is_a_usage_error(command, capsys):
     assert build_parser().parse_args([command, "--seed", "0"]).seed == 0
 
 
+@pytest.mark.parametrize("flag", ["--theta", "--prep-angle"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999", "x"])
+def test_non_finite_angles_are_usage_errors(flag, value, capsys):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(["verify-demo", f"{flag}={value}"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    last = stderr.splitlines()[-1]
+    assert "error:" in last and flag in last and repr(value) in last
+
+
+def test_finite_angles_parse():
+    args = build_parser().parse_args(
+        ["verify-demo", "--theta", "0.2", "--prep-angle", "-1.0"])
+    assert (args.theta, args.prep_angle) == (0.2, -1.0)
+    for command in ("converge", "locker-demo"):
+        assert build_parser().parse_args([command, "--theta", "0.2"]).theta \
+            == 0.2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--theta", "inf"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--iterations", "10001"],
+    ["locker-demo", "--iterations", "100000000"],
+    ["sweep", "--grid-theta", "0.3", "--grid-iterations", "10001"],
+])
+def test_too_long_a_box_exits_3(argv, capsys):
+    assert main(argv) == 3
+    stderr = capsys.readouterr().err
+    assert stderr.splitlines() == [
+        f"error: iterations must be in [0, 10000], got {argv[-1]}"]
+
+
 def test_largest_sizes_parse():
     args = build_parser().parse_args(["sweep", "--grid-n", "1,8"])
     assert args.grid_n == [1, 8]

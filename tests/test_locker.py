@@ -170,6 +170,46 @@ class TestUnlock:
         np.testing.assert_array_equal(blanks.amplitudes,
                                       q.new_state(4).amplitudes)
 
+    @pytest.mark.parametrize("policy", q.verification.CLICK_POLICIES)
+    def test_all_zero_probe_releases_nothing(self, policy):
+        params = OtpParams.random(2, RandomStream(56))
+        locker = q.store_message("1011", params,
+                                 VerificationParams(0.1, 38, policy))
+        released = []
+        with pytest.raises(FloatingPointError):
+            released.extend(q.attempt_unlocks(
+                locker, q.StateVector(2, np.zeros(4)), RandomStream(57),
+                range(1, 20)))
+        assert released == []
+
+    def test_probe_copies_leave_the_probe_alone(self):
+        params = OtpParams.random(2, RandomStream(71))
+        locker = q.store_message("10", params, SMALL)
+        probe = q.apply_rotation(q.apply_gate(q.new_state(2), q.h(0)),
+                                 params)
+        before = probe.amplitudes.copy()
+        results = list(q.attempt_unlocks(locker, probe, RandomStream(72),
+                                         range(5)))
+        assert len(results) == 5
+        np.testing.assert_array_equal(probe.amplitudes, before)
+        assert len(locker.consumed_passwords) == 0
+        # an unregistered probe may be presented again, with the same draws
+        again = list(q.attempt_unlocks(locker, probe, RandomStream(72),
+                                       range(5)))
+        assert [r.trajectories for r in again] == \
+            [r.trajectories for r in results]
+
+    def test_consumed_probe_is_refused(self):
+        params = OtpParams.random(1, RandomStream(73))
+        locker = q.store_message("1", params, SMALL)
+        otp = q.generate_otp(params)
+        q.attempt_unlock(locker, otp, RandomStream(74))
+        with pytest.raises(PasswordConsumedError):
+            q.attempt_unlocks(locker, otp, RandomStream(75), range(3))
+        with pytest.raises(ValueError):
+            q.attempt_unlocks(locker, q.new_state(2), RandomStream(75),
+                              range(3))
+
     def test_blanks_must_be_zero(self):
         params = OtpParams.random(1, RandomStream(54))
         locker = q.store_message("10", params, SMALL)

@@ -61,6 +61,14 @@ class TestParams:
             VerificationParams(iterations=-1)
         assert VerificationParams(iterations=0).iterations == 0
 
+    def test_longest_box(self):
+        # a row draws n * (N + 1) uniforms up front, so N is bounded; the
+        # check is in the parameters, before anything is allocated
+        longest = q.verification.MAX_ITERATIONS
+        assert VerificationParams(iterations=longest).iterations == longest
+        with pytest.raises(ValueError, match="10000"):
+            VerificationParams(iterations=10_001)
+
     def test_policy_names(self):
         with pytest.raises(ValueError):
             VerificationParams(click_policy="lenient")
