@@ -154,24 +154,10 @@ def test_strict_records_end_at_the_first_click():
         == {6 + 1}
 
 
-@BATCH_SETTINGS
-@given(prep=preps(), theta=st.floats(0.05, 1.3),
-       iterations=st.integers(0, 8),
-       policy=st.sampled_from(verification.CLICK_POLICIES),
-       count=st.integers(1, 12), data=st.data(),
-       seed=st.integers(0, 2**32 - 1))
-def test_unlock_rows_match_one_attempt_per_copy(prep, theta, iterations,
-                                                policy, count, data, seed):
-    n, ops = prep
-    first = data.draw(st.integers(0, 2**32 - count))
-    shots = range(first, first + count)
-    params = OtpParams.random(n, RandomStream(seed, (0,)))
-    locker = q.store_message("101", params,
-                             VerificationParams(theta, iterations, policy))
-    probe = q.new_state(n)
-    for gate in ops:
-        probe = q.apply_gate(probe, gate)
-    stream = RandomStream(seed, (1,))
+def assert_unlocks_match(locker, probe, stream, shots):
+    """``attempt_unlocks`` row for row against one ``attempt_unlock`` per
+    copy, in one block and in blocks of 1, 3 and 40 cells; returns the
+    oracle's results."""
     want = reference_unlocks(locker, probe, stream, shots)
 
     def check():
@@ -180,7 +166,7 @@ def test_unlock_rows_match_one_attempt_per_copy(prep, theta, iterations,
         for a, b in zip(got, want):
             assert (a.accepted, a.retrieved_bits) == (b.accepted,
                                                       b.retrieved_bits)
-            assert len(a.trajectories) == len(b.trajectories) == n
+            assert len(a.trajectories) == len(b.trajectories)
             for s, t in zip(a.trajectories, b.trajectories):
                 assert s.ancilla_outcomes == t.ancilla_outcomes
                 assert s.step_p1 == t.step_p1
@@ -192,6 +178,43 @@ def test_unlock_rows_match_one_attempt_per_copy(prep, theta, iterations,
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(statevector, "SHOT_BLOCK_CELLS", cells)
             check()
+    return want
+
+
+@BATCH_SETTINGS
+@given(prep=preps(), theta=st.floats(0.05, 1.3),
+       iterations=st.integers(0, 8),
+       policy=st.sampled_from(verification.CLICK_POLICIES),
+       count=st.integers(1, 12), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_unlock_rows_match_one_attempt_per_copy(prep, theta, iterations,
+                                                policy, count, data, seed):
+    n, ops = prep
+    first = data.draw(st.integers(0, 2**32 - count))
+    params = OtpParams.random(n, RandomStream(seed, (0,)))
+    locker = q.store_message("101", params,
+                             VerificationParams(theta, iterations, policy))
+    probe = q.new_state(n)
+    for gate in ops:
+        probe = q.apply_gate(probe, gate)
+    assert_unlocks_match(locker, probe, RandomStream(seed, (1,)),
+                         range(first, first + count))
+
+
+def test_strict_rows_read_on_from_their_own_clicks():
+    # strong coupling on a GHZ-like probe: rows click at different steps of
+    # the first box, so each row starts the later boxes at its own column
+    params = OtpParams.random(3, RandomStream(80))
+    locker = q.store_message("101", params,
+                             VerificationParams(1.0, 8, q.STRICT_ABORT))
+    probe = q.apply_gate(q.new_state(3), q.ry(1.2, 0))
+    probe = q.apply_gate(probe, q.cnot(0, 1))
+    probe = q.apply_gate(q.apply_gate(probe, q.cnot(1, 2)), q.h(2))
+    want = assert_unlocks_match(locker, probe, RandomStream(81), range(40))
+    first_box = {len(r.trajectories[0].ancilla_outcomes) for r in want
+                 if r.trajectories[0].clicked()}
+    later_clicks = sum(t.clicked() for r in want for t in r.trajectories[1:])
+    assert len(first_box) > 1 and later_clicks > 0
 
 
 @pytest.mark.parametrize("shots,row_cells", [
