@@ -2,10 +2,11 @@
 
 ``tests/golden/MANIFEST.json`` maps each golden file to the argv that made
 it and the exit code it returned.  A refactor of the engine must leave all
-of them identical; regenerate one only for a deliberate behaviour change,
-and say why in CHANGES.md:
+of them identical.  Write a new case, or regenerate one only for a
+deliberate behaviour change (and say why in CHANGES.md), by name; the other
+golden files and manifest entries are left as they are:
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write NAME [NAME ...]
 """
 
 import contextlib
@@ -63,6 +64,13 @@ CASES = {
     "locker-demo-n5-blocks": [
         "locker-demo", "--shots", "512", "--otp-qubits", "5",
         "--message", "10110", "--wrong-overlap", "0.5", "--repeat", "800"],
+    # converge over several blocks of shots: six with strict clicks, and
+    # thirteen of long records
+    "converge-strict-blocks": [
+        "converge", "--shots", "8192", "--policy", "strict", "--theta", "0.3"],
+    "converge-long-csv": [
+        "converge", "--shots", "4096", "--theta", "0.05", "--iterations",
+        "200", "--format", "csv"],
 }
 
 
@@ -86,15 +94,22 @@ def test_report_matches_golden(name):
     assert text.encode() == golden_file(name, entry["argv"]).read_bytes()
 
 
-def write_goldens() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    manifest = {}
-    for name, argv in CASES.items():
+def write_goldens(names: list[str]) -> None:
+    """Rerun the named cases and write their golden files and manifest
+    entries; every other entry is kept as it is."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
+    manifest = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    for name in names:
+        argv = CASES[name]
         code, text = run_cli(argv)
         golden_file(name, argv).write_bytes(text.encode())
         manifest[name] = {"argv": argv, "exit_code": code}
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    write_goldens()
+if __name__ == "__main__":
+    if len(sys.argv) < 3 or sys.argv[1] != "--write":
+        raise SystemExit("usage: test_golden.py --write NAME [NAME ...]")
+    write_goldens(sys.argv[2:])
