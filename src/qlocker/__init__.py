@@ -71,8 +71,8 @@ from .verification import (
     VerificationParams,
     WeakStep,
     acceptance_probability,
-    box_ops,
-    box_record,
+    box_records,
+    box_shots,
     enumerate_trajectories,
     iterate_once,
     run_box,

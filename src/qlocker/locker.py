@@ -9,8 +9,8 @@ on each password qubit of the same n-qubit register, ending in a
 z-measurement of that qubit.  The message is released only if every run
 accepts.  :func:`attempt_unlocks` presents many fresh copies of one probe
 as the rows of one array, each box running over all of them at once
-(:func:`~qlocker.verification._box_rows`); :func:`attempt_unlock` is its
-one-row call on a password register.  In the protocol's circuit, NOTs
+(:func:`~qlocker.verification.box_shots`); :func:`attempt_unlock` runs the
+same boxes on one password register.  In the protocol's circuit, NOTs
 controlled on the message qubits and on every measured password qubit
 reading 0 copy the message to blank qubits; all their inputs are basis
 states, so that copy is the classical rule ``message if accepted else
@@ -29,18 +29,17 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from .gates import rx, ry, rz
 from .rng import RandomStream
-from .statevector import (
-    StateVector,
-    _shot_blocks,
-    apply_gate,
-    basis_state,
-    new_state,
+from .statevector import StateVector, apply_gate, basis_state, new_state
+from .verification import (
+    BoxRows,
+    Trajectory,
+    VerificationParams,
+    _boxes,
+    _trajectories,
+    box_shots,
 )
-from .verification import Trajectory, VerificationParams, _box_rows
 
 
 class InvalidMessageError(ValueError):
@@ -178,29 +177,14 @@ def _check_password(locker: LockerState, password: StateVector) -> None:
         raise PasswordConsumedError("password register already consumed")
 
 
-def _draws(locker: LockerState) -> int:
-    """Uniforms one unlock may read: N + 1 per password qubit."""
-    return locker.n_password_qubits * (locker.verification.iterations + 1)
-
-
-def _unlock_rows(locker: LockerState, amps: np.ndarray,
-                 uniforms: np.ndarray) -> list[UnlockResult]:
-    """The boxes on each password qubit in turn, over every row of ``amps``
-    (rows of the inversely rotated register), row ``r`` reading
-    ``uniforms[r]`` in order; each row's trajectories, acceptance and
-    release."""
-    col = np.zeros(len(amps), dtype=np.intp)
-    boxes = []
-    for k in range(locker.n_password_qubits):
-        trajectories, amps = _box_rows(amps, k, locker.verification,
-                                       uniforms, col)
-        boxes.append(trajectories)
-    results = []
-    for trajectories in zip(*boxes):
+def _results(locker: LockerState,
+             boxes: list[BoxRows]) -> Iterator[UnlockResult]:
+    """Each row's unlock from its boxes, one per password qubit: the
+    trajectories, acceptance and release."""
+    for trajectories in zip(*map(_trajectories, boxes)):
         accepted = all(t.accepted for t in trajectories)
         retrieved = locker.message_bits if accepted else "0" * locker.m_bits
-        results.append(UnlockResult(accepted, retrieved, trajectories))
-    return results
+        yield UnlockResult(accepted, retrieved, trajectories)
 
 
 def attempt_unlock(locker: LockerState, password: StateVector,
@@ -227,8 +211,10 @@ def attempt_unlock(locker: LockerState, password: StateVector,
 
     locker.consumed_passwords[id(password)] = password
     reg = apply_inverse_rotation(password, locker.params)
-    (result,) = _unlock_rows(locker, reg.amplitudes[None],
-                             rng.randoms(_draws(locker))[None])
+    draws = locker.n_password_qubits * (locker.verification.iterations + 1)
+    (result,) = _results(locker, _boxes(reg.amplitudes[None],
+                                        locker.verification,
+                                        rng.randoms(draws)[None]))
 
     # the presented register is now the measured eigenstate
     password.amplitudes[:] = basis_state(
@@ -242,24 +228,17 @@ def attempt_unlocks(locker: LockerState, probe: StateVector,
                     stream: RandomStream,
                     shots: range) -> Iterator[UnlockResult]:
     """Present a fresh copy of ``probe`` once per shot index ``i`` in
-    ``shots``, in order.
-
-    Copy ``i`` draws from sub-stream ``i`` of ``stream`` (the first
-    ``n * (N + 1)`` uniforms of ``stream.substream(i)``), so each result is
-    what ``attempt_unlock(locker, probe.copy(), stream.substream(i))``
-    returns.  The copies run as the rows of one array, a block of rows at a
-    time, and the results are yielded block by block.  ``probe`` itself is
-    neither collapsed nor registered as consumed; it is checked, and
-    inversely rotated once, when this is called.
+    ``shots``, in order: result ``i`` is what ``attempt_unlock(locker,
+    probe.copy(), stream.substream(i))`` returns, run as one row of
+    :func:`~qlocker.verification.box_shots`.  ``probe`` itself is neither
+    collapsed nor registered as consumed; it is checked, and inversely
+    rotated once, when this is called.
     """
     _check_password(locker, probe)
-    phi = apply_inverse_rotation(probe, locker.params).amplitudes
-    draws = _draws(locker)
+    phi = apply_inverse_rotation(probe, locker.params)
     return (result
-            for block in _shot_blocks(len(shots), phi.size + draws)
-            for result in _unlock_rows(
-                locker, np.broadcast_to(phi, (len(block), phi.size)),
-                stream.shot_uniforms(shots[block.start:block.stop], draws)))
+            for boxes in box_shots(phi, locker.verification, stream, shots)
+            for result in _results(locker, boxes))
 
 
 def session_log(locker: LockerState, result: UnlockResult) -> list[str]:

@@ -11,14 +11,14 @@ holds S registers of one circuit, one per row.  A gate is a strided
 as indices on their axes.  Every sampled outcome goes through one
 two-outcome kernel: two Kraus operators, diagonal on one qubit's axis, and
 one uniform per row.  A projective x/y/z readout is that kernel with the
-projectors, between basis rotations; the verification box's weak step
-(:class:`qlocker.verification.WeakStep`) supplies its own K0 and K1.
+projectors, between basis rotations; the verification box
+(:mod:`qlocker.verification`) runs it with its own K0 and K1.
 :func:`apply_gate` and :func:`measure_qubit` are the S = 1 calls, and
-:func:`sample_shots` runs a whole circuit once over every row of a block of
-shots, shot ``i`` drawing its uniforms up front from sub-stream
-``(seed, i)``.  A block holds at most :data:`SHOT_BLOCK_CELLS` amplitudes
-and uniforms, so no shot count or register width allocates ``S * 2**n`` at
-once.
+:func:`sample_shots` runs a circuit of gates and readouts once over every
+row of a block of shots, shot ``i`` drawing its uniforms up front from
+sub-stream ``(seed, i)``.  A block holds at most :data:`SHOT_BLOCK_CELLS`
+amplitudes and uniforms, so no shot count or register width allocates
+``S * 2**n`` at once.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def _measure_rows(amps: np.ndarray, op,
     outcome (as bool), ``(p0, p1)`` (shape ``(2, S)``) and the new row.
     """
     qubit = op.qubit
-    if not 0 <= qubit < amps.shape[1].bit_length() - 1:
+    if not 0 <= qubit < _n_qubits(amps):
         raise IndexError(f"qubit {qubit} out of range")
     to_z, back = _ROTATIONS[op.basis]
     for g in to_z:
@@ -266,21 +266,19 @@ def sample_shots(n_qubits: int, ops: Sequence[CircuitOp], shots: int,
                  seed: int) -> CountsHistogram:
     """Run ``shots`` independent trajectories of a circuit and tally outcomes.
 
-    A measurement is a :class:`Measurement` or any other two-outcome element
-    with a ``qubit``, a ``basis`` and ``kraus`` (such as the verification
-    box's weak step); each adds its outcome bit to the shot's key.  Shot
-    ``i`` draws its uniforms, one per measurement, up front from the
-    sub-stream ``(seed, i)``, so the histogram is identical no matter how
-    the shots are ordered or grouped.  The circuit runs once per block of
-    shots, over all of the block's rows.
+    The circuit's elements are gates and :class:`Measurement` readouts,
+    each readout adding its outcome bit to the shot's key.  Shot ``i`` draws
+    its uniforms, one per readout, up front from sub-stream ``(seed, i)``,
+    so the histogram is identical however the shots are ordered or grouped.
+    The circuit runs once per block of shots, over all of the block's rows.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     for op in ops:
-        if not (isinstance(op, GateOp) or hasattr(op, "kraus")):
+        if not isinstance(op, (GateOp, Measurement)):
             raise TypeError(f"unsupported circuit element {op!r}")
     start = new_state(n_qubits).amplitudes
-    k = sum(not isinstance(op, GateOp) for op in ops)
+    k = sum(isinstance(op, Measurement) for op in ops)
     root = RandomStream(seed)
     counts: Counter[str] = Counter()
     for block in _shot_blocks(shots, start.size + k):

@@ -23,16 +23,14 @@ discriminate the zero state from superpositions over many iterations.  The
 explicit ancilla circuit is kept where the ancilla itself is measured
 (``verify-demo``).
 
-:func:`_box_rows` runs one box on qubit ``k`` of every row of an
-``(R, 2**n)`` array, row ``r`` reading its uniforms in order from row ``r``
-of a table drawn up front.  Each row keeps its own column pointer, so the
-boxes on a register's n qubits (the locker's unlock) read one row of draws
-in turn, and a strict row that clicked draws nothing more until its closing
-readout.  :func:`run_box` is its one-row call; a lone qubit is the
-one-qubit register and ``k = 0``.  Many shots of a box are a circuit:
-:func:`box_ops` gives its N weak steps and closing readout for
-:func:`qlocker.statevector.sample_shots`, and :func:`box_record` reads each
-outcome key as :func:`run_box` records it.
+:func:`_box_rows` is the one sampled box: the box on qubit ``k`` of every
+row of an ``(R, 2**n)`` array, each row reading its own uniforms, drawn up
+front, from its own column on (a strict row that clicked reads none until
+its closing readout).  :func:`box_shots` runs it on each qubit of a fresh
+copy of a register per shot, for ``converge`` (:func:`box_records`) and the
+locker; :func:`run_box` is its one-row call.  :func:`enumerate_trajectories`
+(the exact oracle) and :func:`sample_acceptance_runs` (accept/reject only,
+for ``sweep``) give the same law without the kernel.
 
 Two click policies are supported.  The default keeps iterating after a click
 (the run then accepts, since the system sits in |0>); the strict variant
@@ -44,7 +42,9 @@ iteration count; under strict-abort it is |alpha|^2 cos(theta)^(2N).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -55,6 +55,8 @@ from .statevector import (
     Measurement,
     StateVector,
     _measure_rows,
+    _n_qubits,
+    _shot_blocks,
 )
 
 PAPER_DEFAULT = "paper"
@@ -126,9 +128,7 @@ def _require_single_qubit(system: StateVector):
 @dataclass(frozen=True)
 class WeakStep:
     """One iteration of the box on ``qubit``: the two-outcome measurement
-    K0 = diag(cos(theta), 1), K1 = -i sin(theta) |0><0|.  Its outcome is the
-    ancilla's reading, and :func:`qlocker.statevector.sample_shots` runs it
-    like a readout."""
+    K0 = diag(cos(theta), 1), K1 = -i sin(theta) |0><0| of the ancilla."""
 
     qubit: int
     theta: float
@@ -143,69 +143,91 @@ class WeakStep:
             [[math.cos(self.theta), 1.0], [-1j * math.sin(self.theta), 0.0]]))
 
 
-def box_ops(k: int, params: VerificationParams) -> list:
-    """The box on qubit ``k`` as circuit elements: N weak steps, then the
-    closing z readout."""
-    return [WeakStep(k, params.theta)] * params.iterations + [Measurement(k)]
-
-
-def box_record(key: str, params: VerificationParams) -> str:
-    """The ``sample_shots`` key of a box's N+1 bits as :func:`run_box`
-    records it: the outcome bits, then the closing readout.
-
-    A strict run stops at its first click, so its record is cut just after
-    it.  The qubit is then exactly |0>, which both Kraus operators keep up
-    to a phase, so the key's closing readout is 0.
-    """
-    if params.click_policy == STRICT_ABORT and "1" in key[:-1]:
-        return key[:key.index("1") + 1] + key[-1]
-    return key
+# one box on R rows: row r recorded outcomes[r, :steps[r]], with click
+# probabilities step_p1[r, :steps[r]], then its closing readout final[r]
+BoxRows = namedtuple("BoxRows", "outcomes step_p1 steps final accepted")
 
 
 def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
               uniforms: np.ndarray,
-              col: np.ndarray) -> tuple[list[Trajectory], np.ndarray]:
+              col: np.ndarray) -> tuple[BoxRows, np.ndarray]:
     """The box on qubit ``k`` of every row of ``amps`` (shape ``(R, 2**n)``).
 
     Row ``r`` draws ``uniforms[r, col[r]]`` and moves ``col[r]`` on by one
-    per draw (``col`` is updated in place).  Under the paper policy every
-    row draws N+1 times.  Under the strict policy a row that clicks leaves
-    the weak steps: its amplitudes are kept bit for bit and it draws nothing
-    until the closing z readout, which runs on every row.  Returns each
-    row's trajectory and the collapsed rows.
+    per draw (``col`` is updated in place).  Under the strict policy a row
+    that clicks leaves the weak steps: its amplitudes are kept bit for bit,
+    it draws nothing until the closing z readout, which runs on every row,
+    and its record ends at the click.  Returns the records and the
+    collapsed rows.
     """
     strict = params.click_policy == STRICT_ABORT
     step = WeakStep(k, params.theta)
     rows = np.arange(len(amps))
-    # each row's next N uniforms; a row that clicked reads none of the rest
-    draws = uniforms[rows[:, None],
-                     col[:, None] + np.arange(params.iterations)]
-    clicks, p1s = [], []
+    # draws[j]: each row's uniform for step j (a clicked row reads no more)
+    draws = uniforms.ravel().take(rows * uniforms.shape[1] + col
+                                  + np.arange(params.iterations)[:, None])
+    # one contiguous row per step, transposed to one row per shot at the end
+    outcomes = np.zeros((params.iterations, len(amps)), dtype=np.int8)
+    step_p1 = np.empty((params.iterations, len(amps)))
     steps = np.full(len(amps), params.iterations)
     live = np.ones(len(amps), dtype=bool)  # rows still in the weak steps
     for j in range(params.iterations):
-        click, probs, out = _measure_rows(amps, step, draws[:, j])
-        clicks.append(click)
-        p1s.append(probs[1])
+        click, probs, out = _measure_rows(amps, step, draws[j])
+        outcomes[j] = click
+        step_p1[j] = probs[1]
         if strict:
             out[~live] = amps[~live]  # rows that clicked keep theirs
             steps[live & click] = j + 1
             live &= ~click
         amps = out
-        if not live.any():
+        if strict and not live.any():
             break
     col += steps
     final, _, amps = _measure_rows(amps, Measurement(k), uniforms[rows, col])
     col += 1
     # a strict row that clicked stays live = False, so it is rejected
-    accepted = live & ~final
-    outcomes = np.array(clicks, dtype=np.int8).reshape(-1, len(amps)).T
-    step_p1 = np.array(p1s).reshape(-1, len(amps)).T
-    trajectories = [
-        Trajectory(o[:cut], p[:cut], f, a) for o, p, cut, f, a in zip(
-            outcomes.tolist(), step_p1.tolist(), steps.tolist(),
-            final.astype(int).tolist(), accepted.tolist())]
-    return trajectories, amps
+    return BoxRows(outcomes.T, step_p1.T, steps, final, live & ~final), amps
+
+
+def _boxes(amps: np.ndarray, params: VerificationParams,
+           uniforms: np.ndarray) -> list[BoxRows]:
+    """The box on each qubit in turn, row ``r`` reading ``uniforms[r]``."""
+    col = np.zeros(len(amps), dtype=np.intp)
+    boxes = []
+    for k in range(_n_qubits(amps)):
+        box, amps = _box_rows(amps, k, params, uniforms, col)
+        boxes.append(box)
+    return boxes
+
+
+def box_shots(state: StateVector, params: VerificationParams,
+              stream: RandomStream, shots: range) -> Iterator[list[BoxRows]]:
+    """The boxes on each qubit of a fresh copy of ``state`` per shot ``i``
+    in ``shots``, copy ``i`` reading ``stream.substream(i)`` as
+    :func:`run_box` on each qubit in turn does.  The copies are the rows of
+    one array; each block of rows' boxes is yielded in shot order."""
+    draws = state.n_qubits * (params.iterations + 1)
+    amps = state.amplitudes
+    for block in _shot_blocks(len(shots), amps.size + draws):
+        yield _boxes(np.broadcast_to(amps, (len(block), amps.size)), params,
+                     stream.shot_uniforms(shots[block.start:block.stop],
+                                          draws))
+
+
+def box_records(box: BoxRows) -> list[str]:
+    """Each row's record as one string: outcome bits, then closing readout."""
+    chars = np.column_stack([box.outcomes, box.final]).astype(np.uint8)
+    chars[np.arange(len(chars)), box.steps] = box.final  # after a cut
+    text, width = (chars + ord("0")).tobytes().decode(), chars.shape[1]
+    return [text[i * width:i * width + cut]
+            for i, cut in enumerate((box.steps + 1).tolist())]
+
+
+def _trajectories(box: BoxRows) -> list[Trajectory]:
+    """Each row's record as a :class:`Trajectory`."""
+    return [Trajectory(o[:cut], p[:cut], f, a) for o, p, cut, f, a in zip(
+        box.outcomes.tolist(), box.step_p1.tolist(), box.steps.tolist(),
+        box.final.astype(int).tolist(), box.accepted.tolist())]
 
 
 def run_box(state: StateVector, k: int, params: VerificationParams,
@@ -215,15 +237,14 @@ def run_box(state: StateVector, k: int, params: VerificationParams,
 
     The one-row :func:`_box_rows`.  It draws ``N + 1`` uniforms from ``rng``
     up front, so ``rng`` advances by ``N + 1`` even when a strict click
-    leaves some of them unread.  Under the strict policy a click stops the
-    iterations; the closing measurement still executes (the clicked qubit
-    sits in |0>, so it is deterministic) but the run is rejected.  Returns
-    the trajectory and the collapsed register; ``state`` itself is left
-    untouched.
+    stops the iterations early; the closing measurement still executes (the
+    clicked qubit sits in |0>) but the run is rejected.  Returns the
+    trajectory and the collapsed register; ``state`` is left untouched.
     """
-    (trajectory,), amps = _box_rows(
+    box, amps = _box_rows(
         state.amplitudes[None], k, params,
         rng.randoms(params.iterations + 1)[None], np.zeros(1, dtype=np.intp))
+    (trajectory,) = _trajectories(box)
     return trajectory, StateVector(state.n_qubits, amps[0])
 
 

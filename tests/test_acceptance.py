@@ -92,15 +92,15 @@ def test_criterion_4_many_iteration_convergence():
     with _Criterion(4, "38-iteration convergence statistics", 30.0) as c:
         params = VerificationParams(theta=0.1, iterations=38)
         shots = 8192
-        # the converge circuit on |+>; shot i draws from sub-stream (42, i)
-        hist = q.sample_shots(1, [q.h(0), *q.box_ops(0, params)], shots, 42)
+        # the converge box on |+>; shot i draws from sub-stream (42, i)
+        plus = q.apply_gate(q.new_state(1), q.h(0))
         all_zeros = 0
         ones_after_zeros = 0
-        for key, count in hist.counts.items():
-            record = q.box_record(key, params)
-            if "1" not in record[:-1]:
-                all_zeros += count
-                ones_after_zeros += count * int(record[-1])
+        for (box,) in q.box_shots(plus, params, RandomStream(42), range(shots)):
+            for record in q.box_records(box):
+                if "1" not in record[:-1]:
+                    all_zeros += 1
+                    ones_after_zeros += int(record[-1])
         analytic_zeros = 0.5 + 0.5 * math.cos(0.1) ** 76
         analytic_cond = 0.5 / analytic_zeros
         zeros_frac = all_zeros / shots

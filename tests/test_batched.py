@@ -1,12 +1,14 @@
 """The shot-batched kernels against the scalar paths they replace.
 
-``sample_shots`` runs a circuit once over a block of shots, and the
-verification box is such a circuit (``box_ops``, read through
-``box_record``); every shot must get exactly what it gets alone on its own
-sub-stream, however the shots are split into blocks and in whatever order
-the blocks run.  ``attempt_unlocks`` runs many presentations of one probe
-as rows, and each row must be the ``attempt_unlock`` of a fresh copy on its
-own sub-stream, however the rows are split into blocks.
+``sample_shots`` runs a circuit once over a block of shots; every shot
+must get exactly what it gets alone on its own sub-stream, however the
+shots are split into blocks and in whatever order the blocks run.
+``box_shots`` runs the verification box on many copies of one register as
+rows, and each row must be the ``run_box`` of a fresh copy on its own
+sub-stream, however the rows are split into blocks.  ``attempt_unlocks``
+runs many presentations of one probe as rows, and each row must be the
+``attempt_unlock`` of a fresh copy on its own sub-stream, however the rows
+are split into blocks.
 """
 
 from collections import Counter
@@ -102,45 +104,59 @@ def test_sample_shots_matches_the_per_shot_oracle(circuit, shots, seed):
             assert q.sample_shots(n, ops, shots, seed).counts == want
 
 
-def box_histogram(n, prep, k, params, shots, seed):
-    """The box's records tallied from one ``sample_shots`` run."""
-    hist = q.sample_shots(n, [*prep, *q.box_ops(k, params)], shots, seed)
-    records = Counter()
-    for key, count in hist.counts.items():
-        records[q.box_record(key, params)] += count
-    return dict(records)
+@st.composite
+def one_qubit_preps(draw):
+    """A one-qubit state: a random Ry, then random gates."""
+    state = q.apply_gate(q.new_state(1), q.ry(draw(st.floats(0.1, 3.0)), 0))
+    for gate in draw(st.lists(gates(1), max_size=4)):
+        state = q.apply_gate(state, gate)
+    return state
+
+
+def box_shot_records(state, params, stream, shots):
+    """Every shot's trajectory and record from ``box_shots``, in order."""
+    trajectories, records = [], []
+    for (box,) in q.box_shots(state, params, stream, shots):
+        trajectories += verification._trajectories(box)
+        records += q.box_records(box)
+    return trajectories, records
 
 
 @BATCH_SETTINGS
-@given(prep=preps(), data=st.data(), theta=st.floats(0.05, 1.3),
+@given(state=one_qubit_preps(), theta=st.floats(0.05, 1.3),
        iterations=st.integers(0, 10),
        policy=st.sampled_from(verification.CLICK_POLICIES),
-       shots=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-def test_box_circuit_matches_run_box_per_shot(prep, data, theta, iterations,
-                                              policy, shots, seed):
-    n, ops = prep
-    k = data.draw(st.integers(0, n - 1))
+       count=st.integers(1, 30), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_box_shots_match_run_box_per_shot(state, theta, iterations, policy,
+                                          count, data, seed):
+    first = data.draw(st.integers(0, 2**32 - count))
+    shots = range(first, first + count)
     params = VerificationParams(theta, iterations, policy)
-    state = q.new_state(n)
-    for gate in ops:
-        state = q.apply_gate(state, gate)
     root = RandomStream(seed)
-    want = Counter()
-    for shot in range(shots):
-        traj, _ = q.run_box(state, k, params, root.substream(shot))
-        want[traj.outcomes_bitstring() + str(traj.final_system_outcome)] += 1
-    want = dict(want)
-    assert box_histogram(n, ops, k, params, shots, seed) == want
-    for cells, reverse in SPLITS:
+    want = [q.run_box(state, 0, params, root.substream(i))[0] for i in shots]
+    records = [t.outcomes_bitstring() + str(t.final_system_outcome)
+               for t in want]
+    assert box_shot_records(state, params, root, shots) == (want, records)
+    for cells in (1, 3, 40):
         with pytest.MonkeyPatch.context() as mp:
-            split(mp, cells, reverse)
-            assert box_histogram(n, ops, k, params, shots, seed) == want
+            mp.setattr(statevector, "SHOT_BLOCK_CELLS", cells)
+            assert box_shot_records(state, params, root, shots) == (want,
+                                                                    records)
+
+
+def converge_records(params, shots, seed):
+    """``converge``'s tally: the box's records on |+>, in shot order."""
+    plus = q.apply_gate(q.new_state(1), q.h(0))
+    _, records = box_shot_records(plus, params, RandomStream(seed),
+                                  range(shots))
+    return Counter(records)
 
 
 def test_strict_records_end_at_the_first_click():
     # |+> clicks often at theta 1.2; runs that did not click keep iterating
     params = VerificationParams(1.2, 6, q.STRICT_ABORT)
-    records = box_histogram(1, [q.h(0)], 0, params, 200, 8)
+    records = converge_records(params, 200, 8)
     clicked = {r: c for r, c in records.items() if "1" in r[:-1]}
     assert 0 < sum(clicked.values()) < 200
     for record in records:
@@ -150,8 +166,7 @@ def test_strict_records_end_at_the_first_click():
             assert len(record) == 6 + 1
     # the paper policy keeps every step after a click
     paper = VerificationParams(1.2, 6)
-    assert {len(r) for r in box_histogram(1, [q.h(0)], 0, paper, 200, 8)} \
-        == {6 + 1}
+    assert {len(r) for r in converge_records(paper, 200, 8)} == {6 + 1}
 
 
 def assert_unlocks_match(locker, probe, stream, shots):

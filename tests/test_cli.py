@@ -82,6 +82,24 @@ class TestConverge:
         cond = report["results"]["system_one_given_all_zeros"]
         assert abs(cond - 0.5) <= 3 * (0.25 / 600) ** 0.5
 
+    @pytest.mark.parametrize("seed", [2, 4, 5, 6])
+    def test_no_all_zeros_record_writes_null(self, tmp_path, seed):
+        # one strongly coupled shot that clicks: the conditional has no
+        # sample, so it is null and unchecked, and the report is strict JSON
+        code, out = run_to_file(
+            tmp_path, "c.json", ["converge", "--shots", "1", "--theta", "1.5",
+                                 "--seed", str(seed)])
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["results"]["all_zeros_count"] == 0
+        assert report["results"]["system_one_given_all_zeros"] is None
+        (check,) = report["checks"]
+        assert check["name"] == "all-zeros ancilla fraction"
+        assert code == (0 if check["ok"] else 4)
+
     def test_hardware_anchor_present_at_published_point(self, tmp_path):
         code, out = run_to_file(
             tmp_path, "c.json", ["converge", "--shots", "256"])
