@@ -69,7 +69,6 @@ from .verification import (
     STRICT_ABORT,
     Trajectory,
     VerificationParams,
-    WeakStep,
     acceptance_probability,
     box_records,
     box_shots,

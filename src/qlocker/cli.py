@@ -509,6 +509,17 @@ def emit(report: dict, args) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
+def _add_box_flags(p: argparse.ArgumentParser) -> None:
+    """The verification box's flags, shared by converge and locker-demo.
+
+    More than ``MAX_ITERATIONS`` iterations is a protocol error (exit 3),
+    which :class:`VerificationParams` reports.
+    """
+    p.add_argument("--theta", type=_finite, default=0.1)
+    p.add_argument("--iterations", type=_in_range(int, 0), default=38)
+    p.add_argument("--policy", choices=CLICK_POLICIES, default=PAPER_DEFAULT)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlocker",
@@ -534,9 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge",
                        help="many-iteration verification of |+>")
     add_common(p)
-    p.add_argument("--theta", type=_finite, default=0.1)
-    p.add_argument("--iterations", type=int, default=38)
-    p.add_argument("--policy", choices=CLICK_POLICIES, default=PAPER_DEFAULT)
+    _add_box_flags(p)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("locker-demo",
@@ -545,9 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--message", default="1011")
     p.add_argument("--otp-qubits", type=_in_range(int, 1, DEFAULT_MAX_QUBITS),
                    default=1)
-    p.add_argument("--theta", type=_finite, default=0.1)
-    p.add_argument("--iterations", type=int, default=38)
-    p.add_argument("--policy", choices=CLICK_POLICIES, default=PAPER_DEFAULT)
+    _add_box_flags(p)
     p.add_argument("--repeat", type=_positive_int, default=1,
                    help="wrong-password repetitions for rate estimation")
     p.add_argument("--wrong-overlap", type=_probability, default=None,

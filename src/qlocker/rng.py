@@ -143,8 +143,9 @@ class RandomStream:
         """Array of ``size`` uniform doubles in [0, 1)."""
         return self._gen.random(size)
 
-    def uniform(self, low: float, high: float, size: int | None = None):
-        return self._gen.uniform(low, high, size)
+    def uniform(self, low: float, high: float) -> float:
+        """Next uniform double in [low, high)."""
+        return self._gen.uniform(low, high)
 
     def spawn_seed(self) -> int:
         """Draw a fresh 63-bit integer, for seeding an independent run."""

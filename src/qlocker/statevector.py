@@ -9,14 +9,17 @@ The kernels work on a leading shot axis: an array of shape ``(S, 2**n)``
 holds S registers of one circuit, one per row.  A gate is a strided
 ``reshape`` view with one length-2 axis per gate qubit, its controls fixed
 as indices on their axes.  Every sampled outcome goes through one
-two-outcome kernel: two Kraus operators, diagonal on one qubit's axis, and
-one uniform per row.  A projective x/y/z readout is that kernel with the
-projectors, between basis rotations; the verification box
+two-outcome kernel, ``_measure_rows(amps, qubit, kraus, uniforms)``: two
+Kraus operators, diagonal in z on one qubit's axis, and one uniform per
+row.  A projective x/y/z readout is that kernel with the projectors,
+between basis rotations (``_readout_rows``); the verification box
 (:mod:`qlocker.verification`) runs it with its own K0 and K1.
-:func:`apply_gate` and :func:`measure_qubit` are the S = 1 calls, and
-:func:`sample_shots` runs a circuit of gates and readouts once over every
-row of a block of shots, shot ``i`` drawing its uniforms up front from
-sub-stream ``(seed, i)``.  A block holds at most :data:`SHOT_BLOCK_CELLS`
+:func:`apply_gate` and :func:`measure_qubit` are the S = 1 calls.  One
+driver, ``_shot_rows``, turns shot indices into rows: fresh copies of a
+register, block by block, shot ``i`` drawing its uniforms up front from
+sub-stream ``(seed, i)``.  :func:`sample_shots` runs a circuit of gates and
+readouts over every row of each block, and ``_row_keys`` reads each row's
+outcome bits as its key.  A block holds at most :data:`SHOT_BLOCK_CELLS`
 amplitudes and uniforms, so no shot count or register width allocates
 ``S * 2**n`` at once.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -110,6 +113,25 @@ def _shot_blocks(shots: int, row_cells: int) -> list[range]:
     return [range(i, min(i + rows, shots)) for i in range(0, shots, rows)]
 
 
+def _shot_rows(amps: np.ndarray, stream: RandomStream, shots: range,
+               k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A fresh copy of the register ``amps`` per shot index in ``shots``,
+    with its uniforms: yields ``(rows, uniforms)`` per block, in shot order,
+    where ``rows`` is a read-only ``(B, 2**n)`` view and row ``j`` of
+    ``uniforms`` holds the first ``k`` draws of
+    ``stream.substream(shots[j])`` for the block's ``j``-th shot."""
+    for block in _shot_blocks(len(shots), amps.size + k):
+        yield (np.broadcast_to(amps, (len(block), amps.size)),
+               stream.shot_uniforms(shots[block.start:block.stop], k))
+
+
+def _row_keys(bits: np.ndarray, lengths) -> list[str]:
+    """Row ``r`` of the uint8 outcome bits ``bits`` as a string of its first
+    ``lengths[r]`` bits, the whole array decoded once."""
+    text, width = (bits + ord("0")).tobytes().decode(), bits.shape[1]
+    return [text[i * width:i * width + n] for i, n in enumerate(lengths)]
+
+
 def _n_qubits(amps: np.ndarray) -> int:
     return amps.shape[1].bit_length() - 1
 
@@ -182,36 +204,26 @@ class Measurement:
             raise ValueError(
                 f"basis must be one of x, y, z; got {self.basis!r}")
 
-    # K0 and K1 as rows of their diagonal entries on the measured qubit's
-    # axis, in the measured basis: here the two projectors
-    kraus = _PROJECTORS
 
-
-def _measure_rows(amps: np.ndarray, op,
+def _measure_rows(amps: np.ndarray, qubit: int, kraus: np.ndarray,
                   uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                  np.ndarray]:
-    """The two-outcome measurement ``op`` (a :class:`Measurement` or any
-    element with its ``qubit``, ``basis`` and ``kraus``) on every row of
-    ``amps``, row ``i`` drawing ``uniforms[i]``.
+    """The two-outcome measurement with Kraus operators diagonal in z on
+    ``qubit``, on every row of ``amps``, row ``i`` drawing ``uniforms[i]``.
 
-    The row is rotated into ``op.basis``, and each outcome ``b`` applies
-    ``K_b`` (row ``b`` of ``op.kraus``) with ``p_b = |K_b a|^2``;
-    outcome 1 is picked when ``uniforms[i] >= p0 / (p0 + p1)``, and the
-    picked branch is renormalized and rotated back.  Returns per row the
-    outcome (as bool), ``(p0, p1)`` (shape ``(2, S)``) and the new row.
+    Row ``b`` of ``kraus`` (shape ``(2, 2)``) holds ``K_b``'s diagonal
+    entries for the qubit's values 0 and 1.  Each outcome ``b`` applies
+    ``K_b`` with ``p_b = |K_b a|^2``; outcome 1 is picked when
+    ``uniforms[i] >= p0 / (p0 + p1)``, and the picked branch is
+    renormalized.  Returns per row the outcome (as bool), ``(p0, p1)``
+    (shape ``(2, S)``) and the new row.
     """
-    qubit = op.qubit
     if not 0 <= qubit < _n_qubits(amps):
         raise IndexError(f"qubit {qubit} out of range")
-    to_z, back = _ROTATIONS[op.basis]
-    for g in to_z:
-        amps = _gate_rows(amps, g(qubit))
-    kraus = op.kraus[:, None, :, None]  # K_b's entry for each qubit value
-    branches = kraus * amps.reshape(-1, 2, 1 << qubit)
+    branches = kraus[:, None, :, None] * amps.reshape(-1, 2, 1 << qubit)
     branches = branches.reshape(2, *amps.shape)
     probs = np.add.reduce(np.abs(branches) ** 2, axis=2)
-    p0 = probs[0]
-    p1 = probs[1]
+    p0, p1 = probs
     if np.minimum.reduce(np.maximum(p0, p1)) < _UNDERFLOW:
         i = int(np.argmin(np.maximum(p0, p1)))
         raise FloatingPointError(
@@ -221,8 +233,21 @@ def _measure_rows(amps: np.ndarray, op,
     click = uniforms >= p0 / total
     out = np.where(click[:, None], branches[1], branches[0])
     out /= np.sqrt(np.where(click, p1, p0) / total * total)[:, None]
+    return click, probs, out
+
+
+def _readout_rows(amps: np.ndarray, op: Measurement,
+                  uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]:
+    """The readout ``op`` on every row of ``amps``: the rows rotated into
+    ``op.basis``, measured with the projectors, and rotated back; returns
+    what :func:`_measure_rows` does."""
+    to_z, back = _ROTATIONS[op.basis]
+    for g in to_z:
+        amps = _gate_rows(amps, g(op.qubit))
+    click, probs, out = _measure_rows(amps, op.qubit, _PROJECTORS, uniforms)
     for g in back:
-        out = _gate_rows(out, g(qubit))
+        out = _gate_rows(out, g(op.qubit))
     return click, probs, out
 
 
@@ -235,7 +260,7 @@ def measure_qubit(state: StateVector, qubit: int, basis: str,
     rotating back after the collapse.  Draws one uniform.  Returns (outcome,
     probability of that outcome, renormalized post-measurement state).
     """
-    click, probs, amps = _measure_rows(state.amplitudes[None],
+    click, probs, amps = _readout_rows(state.amplitudes[None],
                                        Measurement(qubit, basis),
                                        rng.randoms(1))
     outcome = int(click[0])
@@ -277,22 +302,19 @@ def sample_shots(n_qubits: int, ops: Sequence[CircuitOp], shots: int,
     for op in ops:
         if not isinstance(op, (GateOp, Measurement)):
             raise TypeError(f"unsupported circuit element {op!r}")
-    start = new_state(n_qubits).amplitudes
     k = sum(isinstance(op, Measurement) for op in ops)
-    root = RandomStream(seed)
     counts: Counter[str] = Counter()
-    for block in _shot_blocks(shots, start.size + k):
-        uniforms = root.shot_uniforms(block, k)
-        amps = np.broadcast_to(start, (len(block), start.size))
-        bits = np.empty((len(block), k), dtype=np.uint8)
+    for amps, uniforms in _shot_rows(new_state(n_qubits).amplitudes,
+                                     RandomStream(seed), range(shots), k):
+        bits = np.empty((len(amps), k), dtype=np.uint8)
         j = 0
         for op in ops:
             if isinstance(op, GateOp):
                 amps = _gate_rows(amps, op)
             else:
-                bits[:, j], _, amps = _measure_rows(amps, op, uniforms[:, j])
+                bits[:, j], _, amps = _readout_rows(amps, op, uniforms[:, j])
                 j += 1
-        counts.update(row.tobytes().decode() for row in bits + ord("0"))
+        counts.update(_row_keys(bits, [k] * len(bits)))
     return CountsHistogram(shots=shots, counts=dict(counts))
 
 

@@ -13,24 +13,26 @@ so the per-iteration outcome probabilities are
     p0 = |alpha|^2 cos^2(theta) + |beta|^2
     p1 = |alpha|^2 sin^2(theta)
 
-One iteration is a :class:`WeakStep` on qubit ``k`` of any register, a
-two-outcome measurement run by the same kernel as a projective readout
-(:mod:`qlocker.statevector`), so the same box verifies a lone qubit and
-each qubit of an entangled password; no ancilla is simulated.  Outcome 0
-renormalizes the qubit toward |1>; a click projects it onto |0> exactly.
-|0> and |1> are fixed points of the whole loop, which is what lets the box
-discriminate the zero state from superpositions over many iterations.  The
-explicit ancilla circuit is kept where the ancilla itself is measured
+One iteration is the kernel of :mod:`qlocker.statevector`,
+``_measure_rows``, run with K0 and K1 as its Kraus rows on qubit ``k`` of
+any register, the same kernel a projective readout runs with the
+projectors, so the same box verifies a lone qubit and each qubit of an
+entangled password; no ancilla is simulated.  Outcome 0 renormalizes the
+qubit toward |1>; a click projects it onto |0> exactly.  |0> and |1> are
+fixed points of the whole loop, which is what lets the box discriminate
+the zero state from superpositions over many iterations.  The explicit
+ancilla circuit is kept where the ancilla itself is measured
 (``verify-demo``).
 
 :func:`_box_rows` is the one sampled box: the box on qubit ``k`` of every
 row of an ``(R, 2**n)`` array, each row reading its own uniforms, drawn up
 front, from its own column on (a strict row that clicked reads none until
-its closing readout).  :func:`box_shots` runs it on each qubit of a fresh
-copy of a register per shot, for ``converge`` (:func:`box_records`) and the
-locker; :func:`run_box` is its one-row call.  :func:`enumerate_trajectories`
-(the exact oracle) and :func:`sample_acceptance_runs` (accept/reject only,
-for ``sweep``) give the same law without the kernel.
+its closing readout).  :func:`box_shots` runs it on each qubit of the rows
+that ``statevector._shot_rows`` gives, a fresh copy of a register per
+shot, for ``converge`` (:func:`box_records`) and the locker; :func:`run_box`
+is its one-row call.  :func:`enumerate_trajectories` (the exact oracle) and
+:func:`sample_acceptance_runs` (accept/reject only, for ``sweep``) give the
+same law without the kernel.
 
 Two click policies are supported.  The default keeps iterating after a click
 (the run then accepts, since the system sits in |0>); the strict variant
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -56,7 +58,9 @@ from .statevector import (
     StateVector,
     _measure_rows,
     _n_qubits,
-    _shot_blocks,
+    _readout_rows,
+    _row_keys,
+    _shot_rows,
 )
 
 PAPER_DEFAULT = "paper"
@@ -125,22 +129,12 @@ def _require_single_qubit(system: StateVector):
         raise ValueError("the verification box acts on a single-qubit system")
 
 
-@dataclass(frozen=True)
-class WeakStep:
-    """One iteration of the box on ``qubit``: the two-outcome measurement
-    K0 = diag(cos(theta), 1), K1 = -i sin(theta) |0><0| of the ancilla."""
-
-    qubit: int
-    theta: float
-    basis = "z"  # not a field: the Kraus operators are diagonal in z
-    # K0 and K1 as rows of their diagonal entries on the qubit's axis
-    kraus: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # the coupling gate's own constants, so that the branch amplitudes
-        # and their probabilities are bit for bit those of the ancilla circuit
-        object.__setattr__(self, "kraus", np.array(
-            [[math.cos(self.theta), 1.0], [-1j * math.sin(self.theta), 0.0]]))
+def _weak_step(theta: float) -> np.ndarray:
+    """K0 = diag(cos(theta), 1) and K1 = -i sin(theta) |0><0| as the
+    kernel's Kraus rows: each one's diagonal entries on the qubit's axis."""
+    # the coupling gate's own constants, so that the branch amplitudes and
+    # their probabilities are bit for bit those of the ancilla circuit
+    return np.array([[math.cos(theta), 1.0], [-1j * math.sin(theta), 0.0]])
 
 
 # one box on R rows: row r recorded outcomes[r, :steps[r]], with click
@@ -155,13 +149,13 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
 
     Row ``r`` draws ``uniforms[r, col[r]]`` and moves ``col[r]`` on by one
     per draw (``col`` is updated in place).  Under the strict policy a row
-    that clicks leaves the weak steps: its amplitudes are kept bit for bit,
-    it draws nothing until the closing z readout, which runs on every row,
-    and its record ends at the click.  Returns the records and the
-    collapsed rows.
+    that clicks leaves the weak steps: its register is kept bit for bit as
+    the click left it, it draws nothing until the closing z readout, which
+    runs on every row, and its record ends at the click.  Returns the
+    records and the collapsed rows.
     """
     strict = params.click_policy == STRICT_ABORT
-    step = WeakStep(k, params.theta)
+    kraus = _weak_step(params.theta)
     rows = np.arange(len(amps))
     # draws[j]: each row's uniform for step j (a clicked row reads no more)
     draws = uniforms.ravel().take(rows * uniforms.shape[1] + col
@@ -171,19 +165,23 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     step_p1 = np.empty((params.iterations, len(amps)))
     steps = np.full(len(amps), params.iterations)
     live = np.ones(len(amps), dtype=bool)  # rows still in the weak steps
+    if strict:
+        held = np.empty(amps.shape, dtype=complex)  # registers at a click
     for j in range(params.iterations):
-        click, probs, out = _measure_rows(amps, step, draws[j])
+        click, probs, amps = _measure_rows(amps, k, kraus, draws[j])
         outcomes[j] = click
         step_p1[j] = probs[1]
         if strict:
-            out[~live] = amps[~live]  # rows that clicked keep theirs
-            steps[live & click] = j + 1
+            stop = live & click
+            held[stop] = amps[stop]
+            steps[stop] = j + 1
             live &= ~click
-        amps = out
-        if strict and not live.any():
-            break
+            if not live.any():
+                break
+    if not live.all():  # rows that clicked read out as they clicked
+        amps[~live] = held[~live]
     col += steps
-    final, _, amps = _measure_rows(amps, Measurement(k), uniforms[rows, col])
+    final, _, amps = _readout_rows(amps, Measurement(k), uniforms[rows, col])
     col += 1
     # a strict row that clicked stays live = False, so it is rejected
     return BoxRows(outcomes.T, step_p1.T, steps, final, live & ~final), amps
@@ -207,20 +205,15 @@ def box_shots(state: StateVector, params: VerificationParams,
     :func:`run_box` on each qubit in turn does.  The copies are the rows of
     one array; each block of rows' boxes is yielded in shot order."""
     draws = state.n_qubits * (params.iterations + 1)
-    amps = state.amplitudes
-    for block in _shot_blocks(len(shots), amps.size + draws):
-        yield _boxes(np.broadcast_to(amps, (len(block), amps.size)), params,
-                     stream.shot_uniforms(shots[block.start:block.stop],
-                                          draws))
+    for rows, uniforms in _shot_rows(state.amplitudes, stream, shots, draws):
+        yield _boxes(rows, params, uniforms)
 
 
 def box_records(box: BoxRows) -> list[str]:
     """Each row's record as one string: outcome bits, then closing readout."""
     chars = np.column_stack([box.outcomes, box.final]).astype(np.uint8)
     chars[np.arange(len(chars)), box.steps] = box.final  # after a cut
-    text, width = (chars + ord("0")).tobytes().decode(), chars.shape[1]
-    return [text[i * width:i * width + cut]
-            for i, cut in enumerate((box.steps + 1).tolist())]
+    return _row_keys(chars, (box.steps + 1).tolist())
 
 
 def _trajectories(box: BoxRows) -> list[Trajectory]:
@@ -257,8 +250,8 @@ def iterate_once(system: StateVector, params: VerificationParams,
     |0> (up to a global phase).
     """
     _require_single_qubit(system)
-    click, probs, amps = _measure_rows(system.amplitudes[None],
-                                       WeakStep(0, params.theta),
+    click, probs, amps = _measure_rows(system.amplitudes[None], 0,
+                                       _weak_step(params.theta),
                                        rng.randoms(1))
     return int(click[0]), StateVector(1, amps[0]), float(probs[1, 0])
 

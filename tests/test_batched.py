@@ -5,10 +5,11 @@ must get exactly what it gets alone on its own sub-stream, however the
 shots are split into blocks and in whatever order the blocks run.
 ``box_shots`` runs the verification box on many copies of one register as
 rows, and each row must be the ``run_box`` of a fresh copy on its own
-sub-stream, however the rows are split into blocks.  ``attempt_unlocks``
-runs many presentations of one probe as rows, and each row must be the
-``attempt_unlock`` of a fresh copy on its own sub-stream, however the rows
-are split into blocks.
+sub-stream, however the rows are split into blocks and in whatever order
+the blocks run.  ``attempt_unlocks`` runs many presentations of one probe
+as rows, and each row must be the ``attempt_unlock`` of a fresh copy on its
+own sub-stream, in the same way.  All three take their blocks from
+``statevector._shot_rows``, so one patch of ``statevector`` splits them.
 """
 
 from collections import Counter
@@ -77,18 +78,25 @@ def preps(draw):
 
 
 def split(mp, cells, reverse=False):
-    """Blocks of at most ``cells`` cells, run last block first if asked."""
+    """Blocks of at most ``cells`` cells, run last block first if asked.
+
+    Returns a list that fills, as the blocks are made, with the positions
+    of the shots in the order their blocks run.
+    """
     mp.setattr(statevector, "SHOT_BLOCK_CELLS", cells)
-    if reverse:
-        original = statevector._shot_blocks
+    original = statevector._shot_blocks
+    order = []
 
-        def backwards(shots, row_cells):
-            return original(shots, row_cells)[::-1]
+    def blocks(shots, row_cells):
+        run = original(shots, row_cells)[::-1 if reverse else 1]
+        order.extend(i for block in run for i in block)
+        return run
 
-        mp.setattr(statevector, "_shot_blocks", backwards)
+    mp.setattr(statevector, "_shot_blocks", blocks)
+    return order
 
 
-SPLITS = [(1, False), (3, False), (3, True), (40, True)]
+SPLITS = [(1, False), (3, False), (40, False), (3, True), (40, True)]
 
 
 @BATCH_SETTINGS
@@ -138,11 +146,12 @@ def test_box_shots_match_run_box_per_shot(state, theta, iterations, policy,
     records = [t.outcomes_bitstring() + str(t.final_system_outcome)
                for t in want]
     assert box_shot_records(state, params, root, shots) == (want, records)
-    for cells in (1, 3, 40):
+    for cells, reverse in SPLITS:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(statevector, "SHOT_BLOCK_CELLS", cells)
-            assert box_shot_records(state, params, root, shots) == (want,
-                                                                    records)
+            order = split(mp, cells, reverse)
+            got = box_shot_records(state, params, root, shots)
+            assert got == ([want[i] for i in order],
+                           [records[i] for i in order])
 
 
 def converge_records(params, shots, seed):
@@ -171,14 +180,14 @@ def test_strict_records_end_at_the_first_click():
 
 def assert_unlocks_match(locker, probe, stream, shots):
     """``attempt_unlocks`` row for row against one ``attempt_unlock`` per
-    copy, in one block and in blocks of 1, 3 and 40 cells; returns the
+    copy, in one block and in every split of :data:`SPLITS`; returns the
     oracle's results."""
     want = reference_unlocks(locker, probe, stream, shots)
 
-    def check():
+    def check(order=range(len(want))):
         got = list(q.attempt_unlocks(locker, probe, stream, shots))
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
+        assert len(got) == len(order) == len(want)
+        for a, b in zip(got, [want[i] for i in order]):
             assert (a.accepted, a.retrieved_bits) == (b.accepted,
                                                       b.retrieved_bits)
             assert len(a.trajectories) == len(b.trajectories)
@@ -189,10 +198,9 @@ def assert_unlocks_match(locker, probe, stream, shots):
                 assert s.accepted == t.accepted
 
     check()
-    for cells in (1, 3, 40):
+    for cells, reverse in SPLITS:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(statevector, "SHOT_BLOCK_CELLS", cells)
-            check()
+            check(split(mp, cells, reverse))
     return want
 
 

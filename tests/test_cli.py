@@ -238,6 +238,8 @@ def test_bad_input_is_a_usage_error(argv, capsys):
     # a theta = 0 cell builds no VerificationParams to reject it later
     ["sweep", "--grid-theta", "0", "--grid-iterations", "-5"],
     ["sweep", "--grid-iterations", "1,-1"],
+    ["converge", "--iterations", "-1"],
+    ["locker-demo", "--iterations", "-1"],
 ])
 def test_out_of_range_sizes_are_rejected_at_parse_time(argv, capsys):
     with pytest.raises(SystemExit) as err:

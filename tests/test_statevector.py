@@ -226,12 +226,6 @@ class TestSampleShots:
         with pytest.raises(ValueError):
             q.sample_shots(1, [Measurement(0)], 0, seed=0)
 
-    def test_rejects_a_weak_step(self):
-        # the box's weak step runs only in the verification box
-        with pytest.raises(TypeError):
-            q.sample_shots(1, [q.h(0), q.WeakStep(0, 0.1), Measurement(0)],
-                           10, seed=0)
-
 
 def test_counts_histogram_checks_total():
     with pytest.raises(ValueError):
