@@ -136,7 +136,9 @@ def _finite(text: str) -> float:
     return value
 
 
-_positive_int = _in_range(int, 1)
+# sweep holds under 50 bytes per shot at once, so 2**24 shots or
+# repetitions stay under 1 GiB
+_shot_count = _in_range(int, 1, 1 << 24)
 _seed = _in_range(int, 0)  # SeedSequence takes non-negative integers only
 _probability = _in_range(float, 0.0, 1.0)
 # sweep check j seeds password qubit k from sub-stream 8*j + k, so more than
@@ -150,7 +152,7 @@ def _out_path(text: str) -> str:
     return text
 
 
-def _parse_grid(text: str, cast=float) -> list:
+def _parse_grid(text: str, cast) -> list:
     try:
         values = [cast(tok) for tok in text.split(",") if tok.strip()]
     except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -529,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-        p.add_argument("--shots", type=_positive_int, default=DEFAULT_SHOTS)
+        p.add_argument("--shots", type=_shot_count, default=DEFAULT_SHOTS)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=_out_path, default=None, metavar="PATH")
 
@@ -555,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--otp-qubits", type=_in_range(int, 1, DEFAULT_MAX_QUBITS),
                    default=1)
     _add_box_flags(p)
-    p.add_argument("--repeat", type=_positive_int, default=1,
+    p.add_argument("--repeat", type=_shot_count, default=1,
                    help="wrong-password repetitions for rate estimation")
     p.add_argument("--wrong-overlap", type=_probability, default=None,
                    help="force the wrong password's per-qubit overlap")
@@ -566,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--grid-n", type=lambda s: _parse_grid(s, _sweep_n),
                    default=[1, 2, 3])
-    p.add_argument("--grid-theta", type=_parse_grid, default=[0.1, 0.2, 0.5])
+    p.add_argument("--grid-theta", type=lambda s: _parse_grid(s, _finite),
+                   default=[0.1, 0.2, 0.5])
     p.add_argument("--grid-iterations",
                    type=lambda s: _parse_grid(s, _in_range(int, 0)),
                    default=[1, 5, 38])

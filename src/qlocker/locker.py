@@ -197,9 +197,10 @@ def attempt_unlock(locker: LockerState, password: StateVector,
     message is retrieved only if every box accepts (with the strict click
     policy, any click rejects); otherwise the retrieved bits are all zero.
     ``blanks``, if given, must be m qubits in |0...0> and is overwritten
-    with the retrieved bits.  The n boxes read ``n * (N + 1)`` uniforms of
-    ``rng``, drawn up front, so ``rng`` advances by that many even when
-    strict clicks leave some of them unread.
+    with the retrieved bits.  The boxes are
+    :func:`~qlocker.verification.run_box` on each qubit in turn, each box
+    reading the next ``N + 1`` uniforms of ``rng``, so ``rng`` advances by
+    ``n * (N + 1)`` even when strict clicks leave some of them unread.
     """
     _check_password(locker, password)
     m = locker.m_bits

@@ -26,13 +26,15 @@ ancilla circuit is kept where the ancilla itself is measured
 
 :func:`_box_rows` is the one sampled box: the box on qubit ``k`` of every
 row of an ``(R, 2**n)`` array, each row reading its own uniforms, drawn up
-front, from its own column on (a strict row that clicked reads none until
-its closing readout).  :func:`box_shots` runs it on each qubit of the rows
-that ``statevector._shot_rows`` gives, a fresh copy of a register per
-shot, for ``converge`` (:func:`box_records`) and the locker; :func:`run_box`
-is its one-row call.  :func:`enumerate_trajectories` (the exact oracle) and
-:func:`sample_acceptance_runs` (accept/reject only, for ``sweep``) give the
-same law without the kernel.
+front.  The draw layout is fixed: box ``k`` reads its weak steps from
+columns ``k(N+1)`` to ``k(N+1) + N - 1`` and its closing readout from column
+``k(N+1) + N``, whatever earlier boxes did (a strict row that clicked leaves
+the rest of its box's window unread).  :func:`box_shots` runs it on each
+qubit of the rows that ``statevector._shot_rows`` gives, a fresh copy of a
+register per shot, for ``converge`` (:func:`box_records`) and the locker;
+:func:`run_box` is its one-row call.  :func:`enumerate_trajectories` (the
+exact oracle) and :func:`sample_acceptance_runs` (accept/reject only, for
+``sweep``) give the same law without the kernel.
 
 Two click policies are supported.  The default keeps iterating after a click
 (the run then accepts, since the system sits in |0>); the strict variant
@@ -57,7 +59,6 @@ from .statevector import (
     Measurement,
     StateVector,
     _measure_rows,
-    _n_qubits,
     _readout_rows,
     _row_keys,
     _shot_rows,
@@ -143,23 +144,18 @@ BoxRows = namedtuple("BoxRows", "outcomes step_p1 steps final accepted")
 
 
 def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
-              uniforms: np.ndarray,
-              col: np.ndarray) -> tuple[BoxRows, np.ndarray]:
-    """The box on qubit ``k`` of every row of ``amps`` (shape ``(R, 2**n)``).
+              uniforms: np.ndarray) -> tuple[BoxRows, np.ndarray]:
+    """The box on qubit ``k`` of every row of ``amps`` (shape ``(R, 2**n)``),
+    row ``r`` reading its window ``uniforms[r]`` of ``N + 1`` draws.
 
-    Row ``r`` draws ``uniforms[r, col[r]]`` and moves ``col[r]`` on by one
-    per draw (``col`` is updated in place).  Under the strict policy a row
-    that clicks leaves the weak steps: its register is kept bit for bit as
-    the click left it, it draws nothing until the closing z readout, which
-    runs on every row, and its record ends at the click.  Returns the
-    records and the collapsed rows.
+    Weak step ``j`` reads column ``j`` and the closing z readout, which runs
+    on every row, reads the last column.  Under the strict policy a row that
+    clicks leaves the weak steps: its register is kept bit for bit as the
+    click left it, the rest of its steps' columns go unread, and its record
+    ends at the click.  Returns the records and the collapsed rows.
     """
     strict = params.click_policy == STRICT_ABORT
     kraus = _weak_step(params.theta)
-    rows = np.arange(len(amps))
-    # draws[j]: each row's uniform for step j (a clicked row reads no more)
-    draws = uniforms.ravel().take(rows * uniforms.shape[1] + col
-                                  + np.arange(params.iterations)[:, None])
     # one contiguous row per step, transposed to one row per shot at the end
     outcomes = np.zeros((params.iterations, len(amps)), dtype=np.int8)
     step_p1 = np.empty((params.iterations, len(amps)))
@@ -168,7 +164,7 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     if strict:
         held = np.empty(amps.shape, dtype=complex)  # registers at a click
     for j in range(params.iterations):
-        click, probs, amps = _measure_rows(amps, k, kraus, draws[j])
+        click, probs, amps = _measure_rows(amps, k, kraus, uniforms[:, j])
         outcomes[j] = click
         step_p1[j] = probs[1]
         if strict:
@@ -180,20 +176,20 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
                 break
     if not live.all():  # rows that clicked read out as they clicked
         amps[~live] = held[~live]
-    col += steps
-    final, _, amps = _readout_rows(amps, Measurement(k), uniforms[rows, col])
-    col += 1
+    final, _, amps = _readout_rows(amps, Measurement(k), uniforms[:, -1])
     # a strict row that clicked stays live = False, so it is rejected
     return BoxRows(outcomes.T, step_p1.T, steps, final, live & ~final), amps
 
 
 def _boxes(amps: np.ndarray, params: VerificationParams,
            uniforms: np.ndarray) -> list[BoxRows]:
-    """The box on each qubit in turn, row ``r`` reading ``uniforms[r]``."""
-    col = np.zeros(len(amps), dtype=np.intp)
+    """The box on each qubit ``k`` in turn, row ``r`` of box ``k`` reading
+    columns ``k(N+1)`` to ``k(N+1) + N`` of ``uniforms[r]``, whatever the
+    earlier boxes did."""
+    windows = uniforms.reshape(len(amps), -1, params.iterations + 1)
     boxes = []
-    for k in range(_n_qubits(amps)):
-        box, amps = _box_rows(amps, k, params, uniforms, col)
+    for k in range(windows.shape[1]):
+        box, amps = _box_rows(amps, k, params, windows[:, k])
         boxes.append(box)
     return boxes
 
@@ -229,14 +225,14 @@ def run_box(state: StateVector, k: int, params: VerificationParams,
     z-measurement of that qubit.
 
     The one-row :func:`_box_rows`.  It draws ``N + 1`` uniforms from ``rng``
-    up front, so ``rng`` advances by ``N + 1`` even when a strict click
-    stops the iterations early; the closing measurement still executes (the
+    up front: step ``j`` reads the ``j``-th and the closing measurement the
+    last, so ``rng`` advances by ``N + 1`` even when a strict click stops
+    the iterations early; the closing measurement still executes (the
     clicked qubit sits in |0>) but the run is rejected.  Returns the
     trajectory and the collapsed register; ``state`` is left untouched.
     """
-    box, amps = _box_rows(
-        state.amplitudes[None], k, params,
-        rng.randoms(params.iterations + 1)[None], np.zeros(1, dtype=np.intp))
+    box, amps = _box_rows(state.amplitudes[None], k, params,
+                          rng.randoms(params.iterations + 1)[None])
     (trajectory,) = _trajectories(box)
     return trajectory, StateVector(state.n_qubits, amps[0])
 

@@ -88,8 +88,10 @@ def ancilla_boxes(reg, qubits, verification, rng):
     """One verification box per password qubit in ``qubits``, in order.
 
     ``reg`` holds the n password qubits plus one shared ancilla at index n,
-    reset to |0> (conditional flip) after every readout.  Returns the
-    per-qubit trajectories, final outcomes and the final register.
+    reset to |0> (conditional flip) after every readout.  Each box takes
+    the next N + 1 draws of ``rng``, one per step and then its closing
+    readout.  Returns the per-qubit trajectories, final outcomes and the
+    final register.
     """
     n = reg.n_qubits - 1
     theta = verification.theta
@@ -107,6 +109,9 @@ def ancilla_boxes(reg, qubits, verification, rng):
                 reg = apply_gate(reg, x(n))  # ancilla reset for reuse
                 if strict:
                     break
+        # an aborted strict box skips its unread draws: the closing
+        # readout takes the box's last draw, whatever the steps did
+        rng.randoms(verification.iterations - len(outcomes))
         final, _, reg = measure_qubit(reg, k, "z", rng)
         clicked = any(outcomes)
         accepted = final == 0 and not (strict and clicked)

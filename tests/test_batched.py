@@ -224,9 +224,9 @@ def test_unlock_rows_match_one_attempt_per_copy(prep, theta, iterations,
                          range(first, first + count))
 
 
-def test_strict_rows_read_on_from_their_own_clicks():
+def test_strict_rows_clicking_at_different_steps_match_one_attempt_per_copy():
     # strong coupling on a GHZ-like probe: rows click at different steps of
-    # the first box, so each row starts the later boxes at its own column
+    # the first box, and later boxes click too
     params = OtpParams.random(3, RandomStream(80))
     locker = q.store_message("101", params,
                              VerificationParams(1.0, 8, q.STRICT_ABORT))
@@ -238,6 +238,33 @@ def test_strict_rows_read_on_from_their_own_clicks():
                  if r.trajectories[0].clicked()}
     later_clicks = sum(t.clicked() for r in want for t in r.trajectories[1:])
     assert len(first_box) > 1 and later_clicks > 0
+
+
+@BATCH_SETTINGS
+@given(prep=preps(), theta=st.floats(0.05, 1.3),
+       iterations=st.integers(0, 8),
+       policy=st.sampled_from(verification.CLICK_POLICIES),
+       seed=st.integers(0, 2**32 - 1))
+def test_unlock_is_run_box_on_each_qubit_in_turn(prep, theta, iterations,
+                                                 policy, seed):
+    # box k reads the next N + 1 draws of the stream, whatever the boxes
+    # before it did: a strict click leaves the rest of its window unread
+    n, ops = prep
+    params = OtpParams.random(n, RandomStream(seed, (0,)))
+    locker = q.store_message("101", params,
+                             VerificationParams(theta, iterations, policy))
+    probe = q.new_state(n)
+    for gate in ops:
+        probe = q.apply_gate(probe, gate)
+    reg = q.apply_inverse_rotation(probe, params)
+    rng = RandomStream(seed, (1,))
+    want = []
+    for k in range(n):
+        trajectory, reg = q.run_box(reg, k, locker.verification, rng)
+        want.append(trajectory)
+    got = q.attempt_unlock(locker, probe, RandomStream(seed, (1,)))
+    # outcomes, exact click probabilities, finals and acceptance
+    assert got.trajectories == tuple(want)
 
 
 @pytest.mark.parametrize("shots,row_cells", [

@@ -240,6 +240,14 @@ def test_bad_input_is_a_usage_error(argv, capsys):
     ["sweep", "--grid-iterations", "1,-1"],
     ["converge", "--iterations", "-1"],
     ["locker-demo", "--iterations", "-1"],
+    # at most 2**24 shots or repetitions, so no size asks for many GiB
+    *([command, "--shots", str(2**24 + 1)] for command in (
+        "verify-demo", "converge", "locker-demo", "sweep")),
+    ["locker-demo", "--repeat", str(2**24 + 1)],
+    # a non-finite theta is a usage error here, as --theta's is
+    ["sweep", "--grid-theta", "nan"],
+    ["sweep", "--grid-theta", "0.1,inf"],
+    ["sweep", "--grid-theta", "1e999"],
 ])
 def test_out_of_range_sizes_are_rejected_at_parse_time(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -248,6 +256,7 @@ def test_out_of_range_sizes_are_rejected_at_parse_time(argv, capsys):
     stderr = capsys.readouterr().err
     assert "Traceback" not in stderr
     assert "error:" in stderr.splitlines()[-1]
+    assert argv[-2] in stderr.splitlines()[-1]  # the flag at fault
 
 
 @pytest.mark.parametrize("command", [
@@ -304,6 +313,11 @@ def test_largest_sizes_parse():
     assert args.otp_qubits == 24
     args = build_parser().parse_args(["sweep", "--grid-iterations", "0,38"])
     assert args.grid_iterations == [0, 38]
+    for command in ("verify-demo", "converge", "locker-demo", "sweep"):
+        args = build_parser().parse_args([command, "--shots", str(2**24)])
+        assert args.shots == 2**24
+    args = build_parser().parse_args(["locker-demo", "--repeat", str(2**24)])
+    assert args.repeat == 2**24
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):

@@ -94,6 +94,15 @@ def test_report_matches_golden(name):
     assert text.encode() == golden_file(name, entry["argv"]).read_bytes()
 
 
+def test_golden_set_is_exactly_the_cases():
+    # an orphaned golden file or manifest entry would otherwise pass unseen
+    assert json.loads(MANIFEST.read_text()).keys() == CASES.keys()
+    want = {MANIFEST.name} | {golden_file(name, argv).name
+                              for name, argv in CASES.items()}
+    assert {path.name for path in GOLDEN.iterdir()} == want
+    assert len(want) == len(CASES) + 1
+
+
 def write_goldens(names: list[str]) -> None:
     """Rerun the named cases and write their golden files and manifest
     entries; every other entry is kept as it is."""
