@@ -37,6 +37,7 @@ from .statevector import (
     CapacityError,
     CountsHistogram,
     Measurement,
+    ProductState,
     StateVector,
     apply_gate,
     basis_state,

@@ -44,11 +44,9 @@ from .rng import RandomStream
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     Measurement,
-    StateVector,
+    ProductState,
     apply_gate,
-    combine,
     new_state,
-    qubit_probabilities,
     sample_shots,
 )
 from .teleport import open_channel, teleport
@@ -315,17 +313,17 @@ def cmd_converge(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _wrong_password(params: OtpParams, overlap: float | None,
-                    rng: RandomStream) -> StateVector:
-    """A wrong password; with ``overlap`` set, each qubit lands on
-    sqrt(o)|0> + sqrt(1-o)|1> after the locker's inverse rotation."""
+                    rng: RandomStream) -> ProductState:
+    """A wrong password, as a product state; with ``overlap`` set, each
+    qubit lands on sqrt(o)|0> + sqrt(1-o)|1> after the locker's inverse
+    rotation."""
     n = params.n_qubits
     if overlap is None:
         return generate_otp(OtpParams.random(n, rng))
     angle = 2.0 * math.acos(math.sqrt(overlap))
-    state = new_state(n)
-    for k in range(n):
-        state = apply_gate(state, ry(angle, k))
-    return apply_rotation(state, params)
+    qubit = apply_gate(new_state(1), ry(angle, 0))
+    return apply_rotation(ProductState(np.tile(qubit.amplitudes, (n, 1))),
+                          params)
 
 
 def cmd_locker_demo(args) -> dict:
@@ -336,26 +334,26 @@ def cmd_locker_demo(args) -> dict:
     params = OtpParams.random(args.otp_qubits, master.substream(0))
     locker = store_message(args.message, params, verification)
 
-    # correct-password pass: generate qubit-wise, teleport each through its
-    # own channel, reassemble, unlock
+    # correct-password pass: teleport each qubit of the password through
+    # its own channel, and unlock with the received qubits as factors
+    otp = generate_otp(params)
     teleport_stream = master.substream(1)
     records = []
-    received = None
+    received = []
     for k in range(args.otp_qubits):
-        qubit_otp = generate_otp(OtpParams((params.triples[k],)))
-        record, got = teleport(qubit_otp, open_channel(f"demo{k}"),
+        record, got = teleport(otp.qubit(k), open_channel(f"demo{k}"),
                                teleport_stream.substream(k))
         records.append(record.record_line())
-        received = got if received is None else combine(received, got)
-    correct = attempt_unlock(locker, received, master.substream(2))
+        received.append(got.amplitudes)
+    correct = attempt_unlock(locker, ProductState(received),
+                             master.substream(2))
 
     # wrong-password pass(es) against the re-armed locker
     wrong_stream = master.substream(3)
     wrong_probe = _wrong_password(params, args.wrong_overlap,
                                   wrong_stream.substream(0))
     phi = apply_inverse_rotation(wrong_probe, params)
-    overlaps = [qubit_probabilities(phi, k)[0]
-                for k in range(args.otp_qubits)]
+    overlaps = (np.abs(phi.factors[:, 0]) ** 2).tolist()
     analytic_accept = math.prod(acceptance_probability(o, verification)
                                 for o in overlaps)
 

@@ -3,19 +3,24 @@
 A locker stores an m-bit message and holds the secret rotation angles
 (theta1, theta2, theta3) per password qubit.  The one-time password is the
 n-qubit product state R|0...0> with R = Rz(theta3) Ry(theta2) Rx(theta1) per
-qubit; R and its inverse run as the same loop over the qubits, three gates
-on each.  An unlock attempt undoes the rotation and runs the verification box
-on each password qubit of the same n-qubit register, ending in a
-z-measurement of that qubit.  The message is released only if every run
-accepts.  :func:`attempt_unlocks` presents many fresh copies of one probe
-as the rows of one array, each box running over all of them at once
-(:func:`~qlocker.verification.box_shots`); :func:`attempt_unlock` runs the
-same boxes on one password register.  In the protocol's circuit, NOTs
-controlled on the message qubits and on every measured password qubit
-reading 0 copy the message to blank qubits; all their inputs are basis
-states, so that copy is the classical rule ``message if accepted else
-zeros``.  The verification measurement collapses the password register, so
-a password cannot be replayed.
+qubit, and :func:`generate_otp` holds it as such: a
+:class:`~qlocker.statevector.ProductState` of n one-qubit factors, never a
+``2**n`` register.  R and its inverse run as the same loop over the qubits,
+three gates on each, on a register or on a product's factors.  An unlock
+attempt undoes the rotation and runs the verification box on each password
+qubit, ending in a z-measurement of that qubit.  The message is released
+only if every run accepts.  A register password runs box ``k`` on qubit
+``k`` of the n-qubit register, one box after another; a product password's
+boxes are independent one-qubit boxes (each reads its own fixed window of
+draws), so they run at once, one row per factor.  :func:`attempt_unlocks`
+presents many fresh copies of one probe as the rows of one array
+(:func:`~qlocker.verification.box_shots`), ``(R, 2**n)`` registers or
+``(R * n, 2)`` factor rows; :func:`attempt_unlock` runs the same boxes on
+one password.  In the protocol's circuit, NOTs controlled on the message
+qubits and on every measured password qubit reading 0 copy the message to
+blank qubits; all their inputs are basis states, so that copy is the
+classical rule ``message if accepted else zeros``.  The verification
+measurement collapses the password, so a password cannot be replayed.
 
 Angle secrets live only in :class:`OtpParams`; logs carry a digest of the
 angles, never their values.
@@ -29,17 +34,27 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from .gates import rx, ry, rz
 from .rng import RandomStream
-from .statevector import StateVector, apply_gate, basis_state, new_state
+from .statevector import (
+    ProductState,
+    StateVector,
+    apply_gate,
+    basis_state,
+)
 from .verification import (
     BoxRows,
     Trajectory,
     VerificationParams,
     _boxes,
+    _rows,
     _trajectories,
     box_shots,
 )
+
+Password = StateVector | ProductState
 
 
 class InvalidMessageError(ValueError):
@@ -102,7 +117,7 @@ class LockerState:
     message_bits: str
     params: OtpParams
     verification: VerificationParams
-    consumed_passwords: weakref.WeakValueDictionary[int, StateVector] = field(
+    consumed_passwords: weakref.WeakValueDictionary[int, Password] = field(
         default_factory=weakref.WeakValueDictionary)
 
     @property
@@ -137,37 +152,47 @@ def store_message(bits: str, params: OtpParams,
     return LockerState(bits, params, verification)
 
 
-def _per_qubit(state: StateVector, params: OtpParams, gates) -> StateVector:
+def _per_qubit(state: Password, params: OtpParams, gates) -> Password:
     """``gates(k, theta1, theta2, theta3)`` applied to qubit k, for each k
-    in turn."""
+    in turn; a product state's factor ``k`` takes them as the one qubit of
+    its own register."""
     if state.n_qubits != params.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, params cover {params.n_qubits}"
         )
+    if isinstance(state, ProductState):
+        factors = state.factors.copy()
+        for k, triple in enumerate(params.triples):
+            qubit = state.qubit(k)
+            for gate in gates(0, *triple):
+                qubit = apply_gate(qubit, gate)
+            factors[k] = qubit.amplitudes
+        return ProductState(factors)
     for k, triple in enumerate(params.triples):
         for gate in gates(k, *triple):
             state = apply_gate(state, gate)
     return state
 
 
-def apply_rotation(state: StateVector, params: OtpParams) -> StateVector:
+def apply_rotation(state: Password, params: OtpParams) -> Password:
     """Per-qubit R = Rz(theta3) Ry(theta2) Rx(theta1)."""
     return _per_qubit(state, params, lambda k, t1, t2, t3: (
         rx(t1, k), ry(t2, k), rz(t3, k)))
 
 
-def apply_inverse_rotation(state: StateVector, params: OtpParams) -> StateVector:
+def apply_inverse_rotation(state: Password, params: OtpParams) -> Password:
     """Per-qubit R^-1 = Rx(-theta1) Ry(-theta2) Rz(-theta3)."""
     return _per_qubit(state, params, lambda k, t1, t2, t3: (
         rz(-t3, k), ry(-t2, k), rx(-t1, k)))
 
 
-def generate_otp(params: OtpParams) -> StateVector:
-    """The one-time password state: R applied qubit-wise to |0...0>."""
-    return apply_rotation(new_state(params.n_qubits), params)
+def generate_otp(params: OtpParams) -> ProductState:
+    """The one-time password state: R applied qubit-wise to |0...0>, held
+    as its n one-qubit factors (no ``2**n`` register is built)."""
+    return apply_rotation(ProductState.zeros(params.n_qubits), params)
 
 
-def _check_password(locker: LockerState, password: StateVector) -> None:
+def _check_password(locker: LockerState, password: Password) -> None:
     n = locker.n_password_qubits
     if password.n_qubits != n:
         raise ValueError(
@@ -187,20 +212,22 @@ def _results(locker: LockerState,
         yield UnlockResult(accepted, retrieved, trajectories)
 
 
-def attempt_unlock(locker: LockerState, password: StateVector,
+def attempt_unlock(locker: LockerState, password: Password,
                    rng: RandomStream,
                    blanks: StateVector | None = None) -> UnlockResult:
-    """Present a password register to the locker.
+    """Present a password, a register or a product state, to the locker.
 
-    The register is collapsed in place by the verification measurements (the
-    one-time property) and may not be presented to this locker again.  The
-    message is retrieved only if every box accepts (with the strict click
-    policy, any click rejects); otherwise the retrieved bits are all zero.
-    ``blanks``, if given, must be m qubits in |0...0> and is overwritten
-    with the retrieved bits.  The boxes are
+    The password is collapsed in place by the verification measurements
+    (the one-time property) and may not be presented to this locker again.
+    The message is retrieved only if every box accepts (with the strict
+    click policy, any click rejects); otherwise the retrieved bits are all
+    zero.  ``blanks``, if given, must be m qubits in |0...0> and is
+    overwritten with the retrieved bits.  The boxes are
     :func:`~qlocker.verification.run_box` on each qubit in turn, each box
     reading the next ``N + 1`` uniforms of ``rng``, so ``rng`` advances by
-    ``n * (N + 1)`` even when strict clicks leave some of them unread.
+    ``n * (N + 1)`` even when strict clicks leave some of them unread.  A
+    :class:`~qlocker.statevector.ProductState` runs its n boxes at once,
+    one one-qubit row per factor, and never builds its ``2**n`` register.
     """
     _check_password(locker, password)
     m = locker.m_bits
@@ -211,29 +238,34 @@ def attempt_unlock(locker: LockerState, password: StateVector,
             raise ValueError("blank qubits must be supplied in the |0...0> state")
 
     locker.consumed_passwords[id(password)] = password
-    reg = apply_inverse_rotation(password, locker.params)
+    phi = apply_inverse_rotation(password, locker.params)
     draws = locker.n_password_qubits * (locker.verification.iterations + 1)
-    (result,) = _results(locker, _boxes(reg.amplitudes[None],
+    (result,) = _results(locker, _boxes(_rows(phi)[None],
                                         locker.verification,
                                         rng.randoms(draws)[None]))
 
-    # the presented register is now the measured eigenstate
-    password.amplitudes[:] = basis_state(
-        [t.final_system_outcome for t in result.trajectories]).amplitudes
+    # the presented password is now the measured eigenstate
+    finals = [t.final_system_outcome for t in result.trajectories]
+    if isinstance(password, ProductState):
+        password.factors[:] = np.eye(2)[finals]
+    else:
+        password.amplitudes[:] = basis_state(finals).amplitudes
     if blanks is not None:
         blanks.amplitudes[:] = basis_state(result.retrieved_bits).amplitudes
     return result
 
 
-def attempt_unlocks(locker: LockerState, probe: StateVector,
+def attempt_unlocks(locker: LockerState, probe: Password,
                     stream: RandomStream,
                     shots: range) -> Iterator[UnlockResult]:
     """Present a fresh copy of ``probe`` once per shot index ``i`` in
     ``shots``, in order: result ``i`` is what ``attempt_unlock(locker,
     probe.copy(), stream.substream(i))`` returns, run as one row of
-    :func:`~qlocker.verification.box_shots`.  ``probe`` itself is neither
-    collapsed nor registered as consumed; it is checked, and inversely
-    rotated once, when this is called.
+    :func:`~qlocker.verification.box_shots`.  A product ``probe``'s copies
+    are ``(n, 2)`` factor rows, so each block of B copies runs all its
+    boxes as one box over ``(B * n, 2)`` one-qubit rows.  ``probe``
+    itself is neither collapsed nor registered as consumed; it is checked,
+    and inversely rotated once, when this is called.
     """
     _check_password(locker, probe)
     phi = apply_inverse_rotation(probe, locker.params)

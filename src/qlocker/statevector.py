@@ -21,7 +21,9 @@ sub-stream ``(seed, i)``.  :func:`sample_shots` runs a circuit of gates and
 readouts over every row of each block, and ``_row_keys`` reads each row's
 outcome bits as its key.  A block holds at most :data:`SHOT_BLOCK_CELLS`
 amplitudes and uniforms, so no shot count or register width allocates
-``S * 2**n`` at once.
+``S * 2**n`` at once.  A :class:`ProductState` is held as its ``(n, 2)``
+one-qubit factors, which the kernels take as n one-qubit rows; it builds
+its ``2**n`` register only when one is asked for.
 """
 
 from __future__ import annotations
@@ -105,6 +107,60 @@ def combine(low: StateVector, high: StateVector) -> StateVector:
     return StateVector(n, amps)
 
 
+@dataclass
+class ProductState:
+    """An n-qubit product state held as its one-qubit factors: row ``k`` of
+    ``factors`` (shape ``(n, 2)``) is qubit ``k``'s amplitudes.
+
+    It takes O(n) memory whatever n is; only :attr:`amplitudes` and
+    :meth:`register` build the ``2**n`` register, under the width cap.
+    """
+
+    factors: np.ndarray
+
+    def __post_init__(self):
+        self.factors = np.asarray(self.factors, dtype=complex)
+        shape = self.factors.shape
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != 2:
+            raise ValueError(f"factors of shape {shape} are not (n, 2)")
+
+    @classmethod
+    def zeros(cls, n_qubits: int) -> ProductState:
+        """|0...0> as n factors."""
+        factors = np.zeros((n_qubits, 2), dtype=complex)
+        factors[:, 0] = 1.0
+        return cls(factors)
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.factors)
+
+    def copy(self) -> ProductState:
+        return ProductState(self.factors.copy())
+
+    def qubit(self, k: int) -> StateVector:
+        """Qubit ``k`` as a one-qubit register that shares its factor, so
+        collapsing it collapses this state's qubit ``k``."""
+        return StateVector(1, self.factors[k])
+
+    def register(self) -> StateVector:
+        """The factors combined into one register, qubit ``k`` from factor
+        ``k``; for one qubit, the register shares the factor."""
+        state = self.qubit(0)
+        for k in range(1, self.n_qubits):
+            state = combine(state, self.qubit(k))
+        return state
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The register's ``2**n`` amplitudes; read-only when n > 1, since
+        they are built anew on every read."""
+        amps = self.register().amplitudes
+        if self.n_qubits > 1:
+            amps.flags.writeable = False
+        return amps
+
+
 def _shot_blocks(shots: int, row_cells: int) -> list[range]:
     """Consecutive ranges of shot indices, each of at most
     :data:`SHOT_BLOCK_CELLS` cells for shots of ``row_cells`` cells each
@@ -117,11 +173,11 @@ def _shot_rows(amps: np.ndarray, stream: RandomStream, shots: range,
                k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """A fresh copy of the register ``amps`` per shot index in ``shots``,
     with its uniforms: yields ``(rows, uniforms)`` per block, in shot order,
-    where ``rows`` is a read-only ``(B, 2**n)`` view and row ``j`` of
+    where ``rows`` is a read-only ``(B, *amps.shape)`` view and row ``j`` of
     ``uniforms`` holds the first ``k`` draws of
     ``stream.substream(shots[j])`` for the block's ``j``-th shot."""
     for block in _shot_blocks(len(shots), amps.size + k):
-        yield (np.broadcast_to(amps, (len(block), amps.size)),
+        yield (np.broadcast_to(amps, (len(block), *amps.shape)),
                stream.shot_uniforms(shots[block.start:block.stop], k))
 
 

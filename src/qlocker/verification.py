@@ -29,9 +29,14 @@ row of an ``(R, 2**n)`` array, each row reading its own uniforms, drawn up
 front.  The draw layout is fixed: box ``k`` reads its weak steps from
 columns ``k(N+1)`` to ``k(N+1) + N - 1`` and its closing readout from column
 ``k(N+1) + N``, whatever earlier boxes did (a strict row that clicked leaves
-the rest of its box's window unread).  :func:`box_shots` runs it on each
-qubit of the rows that ``statevector._shot_rows`` gives, a fresh copy of a
-register per shot, for ``converge`` (:func:`box_records`) and the locker;
+the rest of its box's window unread).  So the boxes of a product state
+(:class:`~qlocker.statevector.ProductState`) are independent one-qubit
+boxes: :func:`_boxes` runs a register's boxes one qubit after another, and
+a product's all at once, as one :func:`_box_rows` call over ``(R * n, 2)``
+one-qubit rows, row ``(r, k)`` reading window ``k`` of row ``r``'s draws.
+:func:`box_shots` runs :func:`_boxes` on the rows that
+``statevector._shot_rows`` gives, a fresh copy of a register or product
+state per shot, for ``converge`` (:func:`box_records`) and the locker;
 :func:`run_box` is its one-row call.  :func:`enumerate_trajectories` (the
 exact oracle) and :func:`sample_acceptance_runs` (accept/reject only, for
 ``sweep``) give the same law without the kernel.
@@ -57,6 +62,7 @@ from .statevector import (
     NORM_TOL,
     CapacityError,
     Measurement,
+    ProductState,
     StateVector,
     _measure_rows,
     _readout_rows,
@@ -181,12 +187,32 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     return BoxRows(outcomes.T, step_p1.T, steps, final, live & ~final), amps
 
 
+def _rows(state: StateVector | ProductState) -> np.ndarray:
+    """One row of :func:`_boxes`: a register's ``2**n`` amplitudes, or a
+    product state's ``(n, 2)`` factors."""
+    if isinstance(state, ProductState):
+        return state.factors
+    return state.amplitudes
+
+
 def _boxes(amps: np.ndarray, params: VerificationParams,
            uniforms: np.ndarray) -> list[BoxRows]:
-    """The box on each qubit ``k`` in turn, row ``r`` of box ``k`` reading
-    columns ``k(N+1)`` to ``k(N+1) + N`` of ``uniforms[r]``, whatever the
-    earlier boxes did."""
+    """The box on each qubit ``k``, row ``r`` of box ``k`` reading columns
+    ``k(N+1)`` to ``k(N+1) + N`` of ``uniforms[r]``, whatever the other
+    boxes did.
+
+    ``amps`` holds R rows of :func:`_rows`.  Registers, ``(R, 2**n)``, run
+    box ``k`` on qubit ``k`` of every row, one box after another.  Product
+    states, ``(R, n, 2)``, run every box at once: one :func:`_box_rows`
+    call over the ``R * n`` one-qubit rows, row ``(r, k)`` reading window
+    ``k`` of ``uniforms[r]``.
+    """
     windows = uniforms.reshape(len(amps), -1, params.iterations + 1)
+    if amps.ndim == 3:
+        n = amps.shape[1]
+        box, _ = _box_rows(amps.reshape(-1, 2), 0, params,
+                           windows.reshape(-1, params.iterations + 1))
+        return [BoxRows(*(rows[k::n] for rows in box)) for k in range(n)]
     boxes = []
     for k in range(windows.shape[1]):
         box, amps = _box_rows(amps, k, params, windows[:, k])
@@ -194,14 +220,15 @@ def _boxes(amps: np.ndarray, params: VerificationParams,
     return boxes
 
 
-def box_shots(state: StateVector, params: VerificationParams,
+def box_shots(state: StateVector | ProductState, params: VerificationParams,
               stream: RandomStream, shots: range) -> Iterator[list[BoxRows]]:
     """The boxes on each qubit of a fresh copy of ``state`` per shot ``i``
     in ``shots``, copy ``i`` reading ``stream.substream(i)`` as
     :func:`run_box` on each qubit in turn does.  The copies are the rows of
-    one array; each block of rows' boxes is yielded in shot order."""
+    one array (a product state's copies as ``(n, 2)`` factors, see
+    :func:`_boxes`); each block of rows' boxes is yielded in shot order."""
     draws = state.n_qubits * (params.iterations + 1)
-    for rows, uniforms in _shot_rows(state.amplitudes, stream, shots, draws):
+    for rows, uniforms in _shot_rows(_rows(state), stream, shots, draws):
         yield _boxes(rows, params, uniforms)
 
 

@@ -9,11 +9,14 @@ sub-stream, however the rows are split into blocks and in whatever order
 the blocks run.  ``attempt_unlocks`` runs many presentations of one probe
 as rows, and each row must be the ``attempt_unlock`` of a fresh copy on its
 own sub-stream, in the same way.  All three take their blocks from
-``statevector._shot_rows``, so one patch of ``statevector`` splits them.
+``statevector._shot_rows``, so one patch of ``statevector`` splits them.  A
+product password's copies run every box at once over one-qubit rows, and
+must unlock as the same password combined into one register does.
 """
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,6 +268,63 @@ def test_unlock_is_run_box_on_each_qubit_in_turn(prep, theta, iterations,
     got = q.attempt_unlock(locker, probe, RandomStream(seed, (1,)))
     # outcomes, exact click probabilities, finals and acceptance
     assert got.trajectories == tuple(want)
+
+
+@st.composite
+def product_passwords(draw):
+    """A product state of 1 to 8 qubits, each factor a random Ry and then
+    random gates."""
+    n = draw(st.integers(1, 8))
+    return q.ProductState([draw(one_qubit_preps()).amplitudes
+                           for _ in range(n)])
+
+
+def assert_same_unlocks(got, want):
+    """Equal outcomes, finals, acceptance and retrieved bits; the click
+    probabilities to rounding (a register sums over 2**n amplitudes)."""
+    def exact(unlocks):
+        return [(u.accepted, u.retrieved_bits,
+                 [(t.ancilla_outcomes, t.final_system_outcome, t.accepted)
+                  for t in u.trajectories]) for u in unlocks]
+
+    def step_p1(unlocks):
+        return [p for u in unlocks for t in u.trajectories for p in t.step_p1]
+
+    assert exact(got) == exact(want)
+    np.testing.assert_allclose(step_p1(got), step_p1(want), rtol=1e-12)
+
+
+@BATCH_SETTINGS
+@given(password=product_passwords(), theta=st.floats(0.05, 1.3),
+       iterations=st.integers(0, 8),
+       policy=st.sampled_from(verification.CLICK_POLICIES),
+       count=st.integers(1, 40), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_product_rows_match_the_combined_register(password, theta,
+                                                  iterations, policy, count,
+                                                  data, seed):
+    # a product password's boxes run at once over one-qubit rows; the same
+    # password combined into one register runs them qubit after qubit.  Each
+    # example runs one split of SPLITS, drawn like the other inputs: a block
+    # of one copy costs a Philox evaluation, so all five would take seconds
+    first = data.draw(st.integers(0, 2**32 - count))
+    cells, reverse = data.draw(st.sampled_from(SPLITS))
+    shots = range(first, first + count)
+    params = OtpParams.random(password.n_qubits, RandomStream(seed, (0,)))
+    locker = q.store_message("101", params,
+                             VerificationParams(theta, iterations, policy))
+    stream = RandomStream(seed, (1,))
+    want = list(q.attempt_unlocks(locker, password.register(), stream,
+                                  shots))
+    assert_same_unlocks(
+        [q.attempt_unlock(locker, password.copy(), stream.substream(i))
+         for i in shots], want)
+    assert_same_unlocks(list(q.attempt_unlocks(locker, password, stream,
+                                               shots)), want)
+    with pytest.MonkeyPatch.context() as mp:
+        order = split(mp, cells, reverse)
+        got = list(q.attempt_unlocks(locker, password, stream, shots))
+    assert_same_unlocks(got, [want[i] for i in order])
 
 
 @pytest.mark.parametrize("shots,row_cells", [

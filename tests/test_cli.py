@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -148,6 +149,23 @@ class TestLockerDemo:
         rate_check = next(c for c in report["checks"]
                           if c["name"] == "wrong-password acceptance rate")
         assert rate_check["ok"]
+
+    def test_widest_password_builds_no_register(self, capsys):
+        # a 24-qubit register alone is 256 MiB; the product password and
+        # its 200 wrong copies are held as one-qubit factors
+        tracemalloc.start()
+        try:
+            code = main(["locker-demo", "--otp-qubits", "24",
+                         "--wrong-overlap", "0.5", "--repeat", "200"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 100 * 2**20
+        report = json.loads(capsys.readouterr().out)
+        assert report["correct_attempt"]["retrieved_bits"] == "1011"
+        assert report["wrong_attempt"]["per_qubit_overlap"] == pytest.approx(
+            [0.5] * 24, abs=1e-12)
 
     def test_invalid_message_exits_3(self, tmp_path):
         code = main(["locker-demo", "--message", "000",
