@@ -5,22 +5,26 @@ A locker stores an m-bit message and holds the secret rotation angles
 n-qubit product state R|0...0> with R = Rz(theta3) Ry(theta2) Rx(theta1) per
 qubit, and :func:`generate_otp` holds it as such: a
 :class:`~qlocker.statevector.ProductState` of n one-qubit factors, never a
-``2**n`` register.  R and its inverse run as the same loop over the qubits,
-three gates on each, on a register or on a product's factors.  An unlock
-attempt undoes the rotation and runs the verification box on each password
-qubit, ending in a z-measurement of that qubit.  The message is released
-only if every run accepts.  A register password runs box ``k`` on qubit
-``k`` of the n-qubit register, one box after another; a product password's
-boxes are independent one-qubit boxes (each reads its own fixed window of
-draws), so they run at once, one row per factor.  :func:`attempt_unlocks`
-presents many fresh copies of one probe as the rows of one array
-(:func:`~qlocker.verification.box_shots`), ``(R, 2**n)`` registers or
-``(R * n, 2)`` factor rows; :func:`attempt_unlock` runs the same boxes on
-one password.  In the protocol's circuit, NOTs controlled on the message
-qubits and on every measured password qubit reading 0 copy the message to
-blank qubits; all their inputs are basis states, so that copy is the
-classical rule ``message if accepted else zeros``.  The verification
-measurement collapses the password, so a password cannot be replayed.
+``2**n`` register.  An adversary may present any state, so a password is
+either form, and the locker sees both through one layout: P parts of w
+qubits (``statevector._parts``), one part of n qubits for a register, n
+parts of one qubit for a product.  R and its inverse are one loop over the
+password qubits, three gates on qubit ``q % w`` of part ``q // w``.  An
+unlock attempt undoes the rotation and runs the verification box on each
+password qubit, ending in a z-measurement of that qubit.  The message is
+released only if every run accepts.  Box ``k`` runs on qubit ``k`` of
+every part at once (:func:`~qlocker.verification._boxes`): a register's
+boxes run one after another, a product's as one box over its factors.
+:func:`attempt_unlocks` presents many fresh copies of one probe as the rows
+of one array (:func:`~qlocker.verification.box_shots`);
+:func:`attempt_unlock` runs the same boxes on one password.  In the
+protocol's circuit, NOTs controlled on the message qubits and on every
+measured password qubit reading 0 copy the message to blank qubits; all
+their inputs are basis states, so that copy is the classical rule
+``message if accepted else zeros``.  The verification measurement
+collapses the password, so a password cannot be replayed: the measured
+basis state is written into the password's parts, as the retrieved bits
+are into the blanks.
 
 Angle secrets live only in :class:`OtpParams`; logs carry a digest of the
 angles, never their values.
@@ -34,22 +38,21 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from .gates import rx, ry, rz
 from .rng import RandomStream
 from .statevector import (
     ProductState,
     StateVector,
+    _n_qubits,
+    _parts,
+    _write_basis,
     apply_gate,
-    basis_state,
 )
 from .verification import (
     BoxRows,
     Trajectory,
     VerificationParams,
     _boxes,
-    _rows,
     _trajectories,
     box_shots,
 )
@@ -153,24 +156,21 @@ def store_message(bits: str, params: OtpParams,
 
 
 def _per_qubit(state: Password, params: OtpParams, gates) -> Password:
-    """``gates(k, theta1, theta2, theta3)`` applied to qubit k, for each k
-    in turn; a product state's factor ``k`` takes them as the one qubit of
-    its own register."""
+    """A copy of ``state`` with ``gates(k, theta1, theta2, theta3)`` applied
+    to each password qubit in turn, ``k`` being the qubit's index in its
+    part (see ``statevector._parts``)."""
     if state.n_qubits != params.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, params cover {params.n_qubits}"
         )
-    if isinstance(state, ProductState):
-        factors = state.factors.copy()
-        for k, triple in enumerate(params.triples):
-            qubit = state.qubit(k)
-            for gate in gates(0, *triple):
-                qubit = apply_gate(qubit, gate)
-            factors[k] = qubit.amplitudes
-        return ProductState(factors)
-    for k, triple in enumerate(params.triples):
-        for gate in gates(k, *triple):
-            state = apply_gate(state, gate)
+    state = state.copy()
+    parts = _parts(state)
+    width = _n_qubits(parts)
+    for q, triple in enumerate(params.triples):
+        part = StateVector(width, parts[q // width])
+        for gate in gates(q % width, *triple):
+            part = apply_gate(part, gate)
+        parts[q // width] = part.amplitudes
     return state
 
 
@@ -225,9 +225,13 @@ def attempt_unlock(locker: LockerState, password: Password,
     overwritten with the retrieved bits.  The boxes are
     :func:`~qlocker.verification.run_box` on each qubit in turn, each box
     reading the next ``N + 1`` uniforms of ``rng``, so ``rng`` advances by
-    ``n * (N + 1)`` even when strict clicks leave some of them unread.  A
+    ``n * (N + 1)`` even when strict clicks leave some of them unread.
+    The password runs as its parts (``statevector._parts``), so a
     :class:`~qlocker.statevector.ProductState` runs its n boxes at once,
     one one-qubit row per factor, and never builds its ``2**n`` register.
+    The collapse is one rule for both forms: the basis state of the closing
+    readouts, and the retrieved bits in ``blanks``, are written into the
+    parts.
     """
     _check_password(locker, password)
     m = locker.m_bits
@@ -240,18 +244,15 @@ def attempt_unlock(locker: LockerState, password: Password,
     locker.consumed_passwords[id(password)] = password
     phi = apply_inverse_rotation(password, locker.params)
     draws = locker.n_password_qubits * (locker.verification.iterations + 1)
-    (result,) = _results(locker, _boxes(_rows(phi)[None],
+    (result,) = _results(locker, _boxes(_parts(phi)[None],
                                         locker.verification,
                                         rng.randoms(draws)[None]))
 
     # the presented password is now the measured eigenstate
-    finals = [t.final_system_outcome for t in result.trajectories]
-    if isinstance(password, ProductState):
-        password.factors[:] = np.eye(2)[finals]
-    else:
-        password.amplitudes[:] = basis_state(finals).amplitudes
+    _write_basis(_parts(password),
+                 [t.final_system_outcome for t in result.trajectories])
     if blanks is not None:
-        blanks.amplitudes[:] = basis_state(result.retrieved_bits).amplitudes
+        _write_basis(_parts(blanks), result.retrieved_bits)
     return result
 
 
@@ -261,11 +262,12 @@ def attempt_unlocks(locker: LockerState, probe: Password,
     """Present a fresh copy of ``probe`` once per shot index ``i`` in
     ``shots``, in order: result ``i`` is what ``attempt_unlock(locker,
     probe.copy(), stream.substream(i))`` returns, run as one row of
-    :func:`~qlocker.verification.box_shots`.  A product ``probe``'s copies
-    are ``(n, 2)`` factor rows, so each block of B copies runs all its
-    boxes as one box over ``(B * n, 2)`` one-qubit rows.  ``probe``
-    itself is neither collapsed nor registered as consumed; it is checked,
-    and inversely rotated once, when this is called.
+    :func:`~qlocker.verification.box_shots`.  Each copy is held as its
+    parts, P parts of w qubits, so a block of B copies runs each of the w
+    boxes over ``B * P`` part rows: a product ``probe``'s n boxes as one box
+    over ``(B * n, 2)`` one-qubit rows, a register's one after another.
+    ``probe`` itself is neither collapsed nor registered as consumed; it is
+    checked, and inversely rotated once, when this is called.
     """
     _check_password(locker, probe)
     phi = apply_inverse_rotation(probe, locker.params)

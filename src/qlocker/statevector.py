@@ -22,8 +22,12 @@ readouts over every row of each block, and ``_row_keys`` reads each row's
 outcome bits as its key.  A block holds at most :data:`SHOT_BLOCK_CELLS`
 amplitudes and uniforms, so no shot count or register width allocates
 ``S * 2**n`` at once.  A :class:`ProductState` is held as its ``(n, 2)``
-one-qubit factors, which the kernels take as n one-qubit rows; it builds
-its ``2**n`` register only when one is asked for.
+one-qubit factors; it builds its ``2**n`` register only when one is asked
+for.  :func:`_parts` is the one place that tells the two forms apart: it
+views any n-qubit state as P parts of w qubits, a writable ``(P, 2**w)``
+array, one part of n qubits for a register and n parts of one qubit for a
+product.  The locker rotates, verifies and collapses passwords through
+that view alone.
 """
 
 from __future__ import annotations
@@ -93,9 +97,7 @@ def basis_state(bits: Union[str, Sequence[int]]) -> StateVector:
     if any(v not in (0, 1) for v in values):
         raise ValueError(f"bits must be 0/1, got {bits!r}")
     state = new_state(len(values))
-    index = sum(v << k for k, v in enumerate(values))
-    state.amplitudes[0] = 0.0
-    state.amplitudes[index] = 1.0
+    _write_basis(_parts(state), values)
     return state
 
 
@@ -159,6 +161,25 @@ class ProductState:
         if self.n_qubits > 1:
             amps.flags.writeable = False
         return amps
+
+
+def _parts(state: StateVector | ProductState) -> np.ndarray:
+    """``state`` as P parts of w qubits: a writable ``(P, 2**w)`` view of
+    its amplitudes in which qubit ``q`` is qubit ``q % w`` of part
+    ``q // w``.  A register is one part of n qubits, a
+    :class:`ProductState` n parts of one qubit (its factors)."""
+    if isinstance(state, ProductState):
+        return state.factors
+    return state.amplitudes[None]
+
+
+def _write_basis(parts: np.ndarray, bits) -> None:
+    """Overwrite ``parts`` (a :func:`_parts` view) with the basis state
+    whose qubit ``q`` has the value ``bits[q]`` (0/1 ints or characters)."""
+    values = np.array([int(b) for b in bits]).reshape(len(parts), -1)
+    parts[:] = 0.0
+    parts[np.arange(len(parts)),
+          values @ (1 << np.arange(values.shape[1]))] = 1.0
 
 
 def _shot_blocks(shots: int, row_cells: int) -> list[range]:

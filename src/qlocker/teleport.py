@@ -70,6 +70,23 @@ def _sender_circuit(psi: StateVector, pair: StateVector) -> StateVector:
     return apply_gate(joint, h(0))
 
 
+def _received(block: np.ndarray, m1: int, m2: int) -> StateVector:
+    """The receiver's qubit from its two amplitudes ``block`` in branch
+    ``(m1, m2)``, corrected: X if ``m2``, then Z if ``m1``."""
+    received = StateVector(1, block)
+    if m2:
+        received = apply_gate(received, x(0))
+    if m1:
+        received = apply_gate(received, z(0))
+    return received
+
+
+def _branch(joint: StateVector, m1: int, m2: int) -> np.ndarray:
+    """The receiver's two amplitudes in branch ``(m1, m2)`` of ``joint``."""
+    base = m1 + (m2 << 1)
+    return joint.amplitudes[[base, base + 4]]
+
+
 def teleport(psi: StateVector, channel: TeleportChannel,
              rng: RandomStream) -> tuple[TeleportRecord, StateVector]:
     """Teleport a one-qubit state through ``channel``.
@@ -87,14 +104,7 @@ def teleport(psi: StateVector, channel: TeleportChannel,
     channel.consumed = True
     m1, _, joint = measure_qubit(joint, 0, "z", rng)
     m2, _, joint = measure_qubit(joint, 1, "z", rng)
-    if m2:
-        joint = apply_gate(joint, x(2))
-    if m1:
-        joint = apply_gate(joint, z(2))
-    base = m1 + (m2 << 1)
-    received = StateVector(
-        1, np.array([joint.amplitudes[base], joint.amplitudes[base + 4]])
-    )
+    received = _received(_branch(joint, m1, m2), m1, m2)
     # the measured source is left as a z eigenstate
     psi.amplitudes[:] = 0.0
     psi.amplitudes[m1] = 1.0
@@ -113,14 +123,8 @@ def enumerate_teleport_branches(
     branches = {}
     for m1 in (0, 1):
         for m2 in (0, 1):
-            base = m1 + (m2 << 1)
-            block = joint.amplitudes[[base, base + 4]].copy()
+            block = _branch(joint, m1, m2)
             prob = float(np.vdot(block, block).real)
-            block /= np.sqrt(prob)
-            received = StateVector(1, block)
-            if m2:
-                received = apply_gate(received, x(0))
-            if m1:
-                received = apply_gate(received, z(0))
-            branches[(m1, m2)] = (prob, received)
+            branches[(m1, m2)] = (prob,
+                                  _received(block / np.sqrt(prob), m1, m2))
     return branches

@@ -29,17 +29,19 @@ row of an ``(R, 2**n)`` array, each row reading its own uniforms, drawn up
 front.  The draw layout is fixed: box ``k`` reads its weak steps from
 columns ``k(N+1)`` to ``k(N+1) + N - 1`` and its closing readout from column
 ``k(N+1) + N``, whatever earlier boxes did (a strict row that clicked leaves
-the rest of its box's window unread).  So the boxes of a product state
-(:class:`~qlocker.statevector.ProductState`) are independent one-qubit
-boxes: :func:`_boxes` runs a register's boxes one qubit after another, and
-a product's all at once, as one :func:`_box_rows` call over ``(R * n, 2)``
-one-qubit rows, row ``(r, k)`` reading window ``k`` of row ``r``'s draws.
+the rest of its box's window unread).  So the boxes of separate parts of a
+password are independent.  :func:`_boxes` takes every password, a register
+or a :class:`~qlocker.statevector.ProductState`, in one layout: P parts of
+w qubits (``statevector._parts``), one part of n qubits for a register, n
+parts of one qubit for a product.  Box ``k`` runs on qubit ``k`` of all the
+part rows at once, so a register's n boxes run one after another and a
+product's as one :func:`_box_rows` call over one-qubit rows.
 :func:`box_shots` runs :func:`_boxes` on the rows that
-``statevector._shot_rows`` gives, a fresh copy of a register or product
-state per shot, for ``converge`` (:func:`box_records`) and the locker;
-:func:`run_box` is its one-row call.  :func:`enumerate_trajectories` (the
-exact oracle) and :func:`sample_acceptance_runs` (accept/reject only, for
-``sweep``) give the same law without the kernel.
+``statevector._shot_rows`` gives, a fresh copy of a password per shot, for
+``converge`` (:func:`box_records`) and the locker; :func:`run_box` is its
+one-row call.  :func:`enumerate_trajectories` (the exact oracle) and
+:func:`sample_acceptance_runs` (accept/reject only, for ``sweep``) give the
+same law without the kernel.
 
 Two click policies are supported.  The default keeps iterating after a click
 (the run then accepts, since the system sits in |0>); the strict variant
@@ -65,6 +67,7 @@ from .statevector import (
     ProductState,
     StateVector,
     _measure_rows,
+    _parts,
     _readout_rows,
     _row_keys,
     _shot_rows,
@@ -187,37 +190,29 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     return BoxRows(outcomes.T, step_p1.T, steps, final, live & ~final), amps
 
 
-def _rows(state: StateVector | ProductState) -> np.ndarray:
-    """One row of :func:`_boxes`: a register's ``2**n`` amplitudes, or a
-    product state's ``(n, 2)`` factors."""
-    if isinstance(state, ProductState):
-        return state.factors
-    return state.amplitudes
-
-
 def _boxes(amps: np.ndarray, params: VerificationParams,
            uniforms: np.ndarray) -> list[BoxRows]:
-    """The box on each qubit ``k``, row ``r`` of box ``k`` reading columns
-    ``k(N+1)`` to ``k(N+1) + N`` of ``uniforms[r]``, whatever the other
-    boxes did.
+    """The box on each password qubit ``q``, row ``r`` of box ``q`` reading
+    columns ``q(N+1)`` to ``q(N+1) + N`` of ``uniforms[r]``, whatever the
+    other boxes did.
 
-    ``amps`` holds R rows of :func:`_rows`.  Registers, ``(R, 2**n)``, run
-    box ``k`` on qubit ``k`` of every row, one box after another.  Product
-    states, ``(R, n, 2)``, run every box at once: one :func:`_box_rows`
-    call over the ``R * n`` one-qubit rows, row ``(r, k)`` reading window
-    ``k`` of ``uniforms[r]``.
+    ``amps`` (shape ``(R, P, 2**w)``) holds R passwords as P parts of w
+    qubits, qubit ``q`` being qubit ``q % w`` of part ``q // w``
+    (``statevector._parts``).  Box ``k`` runs on qubit ``k`` of all
+    ``R * P`` part rows at once, one box after another: n boxes on a
+    register's one part, one box on a product's n one-qubit parts.  Part
+    row ``(r, p)`` reads window ``p * w + k`` of ``uniforms[r]``, and box
+    ``(p, k)`` is its rows ``[p::P]``.
     """
+    parts = amps.shape[1]
+    amps = amps.reshape(-1, amps.shape[2])
     windows = uniforms.reshape(len(amps), -1, params.iterations + 1)
-    if amps.ndim == 3:
-        n = amps.shape[1]
-        box, _ = _box_rows(amps.reshape(-1, 2), 0, params,
-                           windows.reshape(-1, params.iterations + 1))
-        return [BoxRows(*(rows[k::n] for rows in box)) for k in range(n)]
     boxes = []
     for k in range(windows.shape[1]):
         box, amps = _box_rows(amps, k, params, windows[:, k])
         boxes.append(box)
-    return boxes
+    return [BoxRows(*(rows[p::parts] for rows in box))
+            for p in range(parts) for box in boxes]
 
 
 def box_shots(state: StateVector | ProductState, params: VerificationParams,
@@ -225,10 +220,10 @@ def box_shots(state: StateVector | ProductState, params: VerificationParams,
     """The boxes on each qubit of a fresh copy of ``state`` per shot ``i``
     in ``shots``, copy ``i`` reading ``stream.substream(i)`` as
     :func:`run_box` on each qubit in turn does.  The copies are the rows of
-    one array (a product state's copies as ``(n, 2)`` factors, see
-    :func:`_boxes`); each block of rows' boxes is yielded in shot order."""
+    one array, each held as its parts (see :func:`_boxes`); each block of
+    rows' boxes is yielded in shot order."""
     draws = state.n_qubits * (params.iterations + 1)
-    for rows, uniforms in _shot_rows(_rows(state), stream, shots, draws):
+    for rows, uniforms in _shot_rows(_parts(state), stream, shots, draws):
         yield _boxes(rows, params, uniforms)
 
 

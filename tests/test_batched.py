@@ -11,7 +11,8 @@ as rows, and each row must be the ``attempt_unlock`` of a fresh copy on its
 own sub-stream, in the same way.  All three take their blocks from
 ``statevector._shot_rows``, so one patch of ``statevector`` splits them.  A
 product password's copies run every box at once over one-qubit rows, and
-must unlock as the same password combined into one register does.
+must unlock, and collapse, as the same password combined into one register
+does.
 """
 
 from collections import Counter
@@ -311,7 +312,7 @@ def test_product_rows_match_the_combined_register(password, theta,
     cells, reverse = data.draw(st.sampled_from(SPLITS))
     shots = range(first, first + count)
     params = OtpParams.random(password.n_qubits, RandomStream(seed, (0,)))
-    locker = q.store_message("101", params,
+    locker = q.store_message("110", params,
                              VerificationParams(theta, iterations, policy))
     stream = RandomStream(seed, (1,))
     want = list(q.attempt_unlocks(locker, password.register(), stream,
@@ -321,6 +322,19 @@ def test_product_rows_match_the_combined_register(password, theta,
          for i in shots], want)
     assert_same_unlocks(list(q.attempt_unlocks(locker, password, stream,
                                                shots)), want)
+    # one collapse rule for both forms: the basis state of the finals
+    # written into the password, the retrieved bits into the blanks
+    product, register = password.copy(), password.copy().register()
+    blanks = [q.new_state(3), q.new_state(3)]
+    got = [q.attempt_unlock(locker, p, stream.substream(first), blanks=b)
+           for p, b in zip((product, register), blanks)]
+    assert_same_unlocks(got, want[:1] * 2)
+    finals = [t.final_system_outcome for t in got[0].trajectories]
+    collapsed = q.basis_state(finals).amplitudes.tobytes()
+    assert product.register().amplitudes.tobytes() == collapsed
+    assert register.amplitudes.tobytes() == collapsed
+    retrieved = q.basis_state(want[0].retrieved_bits).amplitudes.tobytes()
+    assert [b.amplitudes.tobytes() for b in blanks] == [retrieved] * 2
     with pytest.MonkeyPatch.context() as mp:
         order = split(mp, cells, reverse)
         got = list(q.attempt_unlocks(locker, password, stream, shots))

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,3 +365,18 @@ def test_round_trip_many_random_lockers():
         result = q.attempt_unlock(locker, q.generate_otp(params),
                                   root.substream(2 * i + 1))
         assert result.accepted and result.retrieved_bits == bits
+
+
+def test_readme_protocol_runs_verbatim():
+    # README's five-line protocol teleports a one-qubit ProductState straight
+    # from generate_otp: the teleport collapses the password through
+    # ProductState.amplitudes, which shares the factor when n = 1
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### The protocol in five lines", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    otp = namespace["otp"]
+    assert isinstance(otp, q.ProductState) and otp.n_qubits == 1
+    # the source qubit is left as the eigenstate of the sender's first bit
+    assert sorted(np.abs(otp.factors[0]).tolist()) == [0.0, 1.0]
