@@ -52,6 +52,12 @@ CASES = {
     "sweep-degenerate": [
         "sweep", "--shots", "512", "--grid-theta", "0,0.3",
         "--grid-n", "1,2"],
+    # the sampler over wide theta (1.5: sin^2 near 1), long boxes and the
+    # overlap endpoints, n > 1
+    "sweep-wide": [
+        "sweep", "--shots", "512", "--grid-theta", "0.05,1.2,1.5",
+        "--grid-iterations", "0,1,200", "--grid-overlap", "0,0.5,1",
+        "--grid-n", "1,3"],
     "sweep-degenerate-csv": [
         "sweep", "--shots", "512", "--grid-theta", "0,0.3",
         "--grid-n", "1,2", "--format", "csv"],
