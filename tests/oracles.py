@@ -19,6 +19,11 @@ reads 0.  Keep them small: the transfer register is exponential in m.
 at a time, each on its own sub-stream, as the row-batched
 :func:`qlocker.attempt_unlocks` must reproduce.
 
+``reference_acceptance_runs`` is ``sweep``'s accept/reject sampler as
+one P(|0>) per run, every step a fresh set of arrays, as the in-place
+:func:`qlocker.verification.sample_acceptance_runs` must reproduce from
+the same draws.
+
 ``perturbation_step`` is the closed-form no-click collapse of one box
 iteration, and ``otp_consumed_check`` tells whether a presented password
 register has been measured out.
@@ -157,6 +162,29 @@ def reference_unlock(message_bits, params, verification, password, rng):
     else:
         retrieved = gate_transfer(finals, message_bits, rng)
     return accepted, retrieved, trajectories, finals
+
+
+def reference_acceptance_runs(alpha_sq, params, runs, rng):
+    """Accept array of ``runs`` verification runs of a qubit with P(|0>) =
+    ``alpha_sq``, each run tracking its own P(|0>) ``a2``; step ``j`` draws
+    ``rng.randoms(runs)`` and the closing readout one more."""
+    sin_sq = math.sin(params.theta) ** 2
+    cos_sq = math.cos(params.theta) ** 2
+    a2 = np.full(runs, float(alpha_sq))
+    clicked = np.zeros(runs, dtype=bool)
+    for _ in range(params.iterations):
+        p1 = a2 * sin_sq
+        click = rng.randoms(runs) < p1
+        clicked |= click
+        # where sin^2(theta) rounds to 1 a run at a2 = 1 divides by 0; it
+        # clicks for sure, so np.where drops its inf
+        with np.errstate(divide="ignore"):
+            survive_a2 = a2 * cos_sq / (1.0 - p1)
+        a2 = np.where(click, 1.0, survive_a2)
+    final_zero = rng.randoms(runs) < a2
+    if params.click_policy == STRICT_ABORT:
+        return final_zero & ~clicked
+    return final_zero
 
 
 def perturbation_step(alpha: complex, beta: complex,

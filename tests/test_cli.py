@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -206,6 +207,18 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("n,theta,iterations,overlap,policy")
         assert len(lines) == 3  # both policies for the single cell
+
+    def test_sin_squared_of_one_runs_quietly(self, capsys):
+        # sin^2(theta) rounds to 1.0: a run at P(|0>) = 1 clicks for sure,
+        # and no run divides by its 1 - p1 = 0
+        theta = math.nextafter(math.pi / 2, 0)
+        code = main(["sweep", "--shots", "64", "--grid-theta", repr(theta),
+                     "--grid-iterations", "3", "--grid-overlap", "0,0.5,1",
+                     "--grid-n", "1,2"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert all(check["ok"] for check in json.loads(captured.out)["checks"])
 
 
 def test_usage_error_exits_2():

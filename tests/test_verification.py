@@ -1,14 +1,66 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlocker as q
 from qlocker import RandomStream, VerificationParams
 from qlocker.verification import sample_acceptance_runs
 from conftest import random_qubit_state
-from oracles import perturbation_step
+from oracles import perturbation_step, reference_acceptance_runs
+
+# the largest theta below pi/2: sin^2(theta) rounds to 1.0 there
+NEAR_RIGHT_ANGLE = math.nextafter(math.pi / 2, 0)
+
+
+class QueueStream:
+    """A stand-in stream that hands out prepared draws, one array per
+    ``randoms`` call."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def randoms(self, size):
+        draws = next(self._draws)
+        assert len(draws) == size
+        return draws
+
+
+def threshold_draws(alpha_sq, theta, iterations, strict):
+    """Draws that sit on each run's thresholds, and the accept array they
+    must give.
+
+    Run ``(c, e)`` clicks at step ``c`` (never, for ``c = iterations``) by
+    drawing the largest double below its ``p1``, and otherwise draws
+    ``p1`` itself, which does not click; its closing draw is its final
+    P(|0>) ``a2`` moved by ``e`` ulps.  The chain is the per-run law in
+    plain floats, so a sampler that rounds any step differently, or
+    compares with ``<=``, moves some run across its threshold.
+    """
+    sin_sq = math.sin(theta) ** 2
+    cos_sq = math.cos(theta) ** 2
+    columns, accept = [], []
+    for click_step in range(iterations + 1):
+        for ulps in (-1, 0, 1):
+            a2, draws, clicked = alpha_sq, [], False
+            for j in range(iterations):
+                p1 = a2 * sin_sq
+                if j == click_step or p1 >= 1.0:
+                    draws.append(math.nextafter(min(p1, 1.0), 0.0))
+                    a2, clicked = 1.0, True
+                else:
+                    draws.append(p1)
+                    a2 = a2 * cos_sq / (1.0 - p1)
+            final = a2
+            for _ in range(abs(ulps)):
+                final = math.nextafter(final, ulps * math.inf)
+            columns.append(draws + [final])
+            accept.append(final < a2 and not (strict and clicked))
+    return list(np.array(columns).T), np.array(accept)
 
 
 def brute_force_acceptance(alpha_sq: float, theta: float, iterations: int,
@@ -344,6 +396,74 @@ class TestSampler:
             accept = sample_acceptance_runs(alpha_sq, params, 5000,
                                             RandomStream(seed))
             assert accept.mean() == alpha_sq
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(policy=st.sampled_from((q.PAPER_DEFAULT, q.STRICT_ABORT)),
+           theta=st.one_of(st.sampled_from([1e-3, 1.5, NEAR_RIGHT_ANGLE]),
+                           st.floats(0.0, math.pi / 2, exclude_min=True,
+                                     exclude_max=True)),
+           iterations=st.integers(0, 200),
+           alpha_sq=st.one_of(st.sampled_from([0.0, 1.0]),
+                              st.floats(0.0, 1.0)),
+           runs=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_run_oracle_bit_for_bit(
+            self, policy, theta, iterations, alpha_sq, runs, seed):
+        params = VerificationParams(theta, iterations, policy)
+        got_rng, want_rng = RandomStream(seed), RandomStream(seed)
+        got = sample_acceptance_runs(alpha_sq, params, runs, got_rng)
+        want = reference_acceptance_runs(alpha_sq, params, runs, want_rng)
+        assert np.array_equal(got, want)
+        # the same draws in the same order: both streams stand at one place
+        assert got_rng.randoms(1) == want_rng.randoms(1)
+
+    @pytest.mark.parametrize("policy, theta, alpha_sq, iterations", [
+        *itertools.product((q.PAPER_DEFAULT, q.STRICT_ABORT),
+                           [0.3, 1.2, 1.5], [0.3, 0.9, 1.0], [12]),
+        # P(|0>) = 1 is an unstable fixed point: rounding pushes the run
+        # that never clicks up to a2 = 25 (a2 * cos^2 = 12) at step 49,
+        # where p1 >= 1 forces its click; strict runs all reject there
+        (q.PAPER_DEFAULT, 0.808, 1.0, 52)])
+    def test_draws_on_the_thresholds(self, policy, theta, alpha_sq,
+                                     iterations):
+        params = VerificationParams(theta, iterations, policy)
+        draws, want = threshold_draws(alpha_sq, theta, iterations,
+                                      policy == q.STRICT_ABORT)
+        assert want.any() and not want.all()
+        for sampler in (sample_acceptance_runs, reference_acceptance_runs):
+            got = sampler(alpha_sq, params, len(want), QueueStream(draws))
+            assert np.array_equal(got, want), sampler.__name__
+
+    @pytest.mark.parametrize("policy", (q.PAPER_DEFAULT, q.STRICT_ABORT))
+    @pytest.mark.parametrize("alpha_sq", [0.0, 0.5, 1.0])
+    def test_sin_squared_of_one_divides_nothing_by_zero(self, policy,
+                                                        alpha_sq):
+        # pytest turns the RuntimeWarning of a division by zero into an error
+        params = VerificationParams(NEAR_RIGHT_ANGLE, 3, policy)
+        accept = sample_acceptance_runs(alpha_sq, params, 2000,
+                                        RandomStream(11))
+        want = reference_acceptance_runs(alpha_sq, params, 2000,
+                                         RandomStream(11))
+        assert np.array_equal(accept, want)
+        if alpha_sq != 0.5:  # every run clicks at once, or none ever does
+            expect = alpha_sq == 1.0 and policy == q.PAPER_DEFAULT
+            assert accept.all() if expect else not accept.any()
+
+    @pytest.mark.parametrize("policy, bytes_per_run",
+                             [(q.PAPER_DEFAULT, 32), (q.STRICT_ABORT, 20)])
+    def test_memory_per_run(self, policy, bytes_per_run):
+        # a per-run P(|0>) and its divisor, one step's draws and two masks
+        # under the paper policy; a click mask and one step's draws strict
+        runs = 1 << 18
+        params = VerificationParams(0.5, 4, policy)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sample_acceptance_runs(0.5, params, runs, RandomStream(3))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bytes_per_run * runs
 
 
 def test_trajectory_record_format():
