@@ -369,7 +369,7 @@ def sample_acceptance_runs(alpha_sq: float, params: VerificationParams,
     either policy.  This is the one exception to the per-shot draw contract:
     run ``i``'s draws come from one stream per call and depend on ``runs``,
     not from sub-stream ``i``.  Drawing each run's numbers from its own
-    sub-stream with ``shot_uniforms`` takes some twenty times as long.
+    sub-stream with ``shot_uniforms`` takes over ten times as long.
     """
     if not 0.0 <= alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq must be in [0, 1], got {alpha_sq}")
