@@ -73,8 +73,8 @@ from .verification import (
     acceptance_probability,
     box_records,
     box_shots,
-    enumerate_trajectories,
     iterate_once,
+    record_probability,
     run_box,
     trajectory_record,
 )

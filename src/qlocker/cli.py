@@ -61,11 +61,11 @@ from .tomography import (
 from .verification import (
     CLICK_POLICIES,
     PAPER_DEFAULT,
-    STRICT_ABORT,
     VerificationParams,
     acceptance_probability,
     box_records,
     box_shots,
+    record_probability,
     sample_acceptance_runs,
     trajectory_record,
 )
@@ -256,11 +256,12 @@ def cmd_converge(args) -> dict:
     one_given_zeros = outcome_counts[quiet + "1"]
     all_zeros = outcome_counts[quiet + "0"] + one_given_zeros
 
-    # no click: the |1> half of |+> never clicks, and the |0> half survives
-    # all N couplings with the strict policy's acceptance probability
-    analytic_zeros = 0.5 + acceptance_probability(
-        0.5, VerificationParams(args.theta, args.iterations, STRICT_ABORT))
-    analytic_cond = 0.5 / analytic_zeros
+    # no click: the |0> half of |+> survives all N couplings, and the |1>
+    # half never clicks
+    zero_law, one_law = (record_probability(quiet + bit, 0.5, params)
+                         for bit in "01")
+    analytic_zeros = zero_law + one_law
+    analytic_cond = one_law / analytic_zeros
     zeros_frac = all_zeros / args.shots
     # no all-zeros record: the conditional has no sample (null, unchecked)
     cond_frac = one_given_zeros / all_zeros if all_zeros else None
@@ -538,7 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="single weak-coupling iteration with ancilla "
                             "tomography in x, y, z")
     add_common(p)
-    p.add_argument("--theta", type=_finite, default=0.2)
+    p.add_argument("--theta", type=_finite, default=0.2,
+                   help="coupling angle, any finite value: one coupling and "
+                        "its analytic P(0) laws hold for every theta")
     p.add_argument("--prep-angle", type=_finite, default=math.pi / 4,
                    help="Ry angle preparing the system qubit")
     p.set_defaults(func=cmd_verify_demo)

@@ -39,9 +39,9 @@ product's as one :func:`_box_rows` call over one-qubit rows.
 :func:`box_shots` runs :func:`_boxes` on the rows that
 ``statevector._shot_rows`` gives, a fresh copy of a password per shot, for
 ``converge`` (:func:`box_records`) and the locker; :func:`run_box` is its
-one-row call.  :func:`enumerate_trajectories` (the exact oracle) and
-:func:`sample_acceptance_runs` (accept/reject only, for ``sweep``) give the
-same law without the kernel.
+one-row call.  :func:`record_probability` (the exact law of a whole
+record, in closed form) and :func:`sample_acceptance_runs` (accept/reject
+only, for ``sweep``) give the same law without the kernel.
 
 Two click policies are supported.  The default keeps iterating after a click
 (the run then accepts, since the system sits in |0>); the strict variant
@@ -62,7 +62,6 @@ import numpy as np
 from .rng import RandomStream
 from .statevector import (
     NORM_TOL,
-    CapacityError,
     Measurement,
     ProductState,
     StateVector,
@@ -80,7 +79,6 @@ CLICK_POLICIES = (PAPER_DEFAULT, STRICT_ABORT)
 DEFAULT_THETA = 0.1
 DEFAULT_ITERATIONS = 38
 
-_ENUM_MAX_ITERATIONS = 16
 # longest box: a row holds n * (N + 1) uniforms up front
 MAX_ITERATIONS = 10_000
 
@@ -132,11 +130,6 @@ def trajectory_record(traj: Trajectory, seed: int,
         f"{traj.outcomes_bitstring()},{traj.final_system_outcome},"
         f"{int(traj.accepted)}"
     )
-
-
-def _require_single_qubit(system: StateVector):
-    if system.n_qubits != 1:
-        raise ValueError("the verification box acts on a single-qubit system")
 
 
 def _weak_step(theta: float) -> np.ndarray:
@@ -267,7 +260,8 @@ def iterate_once(system: StateVector, params: VerificationParams,
     click probability of this step.  On a click the system is projected onto
     |0> (up to a global phase).
     """
-    _require_single_qubit(system)
+    if system.n_qubits != 1:
+        raise ValueError("the verification box acts on a single-qubit system")
     click, probs, amps = _measure_rows(system.amplitudes[None], 0,
                                        _weak_step(params.theta),
                                        rng.randoms(1))
@@ -290,59 +284,42 @@ def acceptance_probability(alpha_sq: float,
     return alpha_sq
 
 
-def enumerate_trajectories(
-        system: StateVector,
-        params: VerificationParams) -> list[tuple[Trajectory, float]]:
-    """Exact probability of every outcome path and closing measurement.
+def record_probability(record: str, alpha_sq: float,
+                       params: VerificationParams) -> float:
+    """Exact probability that the box on ``alpha|0> + beta|1>``, with
+    ``|alpha|^2 = alpha_sq``, writes ``record`` as :func:`box_records` does:
+    its weak-step bits, then its closing readout.
 
-    Walks the binary tree of ancilla outcomes with unnormalized branch
-    amplitudes, so returned probabilities sum to 1 within 1e-12.  Branches of
-    exactly zero probability are omitted.  Under the strict policy, paths are
-    truncated at their first click, mirroring :func:`run_box`.
+    The qubit stays ``(alpha cos^j(theta), beta)`` until its first click and
+    sits in |0> after it, so in O(N):
+
+    - no click: the readout gives 0 with ``alpha_sq * cos(theta)^(2N)``, the
+      strict policy's :func:`acceptance_probability`, and 1 with
+      ``1 - alpha_sq``;
+    - a first click at step ``j``: ``alpha_sq cos^(2j)(theta) sin^2(theta)``,
+      then each later step clicks with ``sin^2(theta)`` on its own and the
+      readout gives 0.  The strict policy cuts the record at the click.
+
+    A record no box writes, of the wrong length or with a 1 read out after a
+    click, has probability 0.0.
     """
-    _require_single_qubit(system)
-    if params.iterations > _ENUM_MAX_ITERATIONS:
-        raise CapacityError(
-            f"enumeration supports at most {_ENUM_MAX_ITERATIONS} iterations"
-        )
-    cos_t = math.cos(params.theta)
-    sin_t = math.sin(params.theta)
-    sin_sq = sin_t * sin_t
-    strict = params.click_policy == STRICT_ABORT
-    results: list[tuple[Trajectory, float]] = []
-
-    def emit(outcomes, p1s, final, weight, clicked):
-        if weight <= 0.0:
-            return
-        accepted = final == 0 and not (strict and clicked)
-        results.append(
-            (Trajectory(list(outcomes), list(p1s), final, accepted), weight)
-        )
-
-    def walk(a: complex, b: complex, step: int, outcomes, p1s, clicked):
-        if step == params.iterations:
-            emit(outcomes, p1s, 0, abs(a) ** 2, clicked)
-            emit(outcomes, p1s, 1, abs(b) ** 2, clicked)
-            return
-        weight = abs(a) ** 2 + abs(b) ** 2
-        p1 = sin_sq * abs(a) ** 2 / weight
-        outcomes.append(0)
-        p1s.append(p1)
-        walk(a * cos_t, b, step + 1, outcomes, p1s, clicked)
-        outcomes[-1] = 1
-        click_amp = -1j * a * sin_t
-        if abs(click_amp) > 0.0:
-            if strict:
-                # aborted run: closing measurement of the collapsed |0>
-                emit(outcomes, p1s, 0, abs(click_amp) ** 2, True)
-            else:
-                walk(click_amp, 0.0, step + 1, outcomes, p1s, True)
-        outcomes.pop()
-        p1s.pop()
-
-    alpha, beta = system.amplitudes
-    walk(complex(alpha), complex(beta), 0, [], [], False)
-    return results
+    if not record or record.strip("01"):
+        raise ValueError(f"a record is a string of 0s and 1s, got {record!r}")
+    if not -NORM_TOL <= alpha_sq <= 1.0 + NORM_TOL:
+        raise ValueError(f"alpha_sq must be in [0, 1], got {alpha_sq}")
+    alpha_sq = min(max(alpha_sq, 0.0), 1.0)  # a rounding error past [0, 1]
+    steps, final = record[:-1], record[-1]
+    first = steps.find("1")
+    strict_click = first >= 0 and params.click_policy == STRICT_ABORT
+    if len(steps) != (first + 1 if strict_click else params.iterations):
+        return 0.0
+    if final == "1":
+        return 1.0 - alpha_sq if first < 0 else 0.0
+    clicks = steps.count("1")
+    # a quiet step weighs cos^2 and a click sin^2, on alpha's branch up to
+    # the first click and on |0> after it
+    return (alpha_sq * math.cos(params.theta) ** (2 * (len(steps) - clicks))
+            * math.sin(params.theta) ** (2 * clicks))
 
 
 def sample_acceptance_runs(alpha_sq: float, params: VerificationParams,

@@ -39,6 +39,16 @@ class TestVerifyDemo:
         assert all("paper-hardware" not in row
                    for row in report["ancilla_probabilities"])
 
+    @pytest.mark.parametrize("theta", ["0", "-0.2", "2.0"])
+    def test_any_finite_theta_runs(self, tmp_path, theta):
+        # one coupling, so its three analytic P(0) laws hold for every
+        # theta; only the box's commands need theta in (0, pi/2)
+        code, out = run_to_file(
+            tmp_path, "v.json",
+            ["verify-demo", "--shots", "1024", "--theta", theta])
+        assert code == 0
+        assert json.loads(out.read_text())["ok"] is True
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["verify-demo", "--shots", "512", "--seed", "7"]
         _, first = run_to_file(tmp_path, "a.json", argv)

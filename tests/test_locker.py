@@ -15,6 +15,7 @@ from qlocker import (
     VerificationParams,
 )
 
+from conftest import accepted_mass
 from oracles import otp_consumed_check
 
 
@@ -271,12 +272,11 @@ class TestUnlock:
         assert float(result.accepted) == expected_accept
 
     def test_wrong_password_acceptance_law(self):
-        # per-qubit overlaps multiply; enumeration fixes the per-qubit law
+        # per-qubit overlaps multiply; the record law fixes the per-qubit law
         overlap = 0.25
         angle = 2 * math.acos(math.sqrt(overlap))
         phi = q.apply_gate(q.new_state(1), q.ry(angle, 0))
-        per_qubit = sum(
-            p for t, p in q.enumerate_trajectories(phi, SMALL) if t.accepted)
+        per_qubit = accepted_mass(abs(phi.amplitudes[0]) ** 2, SMALL)
         assert per_qubit == pytest.approx(overlap, abs=1e-12)
 
         params = OtpParams.random(2, RandomStream(64))
@@ -327,13 +327,10 @@ class TestUnlock:
     def test_strict_never_accepts_more_than_default(self):
         angle = 2 * math.acos(math.sqrt(0.5))
         probe1 = q.apply_gate(q.new_state(1), q.ry(angle, 0))
-        default_mass = sum(
-            p for t, p in q.enumerate_trajectories(probe1, SMALL) if t.accepted)
-        strict_params = VerificationParams(SMALL.theta, SMALL.iterations,
-                                           q.STRICT_ABORT)
-        strict_mass = sum(
-            p for t, p in q.enumerate_trajectories(probe1, strict_params)
-            if t.accepted)
+        alpha_sq = abs(probe1.amplitudes[0]) ** 2
+        default_mass = accepted_mass(alpha_sq, SMALL)
+        strict_mass = accepted_mass(alpha_sq, VerificationParams(
+            SMALL.theta, SMALL.iterations, q.STRICT_ABORT))
         assert strict_mass <= default_mass + 1e-15
 
 

@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlocker as q
 from qlocker import RandomStream, VerificationParams
 from qlocker.verification import sample_acceptance_runs
-from conftest import random_qubit_state
+from conftest import accepted_mass, every_record, random_qubit_state
 from oracles import perturbation_step, reference_acceptance_runs
 
 # the largest theta below pi/2: sin^2(theta) rounds to 1.0 there
@@ -63,42 +64,48 @@ def threshold_draws(alpha_sq, theta, iterations, strict):
     return list(np.array(columns).T), np.array(accept)
 
 
-def brute_force_acceptance(alpha_sq: float, theta: float, iterations: int,
-                           strict: bool = False) -> float:
-    """Path-sum oracle, written independently of the library's tree walk.
+def brute_force_records(alpha_sq: float, theta: float, iterations: int,
+                        strict: bool = False) -> dict[str, float]:
+    """Path-sum oracle, written independently of the library's closed form.
 
     Enumerates every ancilla outcome tuple with plain-float products of the
     per-step conditional probabilities, tracking the collapsed state as its
-    P(|0>), and accumulates the probability of an accepting run.  Clicked
-    paths contribute nothing under the strict policy, so enumerating full
-    tuples (rather than truncated prefixes) cannot double count.
+    P(|0>), and gives the probability of each record as ``box_records``
+    writes it.  A strict record ends at its first click, so of the tuples
+    that share its prefix only the one with no later click is counted.
     """
     sin_sq = math.sin(theta) ** 2
     cos_sq = math.cos(theta) ** 2
-    total = 0.0
+    records: dict[str, float] = {}
     for path in itertools.product((0, 1), repeat=iterations):
-        prob = 1.0
-        a2 = alpha_sq
-        clicked = False
-        dead = False
+        if strict and 1 in path and 1 in path[path.index(1) + 1:]:
+            continue
+        prob, a2, steps = 1.0, alpha_sq, ""
         for outcome in path:
+            steps += str(outcome)
             p1 = a2 * sin_sq
             if outcome == 1:
-                if p1 == 0.0:
-                    dead = True
-                    break
                 prob *= p1
                 a2 = 1.0
-                clicked = True
                 if strict:
                     break
             else:
-                prob *= 1.0 - p1
-                a2 = a2 * cos_sq / (1.0 - p1)
-        if dead or (strict and clicked):
-            continue
-        total += prob * a2  # closing measurement lands on 0
-    return total
+                # not 1 - p1, which is 0 where sin^2 rounds to 1
+                p0 = a2 * cos_sq + (1.0 - a2)
+                prob *= p0
+                a2 = a2 * cos_sq / p0
+        for final, p_final in (("0", a2), ("1", 1.0 - a2)):
+            records[steps + final] = prob * p_final
+    return records
+
+
+def brute_force_acceptance(alpha_sq: float, theta: float, iterations: int,
+                           strict: bool = False) -> float:
+    """The accepted records' mass: a readout of 0, after no click if
+    ``strict``."""
+    return sum(p for record, p in brute_force_records(
+        alpha_sq, theta, iterations, strict).items()
+        if record[-1] == "0" and not (strict and "1" in record))
 
 
 class TestParams:
@@ -262,74 +269,243 @@ class TestAcceptanceProbability:
 
 class TestEnumeration:
     def test_one_state_single_path(self):
-        results = q.enumerate_trajectories(
-            q.basis_state("1"), VerificationParams(theta=0.2, iterations=2))
-        assert len(results) == 1
-        traj, prob = results[0]
-        assert traj.ancilla_outcomes == [0, 0]
-        assert traj.final_system_outcome == 1
-        assert prob == pytest.approx(1.0, abs=1e-15)
+        params = VerificationParams(theta=0.2, iterations=2)
+        law = {r: q.record_probability(r, 0.0, params)
+               for r in every_record(2, False)}
+        assert {r for r, p in law.items() if p} == {"001"}
+        assert law["001"] == 1.0
 
     def test_zero_state_two_paths(self):
-        results = q.enumerate_trajectories(
-            q.new_state(1), VerificationParams(theta=0.2, iterations=1))
-        by_path = {tuple(t.ancilla_outcomes): p for t, p in results}
-        assert by_path[(0,)] == pytest.approx(math.cos(0.2) ** 2, abs=1e-15)
-        assert by_path[(1,)] == pytest.approx(math.sin(0.2) ** 2, abs=1e-15)
-        assert all(t.final_system_outcome == 0 for t, _ in results)
+        params = VerificationParams(theta=0.2, iterations=1)
+        law = {r: q.record_probability(r, 1.0, params)
+               for r in every_record(1, False)}
+        assert law["00"] == pytest.approx(math.cos(0.2) ** 2, abs=1e-15)
+        assert law["10"] == pytest.approx(math.sin(0.2) ** 2, abs=1e-15)
+        assert law["01"] == law["11"] == 0.0  # |0> never reads out 1
 
     def test_plus_state_accept_mass(self):
-        plus = q.StateVector(1, np.array([1, 1]) / math.sqrt(2))
-        results = q.enumerate_trajectories(
-            plus, VerificationParams(theta=0.1, iterations=3))
-        accept = sum(p for t, p in results if t.accepted)
+        accept = accepted_mass(0.5, VerificationParams(theta=0.1, iterations=3))
         assert accept == pytest.approx(0.5, abs=1e-12)
 
     def test_probabilities_sum_to_one(self, np_rng):
         for _ in range(10):
-            state = random_qubit_state(np_rng)
-            results = q.enumerate_trajectories(
-                state, VerificationParams(theta=0.7, iterations=6))
-            assert sum(p for _, p in results) == pytest.approx(1.0, abs=1e-12)
+            alpha_sq = abs(random_qubit_state(np_rng).amplitudes[0]) ** 2
+            for policy in q.verification.CLICK_POLICIES:
+                params = VerificationParams(0.7, 6, policy)
+                total = sum(q.record_probability(r, alpha_sq, params)
+                            for r in every_record(6, policy == q.STRICT_ABORT))
+                assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_strict_paths_truncate_at_click(self):
-        results = q.enumerate_trajectories(
-            q.new_state(1),
-            VerificationParams(theta=0.3, iterations=4,
-                               click_policy=q.STRICT_ABORT))
-        for traj, _ in results:
-            if traj.clicked():
-                assert traj.ancilla_outcomes[-1] == 1
-                assert traj.ancilla_outcomes.count(1) == 1
-                assert not traj.accepted
-        assert sum(p for _, p in results) == pytest.approx(1.0, abs=1e-12)
+        params = VerificationParams(theta=0.3, iterations=4,
+                                    click_policy=q.STRICT_ABORT)
+        law = {r: q.record_probability(r, 1.0, params)
+               for r in every_record(4, True)}
+        for record in every_record(4, False):
+            if record not in law:  # runs on past its click
+                assert q.record_probability(record, 1.0, params) == 0.0
+        assert all(law["0" * j + "10"] > 0.0 for j in range(4))
+        assert law["00001"] == 0.0
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_capacity_limit(self):
-        with pytest.raises(q.CapacityError):
-            q.enumerate_trajectories(q.new_state(1),
-                                     VerificationParams(iterations=17))
-
-    def test_matches_run_verification_distribution(self):
-        # sampled full-simulator runs against exact path probabilities
+    def test_matches_run_box_distribution(self):
+        # sampled full-simulator runs against exact record probabilities
         state = q.StateVector(1, [math.cos(0.6), math.sin(0.6)])
         params = VerificationParams(theta=0.5, iterations=3)
-        exact = {
-            (t.outcomes_bitstring(), t.final_system_outcome): p
-            for t, p in q.enumerate_trajectories(state, params)
-        }
+        exact = {r: q.record_probability(r, math.cos(0.6) ** 2, params)
+                 for r in every_record(3, False)}
         runs = 4000
         root = RandomStream(55)
-        tally: dict[tuple[str, int], int] = {}
+        tally: dict[str, int] = {}
         for i in range(runs):
             traj, _ = q.run_box(state, 0, params, root.substream(i))
-            key = (traj.outcomes_bitstring(), traj.final_system_outcome)
+            key = traj.outcomes_bitstring() + str(traj.final_system_outcome)
             tally[key] = tally.get(key, 0) + 1
-        assert set(tally) <= set(exact)
+        assert all(exact[key] > 0.0 for key in tally)
         for key, prob in exact.items():
             if prob < 0.01:
                 continue
             seen = tally.get(key, 0) / runs
             assert abs(seen - prob) < 4 * math.sqrt(prob * (1 - prob) / runs)
+
+
+class TestRecordProbability:
+    def test_matches_the_path_sum_oracle(self):
+        rng = np.random.default_rng(31)
+        thetas = [1e-3, *rng.uniform(0.0, math.pi / 2, 3), NEAR_RIGHT_ANGLE]
+        for theta, iterations, policy in itertools.product(
+                thetas, range(9), q.verification.CLICK_POLICIES):
+            params = VerificationParams(theta, iterations, policy)
+            strict = policy == q.STRICT_ABORT
+            for alpha_sq in (0.0, 1.0, *rng.uniform(0.0, 1.0, 2)):
+                oracle = brute_force_records(alpha_sq, theta, iterations,
+                                             strict)
+                for record, want in oracle.items():
+                    got = q.record_probability(record, alpha_sq, params)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (
+                        record, alpha_sq, params)
+                total = sum(q.record_probability(r, alpha_sq, params)
+                            for r in every_record(iterations, strict))
+                assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("policy", (q.PAPER_DEFAULT, q.STRICT_ABORT))
+    def test_quiet_record_is_the_strict_acceptance(self, policy):
+        for theta, iterations, alpha_sq in itertools.product(
+                (1e-3, 0.1, 1.2, NEAR_RIGHT_ANGLE), (0, 1, 38, 10_000),
+                (0.0, 0.3, 0.5, 1.0)):
+            strict = VerificationParams(theta, iterations, q.STRICT_ABORT)
+            quiet = "0" * (iterations + 1)
+            assert q.record_probability(
+                quiet, alpha_sq, VerificationParams(theta, iterations, policy)
+            ) == q.acceptance_probability(alpha_sq, strict)
+
+    @pytest.mark.parametrize("policy", (q.PAPER_DEFAULT, q.STRICT_ABORT))
+    def test_impossible_records_have_probability_zero(self, policy):
+        params = VerificationParams(0.3, 4, policy)
+        for record in ("0", "0000", "000000", "01001", "00011", "1" * 6):
+            assert q.record_probability(record, 0.5, params) == 0.0
+        cut = "010"  # a strict record, cut at its click
+        assert (q.record_probability(cut, 0.5, params) > 0.0) == (
+            policy == q.STRICT_ABORT)
+
+    def test_domain_errors(self):
+        params = VerificationParams(0.3, 2)
+        for record in ("", "012", "0a0", " 000", "00 0"):
+            with pytest.raises(ValueError, match="0s and 1s"):
+                q.record_probability(record, 0.5, params)
+        tol = q.statevector.NORM_TOL
+        for alpha_sq in (-2 * tol, 1.0 + 2 * tol, math.nan, 1.5):
+            with pytest.raises(ValueError, match="alpha_sq"):
+                q.record_probability("000", alpha_sq, params)
+        # a rounding error past [0, 1] reads as the endpoint
+        assert q.record_probability("001", 1.0 + tol / 2, params) == 0.0
+        assert q.record_probability("001", -tol / 2, params) == 1.0
+
+
+# the sampled box against the law: (N, theta, shots) at the paper's box and
+# at boxes 5 and 26 times as long, on a state with unequal weights and a
+# relative phase
+LAW_BOXES = [(38, 0.1, 8192), (200, 0.1, 4000), (1000, 0.05, 1000)]
+LAW_STATE = q.StateVector(1, [math.sqrt(0.6), 1j * math.sqrt(0.4)])
+ALPHA_SQ = abs(LAW_STATE.amplitudes[0]) ** 2
+
+
+@pytest.fixture(scope="module", ids=lambda p: f"N{p[0][0]}-{p[1]}", params=[
+    (box, policy) for box in LAW_BOXES
+    for policy in (q.PAPER_DEFAULT, q.STRICT_ABORT)])
+def sampled_box(request):
+    """The shipped box (``box_shots``) on ``LAW_STATE``, its rows joined
+    across blocks, with each shot's draws and its first click step (N for
+    none)."""
+    (iterations, theta, shots), policy = request.param
+    params = VerificationParams(theta, iterations, policy)
+    blocks = [box for (box,) in q.box_shots(LAW_STATE, params,
+                                            RandomStream(2024), range(shots))]
+    box = q.verification.BoxRows(*map(np.concatenate, zip(*blocks)))
+    uniforms = RandomStream(2024).shot_uniforms(range(shots), iterations + 1)
+    clicked = box.outcomes.any(axis=1)
+    first = np.where(clicked, box.outcomes.argmax(axis=1), iterations)
+    return params, box, uniforms, first
+
+
+def closed_form(params, first):
+    """Each row's click probabilities ``(R, N)`` and the P(0) its readout
+    reads: ``a_j sin^2`` up to the first click, with
+    ``a_j = alpha^2 cos^2j / (alpha^2 cos^2j + beta^2)``, and ``sin^2``
+    after it; ``a_N`` after no click, 1 after one."""
+    sin_sq = math.sin(params.theta) ** 2
+    weight = ALPHA_SQ * math.cos(params.theta) ** (
+        2 * np.arange(params.iterations + 1))
+    a = weight / (weight + (1.0 - ALPHA_SQ))
+    steps = np.arange(params.iterations)
+    p1 = np.where(steps <= first[:, None], a[:-1] * sin_sq, sin_sq)
+    return p1, np.where(first == params.iterations, a[-1], 1.0)
+
+
+def first_click_law(params) -> np.ndarray:
+    """P(first click at step j) for j < N, then P(no click) read out as 0
+    and as 1: the law of the strict record, which ends at its first
+    click."""
+    strict = VerificationParams(params.theta, params.iterations,
+                                q.STRICT_ABORT)
+    return np.array([q.record_probability(r, ALPHA_SQ, strict)
+                     for r in every_record(params.iterations, True)])
+
+
+def chi_square_pvalue(observed, expected) -> float:
+    """Pearson's test, adjacent bins merged in order until each expects at
+    least 5 counts (a short last run joins the bin before it)."""
+    bins, obs, exp = [], 0, 0.0
+    for o, e in zip(observed, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= 5.0:
+            bins.append([obs, exp])
+            obs, exp = 0, 0.0
+    bins[-1][0] += obs
+    bins[-1][1] += exp
+    observed, expected = np.array(bins).T
+    return scipy.stats.chisquare(observed, expected).pvalue
+
+
+class TestSampledBoxLaw:
+    """The shipped sampled box against :func:`record_probability`'s law at
+    N = 38, 200 and 1000, under both policies."""
+
+    def test_step_p1_is_the_closed_form(self, sampled_box):
+        params, box, _, first = sampled_box
+        p1, _ = closed_form(params, first)
+        read = np.arange(params.iterations) < box.steps[:, None]
+        np.testing.assert_allclose(box.step_p1[read], p1[read], rtol=1e-12)
+
+    def test_every_record_is_possible(self, sampled_box):
+        params, box, _, _ = sampled_box
+        for record in set(q.box_records(box)):
+            assert q.record_probability(record, ALPHA_SQ, params) > 0.0, record
+
+    def test_records_replay_their_draws(self, sampled_box):
+        # weak step j clicks on column j's draw, and the readout reads 1 on
+        # column N's, each at the law's threshold: a box that reads another
+        # column of its window, or another law, records other bits
+        params, box, uniforms, first = sampled_box
+        p1, p0_final = closed_form(params, first)
+        n = params.iterations
+        cut = params.click_policy == q.STRICT_ABORT and first < n
+        np.testing.assert_array_equal(box.steps, np.where(cut, first + 1, n))
+        read = np.arange(n) < box.steps[:, None]
+        np.testing.assert_array_equal(
+            box.outcomes[read], (uniforms[:, :n] >= 1.0 - p1)[read])
+        np.testing.assert_array_equal(box.final, uniforms[:, n] >= p0_final)
+
+    def test_first_clicks_fit_the_law(self, sampled_box):
+        # bins: a first click at step 0 .. N-1, then no click read out as 0
+        # and as 1
+        params, box, _, first = sampled_box
+        n, shots = params.iterations, len(first)
+        quiet = first == n
+        observed = [*np.bincount(first[~quiet], minlength=n),
+                    np.sum(quiet & ~box.final), np.sum(quiet & box.final)]
+        law = first_click_law(params)
+        assert chi_square_pvalue(observed, shots * law) > 1e-3
+
+    def test_clicks_after_the_first_fit_the_law(self, sampled_box):
+        # bins: k = 0 .. N-1 clicks after the first, then no click; after
+        # a click at step j each of the N-1-j later steps clicks with
+        # sin^2, and a strict record has none
+        params, box, _, first = sampled_box
+        n, shots = params.iterations, len(first)
+        read = np.arange(n) < box.steps[:, None]
+        later = (box.outcomes * read).sum(axis=1) - 1
+        quiet = first == n
+        observed = [*np.bincount(later[~quiet], minlength=n), np.sum(quiet)]
+        steps = np.arange(n)
+        trials = (n - 1 - steps if params.click_policy == q.PAPER_DEFAULT
+                  else np.zeros_like(steps))
+        # row j, column k: k later clicks after a first click at step j
+        later_law = scipy.stats.binom.pmf(steps, trials[:, None],
+                                          math.sin(params.theta) ** 2)
+        first_law = first_click_law(params)
+        law = [*first_law[:n] @ later_law, first_law[n:].sum()]
+        assert chi_square_pvalue(observed, shots * np.array(law)) > 1e-3
 
 
 class TestPerturbationStep:
