@@ -73,7 +73,6 @@ from .verification import (
     acceptance_probability,
     box_records,
     box_shots,
-    iterate_once,
     record_probability,
     run_box,
     trajectory_record,

@@ -10,11 +10,15 @@ A batch of shots keeps that contract by drawing each shot's uniforms up
 front: :meth:`RandomStream.shot_uniforms` gives shot ``i`` the first ``k``
 draws of sub-stream ``(seed, i)``, the same doubles ``k`` calls of
 :meth:`RandomStream.random` on that sub-stream return.  It builds no
-per-shot generator: it evaluates numpy's ``SeedSequence`` spawn and
-Philox4x64-10 (Salmon et al., SC 2011) as array arithmetic over the shot
-axis.  Nothing but its bit-equality test against numpy's own generators
-ties it to numpy's algorithms, so that test pins it to the numpy version
-the tests run with.
+per-shot generator.  It takes this stream's own ``SeedSequence`` pool, runs
+the spawn's last entropy word, the shot index, and ``generate_state`` as
+one ``(4, S)`` uint32 pass, then Philox4x64-10 (Salmon et al., SC 2011) on
+stacked lane pairs: counter words ``(c0, c2)`` in one ``(2, blocks, S)``
+uint64 array and ``(c1, c3)`` in another, the shot axis last, so that each
+of its ufunc calls (18 a round) loops over the shots.  Only its
+bit-equality tests against numpy's own generators tie that arithmetic to
+numpy's algorithms, so those tests pin it to the numpy version they run
+with.
 """
 
 from __future__ import annotations
@@ -27,33 +31,31 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# Philox4x64: round multipliers, Weyl key increments, rounds
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64-10: the multipliers of the lane pair (c0, c2), their 32-bit
+# halves, the Weyl increments of the key pair, and the rounds
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                     dtype=np.uint64)[:, None, None]
+_M_LO, _M_HI = _PHILOX_M & _M32, _PHILOX_M >> 32
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                     dtype=np.uint64)[:, None, None]
 _ROUNDS = 10
 
 
-def _words(value: int) -> list[int]:
-    """uint32 words of a non-negative int, least significant first."""
-    words = [value & _M32]
-    while value := value >> 32:
-        words.append(value & _M32)
-    return words
+def _n_words(value: int) -> int:
+    """How many uint32 entropy words SeedSequence makes of an int >= 0."""
+    return max(1, -(-value.bit_length() // 32))
 
 
-def _mix(x, y):
-    """SeedSequence's ``mix``; ints or uint32 arrays (which wrap)."""
-    result = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
-    return result ^ (result >> 16)
+def _hash_consts(init: int, mult: int, step: int) -> np.ndarray:
+    """SeedSequence's hash constant at hashmix calls ``step`` to ``step +
+    4``, a (5, 1) uint32 column: call ``step + j`` xors with row ``j`` and
+    multiplies by row ``j + 1``."""
+    return np.array([init * pow(mult, step + j, 1 << 32) & _M32
+                     for j in range(_POOL + 1)], dtype=np.uint32)[:, None]
 
 
-def _mulhi(a: int, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of ``a * b``, from the 32-bit halves."""
-    a_lo, a_hi = a & _M32, a >> 32
-    b_lo, b_hi = b & _M32, b >> 32
-    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
-    carry = ((a_lo * b_lo) >> 32) + (lo_hi & _M32) + (hi_lo & _M32)
-    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32)
+# generate_state's hash constants, the same for every pool
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0)
 
 
 class RandomStream:
@@ -77,6 +79,9 @@ class RandomStream:
         Computed for all shots at once, bit for bit what
         ``substream(i).randoms(k)`` returns; this stream does not advance.
         Shot indices must be in ``[0, 2**32)``, one spawn-key word each.
+        The result is a view of the ``(S, 4 * ceil(k / 4))`` doubles of
+        whole Philox blocks, written there straight from the lanes; a
+        call's peak memory is about four times the result.
         """
         ends = (shots[0], shots[-1]) if shots else (0,)
         if min(ends) < 0 or max(ends) > _M32:
@@ -84,56 +89,65 @@ class RandomStream:
         index = np.arange(shots.start, shots.stop, shots.step,
                           dtype=np.int64).astype(np.uint32)
 
-        # SeedSequence(seed, spawn_key=path + (i,)): the seed's words padded
-        # to the pool, then the path's, then i.  The hash constant advances
-        # the same way whatever the words, so only i's four mixing steps run
-        # over the shot axis (uint32 arrays, which wrap as numpy's C does).
-        seed_words = _words(self.seed)
-        entropy = (seed_words + [0] * (_POOL - len(seed_words))
-                   + [w for p in self.path for w in _words(p)] + [index])
-        hash_const = _INIT_A
+        # SeedSequence(seed, spawn_key=path + (i,)) is this stream's own
+        # SeedSequence with one more entropy word, i: its pool, each word
+        # mixed with one more hashmix of i (hashmix calls 4n to 4n + 3 for
+        # entropy word n, the seed's words padded to the pool).  That and
+        # generate_state(2, uint64) run as one (4, S) uint32 pass over the
+        # buffers h and t; the key words are state words 0|1 and 2|3.
+        n = max(_n_words(self.seed), _POOL) + sum(map(_n_words, self.path))
+        consts = _hash_consts(_INIT_A, _MULT_A, 4 * n)
+        pool = self._gen.bit_generator.seed_seq.pool[:, None]
+        h, t = np.empty((2, _POOL, len(shots)), np.uint32)
+        np.bitwise_xor(index, consts[:-1], out=h)
+        h *= consts[1:]
+        h ^= np.right_shift(h, 16, out=t)
+        h *= _MIX_R
+        np.subtract(pool * _MIX_L, h, out=h)
+        h ^= np.right_shift(h, 16, out=t)
+        h ^= _STATE_CONSTS[:-1]
+        h *= _STATE_CONSTS[1:]
+        h ^= np.right_shift(h, 16, out=t)
+        keys = (np.left_shift(h[1::2], 32, dtype=np.uint64) | h[0::2])[:, None]
 
-        def hashmix(value):
-            nonlocal hash_const
-            value = value ^ hash_const
-            hash_const = hash_const * _MULT_A & _M32
-            value = value * hash_const & _M32
-            return value ^ (value >> 16)
-
-        pool = [hashmix(w) for w in entropy[:_POOL]]
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[_POOL:]:
-            pool = [_mix(p, hashmix(word)) for p in pool]
-
-        # generate_state(2, uint64): four uint32 words, two Philox key words
-        state = []
-        hash_const = _INIT_B
-        for p in pool:
-            p = p ^ hash_const
-            hash_const = hash_const * _MULT_B & _M32
-            p = p * hash_const
-            state.append((p ^ (p >> 16)).astype(np.uint64))
-        key0 = (state[0] | state[1] << 32)[:, None]
-        key1 = (state[2] | state[3] << 32)[:, None]
-
-        # Philox4x64-10: numpy bumps the counter before its first block, so
-        # block b of a shot has the counter (b + 1, 0, 0, 0)
-        c0 = np.arange(1, -(-k // 4) + 1, dtype=np.uint64)[None, :]
-        c1 = c2 = c3 = np.zeros_like(c0)
-        for r in range(_ROUNDS):
-            if r:
-                key0 = key0 + np.uint64(_PHILOX_W[0])
-                key1 = key1 + np.uint64(_PHILOX_W[1])
-            c0, c1, c2, c3 = (_mulhi(_PHILOX_M[1], c2) ^ c1 ^ key0,
-                              c2 * np.uint64(_PHILOX_M[1]),
-                              _mulhi(_PHILOX_M[0], c0) ^ c3 ^ key1,
-                              c0 * np.uint64(_PHILOX_M[0]))
-        blocks = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
-        raw = blocks.reshape(len(shots), 4 * c0.shape[1])[:, :k]
-        return (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        # Philox4x64-10 on lane pairs, shot axis last: a holds (c0, c2) and
+        # b holds (c1, c3), each (2, blocks, S).  numpy bumps the counter
+        # before its first block, so block b of a shot starts at (b + 1, 0,
+        # 0, 0).  A round multiplies a by (M0, M1); the next (c0, c2) is
+        # hi(M1 c2, M0 c0) ^ (c1, c3) ^ key and the next (c1, c3) is
+        # lo(M1 c2, M0 c0), so each product crosses the pair through a
+        # [::-1] view, and lo is written straight into the next b.
+        blocks = -(-k // 4)
+        a, b, lo, t1, t2, t3 = np.zeros((6, 2, blocks, len(shots)), np.uint64)
+        a[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+        for _ in range(_ROUNDS):
+            np.multiply(a, _PHILOX_M, out=lo[::-1])
+            # mulhi from 32-bit halves: t = hl + (ll >> 32),
+            # w = (t & M32) + lh, hi = hh + (t >> 32) + (w >> 32)
+            np.bitwise_and(a, _M32, out=t1)
+            a >>= 32
+            np.multiply(t1, _M_HI, out=t2)
+            t1 *= _M_LO
+            t1 >>= 32
+            t2 += t1
+            np.multiply(a, _M_LO, out=t1)
+            a *= _M_HI
+            np.bitwise_and(t2, _M32, out=t3)
+            t3 += t1
+            t2 >>= 32
+            t3 >>= 32
+            a += t2
+            a += t3
+            b ^= a[::-1]
+            b ^= keys
+            keys += _PHILOX_W
+            a, b, lo = b, lo, a
+        # each block's words c0, c1, c2, c3 go straight into the doubles
+        out = np.empty((len(shots), blocks, 4))
+        for lanes, words in ((a, out[..., 0::2]), (b, out[..., 1::2])):
+            lanes >>= 11
+            np.multiply(lanes.T, 2.0 ** -53, out=words)
+        return out.reshape(len(shots), 4 * blocks)[:, :k]
 
     def random(self) -> float:
         """Next uniform double in [0, 1)."""

@@ -252,22 +252,6 @@ def run_box(state: StateVector, k: int, params: VerificationParams,
     return trajectory, StateVector(state.n_qubits, amps[0])
 
 
-def iterate_once(system: StateVector, params: VerificationParams,
-                 rng: RandomStream) -> tuple[int, StateVector, float]:
-    """One iteration of the box on a single-qubit system.
-
-    Returns ``(outcome, new_system, p1)`` where ``p1`` is the pre-measurement
-    click probability of this step.  On a click the system is projected onto
-    |0> (up to a global phase).
-    """
-    if system.n_qubits != 1:
-        raise ValueError("the verification box acts on a single-qubit system")
-    click, probs, amps = _measure_rows(system.amplitudes[None], 0,
-                                       _weak_step(params.theta),
-                                       rng.randoms(1))
-    return int(click[0]), StateVector(1, amps[0]), float(probs[1, 0])
-
-
 def acceptance_probability(alpha_sq: float,
                            params: VerificationParams) -> float:
     """Exact probability that a run accepts, given P(|0>) of the input.
@@ -346,7 +330,7 @@ def sample_acceptance_runs(alpha_sq: float, params: VerificationParams,
     either policy.  This is the one exception to the per-shot draw contract:
     run ``i``'s draws come from one stream per call and depend on ``runs``,
     not from sub-stream ``i``.  Drawing each run's numbers from its own
-    sub-stream with ``shot_uniforms`` takes over ten times as long.
+    sub-stream with ``shot_uniforms`` takes about ten times as long.
     """
     if not 0.0 <= alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq must be in [0, 1], got {alpha_sq}")

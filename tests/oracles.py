@@ -24,6 +24,8 @@ one P(|0>) per run, every step a fresh set of arrays, as the in-place
 :func:`qlocker.verification.sample_acceptance_runs` must reproduce from
 the same draws.
 
+``iterate_once`` is one iteration of the box on a single-qubit system:
+the box's kernel step run once, as the coupling circuit must reproduce.
 ``perturbation_step`` is the closed-form no-click collapse of one box
 iteration, and ``otp_consumed_check`` tells whether a presented password
 register has been measured out.
@@ -40,6 +42,7 @@ from qlocker import (
     STRICT_ABORT,
     Measurement,
     RandomStream,
+    StateVector,
     Trajectory,
     apply_gate,
     apply_inverse_rotation,
@@ -52,6 +55,8 @@ from qlocker import (
     qubit_probabilities,
     x,
 )
+from qlocker.statevector import _measure_rows
+from qlocker.verification import _weak_step
 
 
 def reference_shot_uniforms(stream, shots, k):
@@ -185,6 +190,21 @@ def reference_acceptance_runs(alpha_sq, params, runs, rng):
     if params.click_policy == STRICT_ABORT:
         return final_zero & ~clicked
     return final_zero
+
+
+def iterate_once(system, params, rng):
+    """One iteration of the box on a single-qubit system.
+
+    Returns ``(outcome, new_system, p1)`` where ``p1`` is the pre-measurement
+    click probability of this step.  On a click the system is projected onto
+    |0> (up to a global phase).
+    """
+    if system.n_qubits != 1:
+        raise ValueError("the verification box acts on a single-qubit system")
+    click, probs, amps = _measure_rows(system.amplitudes[None], 0,
+                                       _weak_step(params.theta),
+                                       rng.randoms(1))
+    return int(click[0]), StateVector(1, amps[0]), float(probs[1, 0])
 
 
 def perturbation_step(alpha: complex, beta: complex,

