@@ -4,17 +4,12 @@ from .gates import (
     GateOp,
     build_controlled0_rx,
     cnot,
-    decompose_controlled0_rx,
-    gate_matrix,
     h,
-    phase_aligned_distance,
     rx,
     ry,
     rz,
     s,
     sdg,
-    sequence_matrix,
-    unitary,
     x,
     z,
 )
@@ -44,15 +39,12 @@ from .statevector import (
     combine,
     measure_qubit,
     new_state,
-    overlap,
-    qubit_probabilities,
     sample_shots,
 )
 from .teleport import (
     ChannelConsumedError,
     TeleportChannel,
     TeleportRecord,
-    enumerate_teleport_branches,
     make_bell_pair,
     open_channel,
     teleport,

@@ -146,6 +146,8 @@ _sweep_n = _in_range(int, 1, 8)
 
 
 def _out_path(text: str) -> str:
+    if not text:  # the directory of "" would read as "."
+        raise argparse.ArgumentTypeError(f"empty path {text!r}")
     if not os.path.isdir(os.path.dirname(text) or "."):
         raise argparse.ArgumentTypeError(f"no such directory for {text!r}")
     return text

@@ -79,9 +79,6 @@ class StateVector:
     def copy(self) -> StateVector:
         return StateVector(self.n_qubits, self.amplitudes.copy())
 
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
 
 def new_state(n_qubits: int) -> StateVector:
     """All-zeros register |0...0>."""
@@ -254,15 +251,6 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
                        _gate_rows(state.amplitudes[None], gate)[0])
 
 
-def qubit_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
-    """(P(qubit=0), P(qubit=1)) in the computational basis."""
-    if not 0 <= qubit < state.n_qubits:
-        raise IndexError(f"qubit {qubit} out of range")
-    probs = (np.abs(state.amplitudes) ** 2).reshape(1, -1, 2, 1 << qubit)
-    return (float(probs[:, :, 0, :].sum(axis=(1, 2))[0]),
-            float(probs[:, :, 1, :].sum(axis=(1, 2))[0]))
-
-
 # gates into the computational basis before a readout, and back after it
 _ROTATIONS = {"z": ((), ()), "x": ((h,), (h,)), "y": ((sdg, h), (h, s))}
 _PROJECTORS = np.eye(2, dtype=complex)
@@ -393,10 +381,3 @@ def sample_shots(n_qubits: int, ops: Sequence[CircuitOp], shots: int,
                 j += 1
         counts.update(_row_keys(bits, [k] * len(bits)))
     return CountsHistogram(shots=shots, counts=dict(counts))
-
-
-def overlap(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("states have different widths")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)

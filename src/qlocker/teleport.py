@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gates import cnot, h, x, z
 from .rng import RandomStream
 from .statevector import StateVector, apply_gate, combine, measure_qubit, new_state
@@ -70,23 +68,6 @@ def _sender_circuit(psi: StateVector, pair: StateVector) -> StateVector:
     return apply_gate(joint, h(0))
 
 
-def _received(block: np.ndarray, m1: int, m2: int) -> StateVector:
-    """The receiver's qubit from its two amplitudes ``block`` in branch
-    ``(m1, m2)``, corrected: X if ``m2``, then Z if ``m1``."""
-    received = StateVector(1, block)
-    if m2:
-        received = apply_gate(received, x(0))
-    if m1:
-        received = apply_gate(received, z(0))
-    return received
-
-
-def _branch(joint: StateVector, m1: int, m2: int) -> np.ndarray:
-    """The receiver's two amplitudes in branch ``(m1, m2)`` of ``joint``."""
-    base = m1 + (m2 << 1)
-    return joint.amplitudes[[base, base + 4]]
-
-
 def teleport(psi: StateVector, channel: TeleportChannel,
              rng: RandomStream) -> tuple[TeleportRecord, StateVector]:
     """Teleport a one-qubit state through ``channel``.
@@ -104,27 +85,16 @@ def teleport(psi: StateVector, channel: TeleportChannel,
     channel.consumed = True
     m1, _, joint = measure_qubit(joint, 0, "z", rng)
     m2, _, joint = measure_qubit(joint, 1, "z", rng)
-    received = _received(_branch(joint, m1, m2), m1, m2)
+    # the receiver's two amplitudes in branch (m1, m2)
+    base = m1 + (m2 << 1)
+    received = StateVector(1, joint.amplitudes[[base, base + 4]])
+    if m2:
+        received = apply_gate(received, x(0))
+    if m1:
+        received = apply_gate(received, z(0))
     # the measured source is left as a z eigenstate
     psi.amplitudes[:] = 0.0
     psi.amplitudes[m1] = 1.0
     record = TeleportRecord(channel.channel_id, (m1, m2))
     return record, received
 
-
-def enumerate_teleport_branches(
-        psi: StateVector) -> dict[tuple[int, int], tuple[float, StateVector]]:
-    """All four (m1, m2) branches with their probabilities and corrected states.
-
-    Pure analysis helper: forces each measurement pair by projection instead
-    of sampling, and consumes no channel.
-    """
-    joint = _sender_circuit(psi, make_bell_pair())
-    branches = {}
-    for m1 in (0, 1):
-        for m2 in (0, 1):
-            block = _branch(joint, m1, m2)
-            prob = float(np.vdot(block, block).real)
-            branches[(m1, m2)] = (prob,
-                                  _received(block / np.sqrt(prob), m1, m2))
-    return branches

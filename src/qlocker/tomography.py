@@ -45,9 +45,6 @@ class StokesVector:
         """Bloch vectors longer than 1 cannot come from a quantum state."""
         return self.norm() <= 1.0 + 1e-9
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -73,25 +70,12 @@ class DensityMatrix:
     def is_physical(self) -> bool:
         return bool(self.eigenvalues().min() >= -_EIGEN_TOL)
 
-    def stokes(self) -> StokesVector:
-        m = self.matrix
-        return StokesVector(
-            x=float(2 * m[0, 1].real),
-            y=float(-2 * m[0, 1].imag),
-            z=float((m[0, 0] - m[1, 1]).real),
-        )
-
     def tables(self) -> dict[str, list[list[float]]]:
         """Real/imaginary component tables for text or JSON emission."""
         return {
             "real": self.matrix.real.round(12).tolist(),
             "imag": self.matrix.imag.round(12).tolist(),
         }
-
-    @classmethod
-    def from_pure(cls, amplitudes) -> DensityMatrix:
-        v = np.asarray(amplitudes, dtype=complex)
-        return cls(np.outer(v, v.conj()))
 
 
 def stokes_from_counts(

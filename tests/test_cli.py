@@ -371,6 +371,19 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    "verify-demo", "converge", "locker-demo", "sweep"])
+def test_empty_out_is_a_usage_error(command, capsys):
+    # emit reads an empty --out as "no file", so "" must not parse
+    with pytest.raises(SystemExit) as err:
+        main([command, "--shots", "8", "--out", ""])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert "error:" in last and "--out" in last and "''" in last
+
+
 def test_overlap_one_reads_a_rounding_above_or_below_one(tmp_path):
     # the forced overlap comes back from a floating-point sum; it must
     # still be accepted by the analytic law

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import qlocker as q
-from qlocker.gates import HADAMARD, PAULI_X, is_unitary
+from qlocker.gates import HADAMARD, PAULI_X
+from oracles import (decompose_controlled0_rx, gate_matrix, is_unitary,
+                     phase_aligned_distance, sequence_matrix, unitary)
 
 
 def coupling_matrix(theta: float) -> np.ndarray:
@@ -45,17 +47,17 @@ class TestMatrices:
         gates = [
             q.x(0), q.h(0), q.s(0), q.sdg(0),
             q.rx(1.3, 0), q.ry(-2.1, 0), q.rz(0.7, 0),
-            q.unitary(HADAMARD @ PAULI_X, 0),
+            unitary(HADAMARD @ PAULI_X, 0),
             q.cnot(0, 1),
             q.x(2, controls=((0, 0), (1, 1))),
         ]
         for gate in gates:
             n = max(gate.qubits()) + 1
-            m = q.gate_matrix(gate, n)
+            m = gate_matrix(gate, n)
             assert np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) < 1e-10
 
     def test_matrix_is_built_once_and_read_only(self):
-        for gate in (q.x(0), q.z(0), q.rx(0.3, 0), q.unitary(HADAMARD, 0)):
+        for gate in (q.x(0), q.z(0), q.rx(0.3, 0), unitary(HADAMARD, 0)):
             assert gate.base_matrix() is gate.base_matrix()
             assert not gate.base_matrix().flags.writeable
 
@@ -72,7 +74,7 @@ class TestGateOpValidation:
             with pytest.raises(ValueError):
                 q.build_controlled0_rx(angle)
             with pytest.raises(ValueError):
-                q.decompose_controlled0_rx(angle)
+                decompose_controlled0_rx(angle)
 
     def test_negative_target(self):
         with pytest.raises(IndexError):
@@ -90,20 +92,20 @@ class TestGateOpValidation:
 
     def test_nonunitary_matrix_rejected(self):
         with pytest.raises(ValueError):
-            q.unitary([[1, 0], [0, 1.001]], 0)
+            unitary([[1, 0], [0, 1.001]], 0)
         with pytest.raises(ValueError):
-            q.unitary(np.eye(3), 0)
+            unitary(np.eye(3), 0)
 
 
 class TestCoupling:
     def test_matches_oracle_up_to_global_phase(self):
         for theta in (-3.0, -0.7, 0.0, 0.2, 1.1, math.pi / 2):
-            direct = q.gate_matrix(q.build_controlled0_rx(theta), 2)
-            assert q.phase_aligned_distance(coupling_matrix(theta), direct) < 1e-12
+            direct = gate_matrix(q.build_controlled0_rx(theta), 2)
+            assert phase_aligned_distance(coupling_matrix(theta), direct) < 1e-12
 
     def test_zero_angle_is_identity(self):
-        direct = q.gate_matrix(q.build_controlled0_rx(0.0), 2)
-        assert q.phase_aligned_distance(np.eye(4), direct) < 1e-15
+        direct = gate_matrix(q.build_controlled0_rx(0.0), 2)
+        assert phase_aligned_distance(np.eye(4), direct) < 1e-15
 
     def test_control_on_one_leaves_target_alone(self):
         state = q.basis_state("10")  # system |1>, ancilla |0>
@@ -114,35 +116,35 @@ class TestCoupling:
         state = q.basis_state("00")
         out = q.apply_gate(state, q.build_controlled0_rx(0.2))
         expected = np.array([math.cos(0.2), 0.0, -1j * math.sin(0.2), 0.0])
-        assert q.phase_aligned_distance(expected, out.amplitudes) < 1e-15
+        assert phase_aligned_distance(expected, out.amplitudes) < 1e-15
 
 
 class TestDecomposition:
     def test_uses_only_single_qubit_gates_and_cnot(self):
-        for gate in q.decompose_controlled0_rx(0.3):
+        for gate in decompose_controlled0_rx(0.3):
             assert len(gate.controls) <= 1
             if gate.controls:
                 assert gate.base_matrix() is PAULI_X
                 assert gate.controls[0][1] == 1
 
     def test_zero_angle_composes_to_identity(self):
-        seq = q.sequence_matrix(q.decompose_controlled0_rx(0.0), 2)
-        assert q.phase_aligned_distance(np.eye(4), seq) < 1e-12
+        seq = sequence_matrix(decompose_controlled0_rx(0.0), 2)
+        assert phase_aligned_distance(np.eye(4), seq) < 1e-12
 
     def test_matches_direct_gate_at_0p2(self):
-        direct = q.gate_matrix(q.build_controlled0_rx(0.2), 2)
-        seq = q.sequence_matrix(q.decompose_controlled0_rx(0.2), 2)
+        direct = gate_matrix(q.build_controlled0_rx(0.2), 2)
+        seq = sequence_matrix(decompose_controlled0_rx(0.2), 2)
         assert np.max(np.abs(direct - seq)) < 1e-12
 
     def test_grid_sweep_over_angle_range(self):
         for theta in np.linspace(-math.pi, math.pi, 100):
-            direct = q.gate_matrix(q.build_controlled0_rx(theta), 2)
-            seq = q.sequence_matrix(q.decompose_controlled0_rx(theta), 2)
-            assert q.phase_aligned_distance(direct, seq) < 1e-12
+            direct = gate_matrix(q.build_controlled0_rx(theta), 2)
+            seq = sequence_matrix(decompose_controlled0_rx(theta), 2)
+            assert phase_aligned_distance(direct, seq) < 1e-12
 
     def test_respects_explicit_qubit_placement(self):
-        direct = q.gate_matrix(q.build_controlled0_rx(0.9, control=2, target=0), 3)
-        seq = q.sequence_matrix(q.decompose_controlled0_rx(0.9, control=2, target=0), 3)
+        direct = gate_matrix(q.build_controlled0_rx(0.9, control=2, target=0), 3)
+        seq = sequence_matrix(decompose_controlled0_rx(0.9, control=2, target=0), 3)
         assert np.max(np.abs(direct - seq)) < 1e-12
 
 
@@ -163,7 +165,7 @@ class TestControlOnZeroDuality:
 
 def test_phase_aligned_distance_ignores_global_phase(np_rng):
     m = np_rng.normal(size=(4, 4)) + 1j * np_rng.normal(size=(4, 4))
-    assert q.phase_aligned_distance(m, np.exp(0.7j) * m) < 1e-12
+    assert phase_aligned_distance(m, np.exp(0.7j) * m) < 1e-12
 
 
 def format_matrix_dump(m: np.ndarray) -> str:

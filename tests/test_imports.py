@@ -1,16 +1,19 @@
-"""Every import in ``src/qlocker`` is used by the module that makes it.
+"""Every import in ``src/qlocker`` is used by the module that makes it,
+and every name the package re-exports is run by it or documented.
 
-No linter ships with the test extras, so this is a small ``ast`` check.
+No linter ships with the test extras, so these are small ``ast`` checks.
 ``from __future__`` imports are directives, and the package's
 ``__init__.py`` imports its submodules' names only to re-export them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qlocker"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def unused_imports(source: str, reexports: bool = False) -> list[str]:
@@ -50,3 +53,33 @@ def test_the_check_finds_an_unused_import():
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(),
                           reexports=path.name == "__init__.py") == []
+
+
+def unreached_exports(init: str, modules: list[str], readme: str) -> list[str]:
+    """Names that ``init`` re-exports (relative ``from . import``) which no
+    source in ``modules`` reads and no inline code span of ``readme``
+    holds."""
+    exported = [alias.asname or alias.name
+                for node in ast.walk(ast.parse(init))
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names]
+    read = {node.id for source in modules
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    documented = set(re.findall(r"`([^`\n]+)`", readme))
+    return sorted(name for name in exported
+                  if name not in read and name not in documented)
+
+
+def test_the_check_finds_an_unreached_export():
+    init = "from .a import run, shown, spare\n"
+    modules = ["def run():\n    pass\ndef spare():\n    spare = run()\n"]
+    assert unreached_exports(init, modules, "call `shown`, not shown") == [
+        "spare"]
+
+
+def test_every_export_is_run_or_documented():
+    modules = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"]
+    assert unreached_exports((PACKAGE / "__init__.py").read_text(), modules,
+                             README.read_text()) == []

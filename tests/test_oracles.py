@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import qlocker as q
 from qlocker import OtpParams, RandomStream, VerificationParams
 
-from oracles import ancilla_boxes, iterate_once, reference_unlock
+from oracles import (ancilla_boxes, iterate_once, qubit_probabilities,
+                     reference_unlock)
 
 ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                            database=None)
@@ -123,7 +124,7 @@ def test_iterate_once_is_the_coupling_circuit_bit_for_bit(theta, seed):
 
     joint = q.combine(system, q.new_state(1))
     joint = q.apply_gate(joint, q.build_controlled0_rx(theta, 0, 1))
-    want_p1 = q.qubit_probabilities(joint, 1)[1]
+    want_p1 = qubit_probabilities(joint, 1)[1]
     want, _, joint = q.measure_qubit(joint, 1, "z", RandomStream(seed))
     assert (outcome, p1) == (want, want_p1)
     np.testing.assert_array_equal(state.amplitudes,

@@ -6,6 +6,7 @@ import pytest
 import qlocker as q
 from qlocker import ChannelConsumedError, Measurement, RandomStream
 from conftest import random_qubit_state
+from oracles import enumerate_teleport_branches, overlap
 
 
 def test_bell_pair_amplitudes():
@@ -26,24 +27,24 @@ def test_teleport_computational_states():
     for bits in ("0", "1"):
         record, received = q.teleport(
             q.basis_state(bits), q.open_channel(), RandomStream(3))
-        assert q.overlap(q.basis_state(bits), received) == pytest.approx(
+        assert overlap(q.basis_state(bits), received) == pytest.approx(
             1.0, abs=1e-12)
 
 
 def test_teleport_plus_state():
     plus = q.apply_gate(q.new_state(1), q.h(0))
     _, received = q.teleport(plus.copy(), q.open_channel(), RandomStream(4))
-    assert q.overlap(plus, received) == pytest.approx(1.0, abs=1e-12)
+    assert overlap(plus, received) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_teleport_rotated_state_all_branches():
     params = q.OtpParams(((0.7, -1.2, 2.5),))
     psi = q.generate_otp(params)
-    branches = q.enumerate_teleport_branches(psi)
+    branches = enumerate_teleport_branches(psi)
     assert set(branches) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     for prob, received in branches.values():
         assert prob == pytest.approx(0.25, abs=1e-12)
-        assert q.overlap(psi, received) == pytest.approx(1.0, abs=1e-12)
+        assert overlap(psi, received) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_states_fidelity_one(np_rng):
@@ -52,7 +53,7 @@ def test_random_states_fidelity_one(np_rng):
         psi = random_qubit_state(np_rng)
         _, received = q.teleport(psi.copy(), q.open_channel(),
                                  root.substream(i))
-        assert q.overlap(psi, received) == pytest.approx(1.0, abs=1e-12)
+        assert overlap(psi, received) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_branch_uniformity_sampled():
