@@ -15,10 +15,12 @@ the spawn's last entropy word, the shot index, and ``generate_state`` as
 one ``(4, S)`` uint32 pass, then Philox4x64-10 (Salmon et al., SC 2011) on
 stacked lane pairs: counter words ``(c0, c2)`` in one ``(2, blocks, S)``
 uint64 array and ``(c1, c3)`` in another, the shot axis last, so that each
-of its ufunc calls (18 a round) loops over the shots.  Only its
-bit-equality tests against numpy's own generators tie that arithmetic to
-numpy's algorithms, so those tests pin it to the numpy version they run
-with.
+of its ufunc calls (18 a round) loops over the shots.  The doubles keep the
+shot axis last too: the result is the ``.T`` view of a ``(k, S)`` array
+whose row ``c`` holds every shot's draw ``c``, so a kernel step reads its
+draws as one contiguous row.  Only its bit-equality tests against numpy's
+own generators tie that arithmetic to numpy's algorithms, so those tests
+pin it to the numpy version they run with.
 """
 
 from __future__ import annotations
@@ -79,9 +81,11 @@ class RandomStream:
         Computed for all shots at once, bit for bit what
         ``substream(i).randoms(k)`` returns; this stream does not advance.
         Shot indices must be in ``[0, 2**32)``, one spawn-key word each.
-        The result is a view of the ``(S, 4 * ceil(k / 4))`` doubles of
-        whole Philox blocks, written there straight from the lanes; a
-        call's peak memory is about four times the result.
+        The result, of shape ``(S, k)``, is the ``.T`` view of the first
+        ``k`` rows of the C-contiguous ``(4 * ceil(k / 4), S)`` doubles of
+        whole Philox blocks, each lane written straight into its rows, so
+        column ``c`` is a contiguous row of draws.  A call's peak memory is
+        about four and a half times the result.
         """
         ends = (shots[0], shots[-1]) if shots else (0,)
         if min(ends) < 0 or max(ends) > _M32:
@@ -142,12 +146,13 @@ class RandomStream:
             b ^= keys
             keys += _PHILOX_W
             a, b, lo = b, lo, a
-        # each block's words c0, c1, c2, c3 go straight into the doubles
-        out = np.empty((len(shots), blocks, 4))
-        for lanes, words in ((a, out[..., 0::2]), (b, out[..., 1::2])):
+        # each block's words c0, c1, c2, c3 go straight into rows 4b to
+        # 4b + 3 of the doubles, the shot axis last in both
+        out = np.empty((blocks, 4, len(shots)))
+        for lanes, words in ((a, out[:, 0::2]), (b, out[:, 1::2])):
             lanes >>= 11
-            np.multiply(lanes.T, 2.0 ** -53, out=words)
-        return out.reshape(len(shots), 4 * blocks)[:, :k]
+            np.multiply(lanes.transpose(1, 0, 2), 2.0 ** -53, out=words)
+        return out.reshape(4 * blocks, len(shots))[:k].T
 
     def random(self) -> float:
         """Next uniform double in [0, 1)."""

@@ -5,15 +5,24 @@ basis index, so for two qubits the amplitude order is |00>, |10>, |01>, |11>
 when kets are written qubit-0-first.  All public operations preserve the
 norm to within 1e-10; measurement renormalizes explicitly.
 
-The kernels work on a leading shot axis: an array of shape ``(S, 2**n)``
-holds S registers of one circuit, one per row.  A gate is a strided
-``reshape`` view with one length-2 axis per gate qubit, its controls fixed
-as indices on their axes.  Every sampled outcome goes through one
-two-outcome kernel, ``_measure_rows(amps, qubit, kraus, uniforms)``: two
-Kraus operators, diagonal in z on one qubit's axis, and one uniform per
-row.  A projective x/y/z readout is that kernel with the projectors,
-between basis rotations (``_readout_rows``); the verification box
-(:mod:`qlocker.verification`) runs it with its own K0 and K1.
+The kernels take S registers of one circuit as the rows of an array of
+shape ``(S, 2**n)``, and hold them with the shot axis last: what they
+return is the ``.T`` view of a C-contiguous ``(2**n, S)`` array, so each of
+their ufuncs runs one contiguous loop over the shots, with the gate or
+Kraus entries as scalars.  They take rows in any layout (a ``.T`` view, a
+row-major array, or one register broadcast to every row) and give each row
+the bits it gets alone.  A gate is a ``reshape`` view with one length-2
+axis per gate qubit before the shot axis, its controls fixed as indices on
+their axes.  Every sampled outcome goes through one two-outcome kernel,
+``_measure_rows(amps, qubit, kraus, uniforms)``: two Kraus operators,
+diagonal in z on one qubit's axis, and one uniform per row.  Its outcome
+probabilities are summed in the order numpy sums one contiguous row: in
+plain order for 2 and 4 amplitudes, as a reduce over the amplitude axis of
+the shot-last array does, and pairwise from 8 up, where the kernel reduces
+a row-major copy instead (a strided reduce would sum in plain order and
+move the last bit).  A projective x/y/z readout is that kernel with the
+projectors, between basis rotations (``_readout_rows``); the verification
+box (:mod:`qlocker.verification`) runs it with its own K0 and K1.
 :func:`apply_gate` and :func:`measure_qubit` are the S = 1 calls.  One
 driver, ``_shot_rows``, turns shot indices into rows: fresh copies of a
 register, block by block, shot ``i`` drawing its uniforms up front from
@@ -211,22 +220,24 @@ def _n_qubits(amps: np.ndarray) -> int:
 
 
 def _gate_rows(amps: np.ndarray, gate: GateOp) -> np.ndarray:
-    """``gate`` applied to every row of ``amps`` (shape ``(S, 2**n)``)."""
+    """``gate`` applied to every row of ``amps`` (shape ``(S, 2**n)``), as
+    the ``.T`` view of a shot-last array."""
     n = _n_qubits(amps)
     qubits = gate.qubits()
     for q in qubits:
         if q >= n:
             raise IndexError(f"qubit {q} out of range for {n}-qubit state")
-    # one length-2 axis per gate qubit, the qubits between them merged;
-    # higher qubits are the slower-varying bits, so they come first
-    shape = [len(amps)]
+    # one length-2 axis per gate qubit, the qubits between them merged and
+    # the shot axis last; higher qubits are the slower-varying bits, so
+    # they come first
+    shape = []
     axis = {}
     top = n
     for q in sorted(qubits, reverse=True):
         shape += [1 << (top - q - 1), 2]
         axis[q] = len(shape) - 1
         top = q
-    shape.append(1 << top)
+    shape += [1 << top, len(amps)]
     index = [slice(None)] * len(shape)
     for q, v in gate.controls:
         index[axis[q]] = v
@@ -235,14 +246,14 @@ def _gate_rows(amps: np.ndarray, gate: GateOp) -> np.ndarray:
     index[axis[gate.target]] = 1
     i1 = tuple(index)
     m = gate.base_matrix()
-    src = amps.reshape(shape)
+    src = amps.T.reshape(shape)
     a0 = src[i0]
     a1 = src[i1]
-    out = amps.copy()
+    out = np.array(amps.T, order="C")
     view = out.reshape(shape)
     view[i0] = m[0, 0] * a0 + m[0, 1] * a1
     view[i1] = m[1, 0] * a0 + m[1, 1] * a1
-    return out
+    return out.T
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
@@ -281,24 +292,37 @@ def _measure_rows(amps: np.ndarray, qubit: int, kraus: np.ndarray,
     ``K_b`` with ``p_b = |K_b a|^2``; outcome 1 is picked when
     ``uniforms[i] >= p0 / (p0 + p1)``, and the picked branch is
     renormalized.  Returns per row the outcome (as bool), ``(p0, p1)``
-    (shape ``(2, S)``) and the new row.
+    (shape ``(2, S)``) and the new row, the rows as the ``.T`` view of a
+    shot-last array.
     """
     if not 0 <= qubit < _n_qubits(amps):
         raise IndexError(f"qubit {qubit} out of range")
-    branches = kraus[:, None, :, None] * amps.reshape(-1, 2, 1 << qubit)
-    branches = branches.reshape(2, *amps.shape)
-    probs = np.add.reduce(np.abs(branches) ** 2, axis=2)
-    p0, p1 = probs
-    if np.minimum.reduce(np.maximum(p0, p1)) < _UNDERFLOW:
+    branches = np.multiply(kraus.reshape(2, 1, 2, 1, 1),
+                           amps.T.reshape(-1, 2, 1 << qubit, len(amps)),
+                           order="C").reshape(2, -1, len(amps))
+    # |K_b a|^2 per amplitude, freed once summed so that it is not held
+    # beside the picked branch (holding both made every call on a wide
+    # register fault in fresh pages).  numpy sums a contiguous row of 8 or
+    # more amplitudes pairwise, and an axis it steps over in plain order:
+    # from 8 up, a row-major copy (no copy for one row) keeps each row's
+    # sum that of its own contiguous row (see the module docstring)
+    probs = np.abs(branches) ** 2
+    probs = (np.add.reduce(probs, axis=1) if amps.shape[1] < 8 else
+             np.add.reduce(np.ascontiguousarray(probs.swapaxes(1, 2)),
+                           axis=2))
+    p0, p1 = probs[0], probs[1]
+    total = p0 + p1
+    # a row whose p0 and p1 both underflow has a total below twice the bound
+    if (np.minimum.reduce(total) < 2 * _UNDERFLOW
+            and np.minimum.reduce(np.maximum(p0, p1)) < _UNDERFLOW):
         i = int(np.argmin(np.maximum(p0, p1)))
         raise FloatingPointError(
             f"both outcome probabilities underflow ({p0[i]:.3e}, {p1[i]:.3e})"
         )
-    total = p0 + p1
     click = uniforms >= p0 / total
-    out = np.where(click[:, None], branches[1], branches[0])
-    out /= np.sqrt(np.where(click, p1, p0) / total * total)[:, None]
-    return click, probs, out
+    out = np.where(click, branches[1], branches[0])
+    out /= np.sqrt(np.where(click, p1, p0) / total * total)
+    return click, probs, out.T
 
 
 def _readout_rows(amps: np.ndarray, op: Measurement,

@@ -148,36 +148,50 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     row ``r`` reading its window ``uniforms[r]`` of ``N + 1`` draws.
 
     Weak step ``j`` reads column ``j`` and the closing z readout, which runs
-    on every row, reads the last column.  Under the strict policy a row that
-    clicks leaves the weak steps: its register is kept bit for bit as the
-    click left it, the rest of its steps' columns go unread, and its record
-    ends at the click.  Returns the records and the collapsed rows.
+    on every row, reads the last column.  Each step is one kernel call over
+    the rows still in the weak steps, and it reads their draws from column
+    ``j``, a contiguous row when ``uniforms`` is the ``.T`` view of a
+    shot-last array.  Under the strict policy a row that clicks leaves the
+    weak steps: its register is stored once, bit for bit as the click left
+    it, the later steps run on the other rows only, the rest of its steps'
+    columns go unread, and its record ends at the click; its entries of
+    ``outcomes`` and ``step_p1`` after the click stay 0.  Returns the
+    records and the collapsed rows.
     """
     strict = params.click_policy == STRICT_ABORT
     kraus = _weak_step(params.theta)
     # one contiguous row per step, transposed to one row per shot at the end
     outcomes = np.zeros((params.iterations, len(amps)), dtype=np.int8)
-    step_p1 = np.empty((params.iterations, len(amps)))
+    step_p1 = np.zeros((params.iterations, len(amps)))
     steps = np.full(len(amps), params.iterations)
-    live = np.ones(len(amps), dtype=bool)  # rows still in the weak steps
-    if strict:
-        held = np.empty(amps.shape, dtype=complex)  # registers at a click
+    # the rows in the weak steps: all of them, or the strict box's indices
+    live = np.arange(len(amps)) if strict else slice(None)
+    cut = []  # each strict click's rows and their registers
     for j in range(params.iterations):
-        click, probs, amps = _measure_rows(amps, k, kraus, uniforms[:, j])
-        outcomes[j] = click
-        step_p1[j] = probs[1]
-        if strict:
-            stop = live & click
-            held[stop] = amps[stop]
-            steps[stop] = j + 1
-            live &= ~click
-            if not live.any():
+        click, probs, amps = _measure_rows(amps, k, kraus,
+                                           uniforms[:, j][live])
+        step_p1[j][live] = probs[1]
+        if not strict:
+            outcomes[j] = click
+        elif np.count_nonzero(click):
+            hit, keep = np.flatnonzero(click), np.flatnonzero(~click)
+            steps[live[hit]] = j + 1
+            cut.append((live[hit], amps[hit]))
+            live, amps = live[keep], np.take(amps.T, keep, axis=1).T
+            if not len(live):
                 break
-    if not live.all():  # rows that clicked read out as they clicked
-        amps[~live] = held[~live]
+    if cut:  # rows that clicked read out as they clicked
+        stop, held = map(np.concatenate, zip(*cut))
+        outcomes[steps[stop] - 1, stop] = 1
+        rows = np.empty((amps.shape[1], len(steps)), dtype=complex).T
+        rows[live] = amps
+        rows[stop] = held
+        amps = rows
     final, _, amps = _readout_rows(amps, Measurement(k), uniforms[:, -1])
-    # a strict row that clicked stays live = False, so it is rejected
-    return BoxRows(outcomes.T, step_p1.T, steps, final, live & ~final), amps
+    # a strict row that clicked is rejected
+    accepted = np.zeros(len(steps), dtype=bool)
+    accepted[live] = ~final[live]
+    return BoxRows(outcomes.T, step_p1.T, steps, final, accepted), amps
 
 
 def _boxes(amps: np.ndarray, params: VerificationParams,
@@ -192,14 +206,18 @@ def _boxes(amps: np.ndarray, params: VerificationParams,
     ``R * P`` part rows at once, one box after another: n boxes on a
     register's one part, one box on a product's n one-qubit parts.  Part
     row ``(r, p)`` reads window ``p * w + k`` of ``uniforms[r]``, and box
-    ``(p, k)`` is its rows ``[p::P]``.
+    ``(p, k)`` is its rows ``[p::P]``.  Each box's windows are gathered
+    into one shot-last ``(N + 1, R * P)`` array, a view of ``uniforms.T``
+    for a register, so that every step reads one contiguous row of draws.
     """
-    parts = amps.shape[1]
-    amps = amps.reshape(-1, amps.shape[2])
-    windows = uniforms.reshape(len(amps), -1, params.iterations + 1)
+    count, parts, _ = amps.shape
+    amps = amps.reshape(count * parts, -1)
+    # window (p, k) of shot r, column j to row j, column r * P + p of box k
+    windows = uniforms.T.reshape(parts, -1, params.iterations + 1, count)
     boxes = []
-    for k in range(windows.shape[1]):
-        box, amps = _box_rows(amps, k, params, windows[:, k])
+    for k, window in enumerate(windows.transpose(1, 2, 3, 0)):
+        box, amps = _box_rows(amps, k, params, window.reshape(
+            params.iterations + 1, -1).T)
         boxes.append(box)
     return [BoxRows(*(rows[p::parts] for rows in box))
             for p in range(parts) for box in boxes]

@@ -349,3 +349,53 @@ def test_shot_blocks_cover_every_shot_in_order(shots, row_cells):
     assert [i for b in blocks for i in b] == list(range(shots))
     budget = statevector.SHOT_BLOCK_CELLS
     assert all(len(b) * row_cells <= budget or len(b) == 1 for b in blocks)
+
+
+def row_layouts(regs):
+    """The registers ``regs`` (shape ``(S, 2**n)``) as the kernels may get
+    them, each with the registers its rows hold: C-contiguous rows, the
+    ``.T`` view of a shot-last array, and one register broadcast to every
+    row."""
+    return [(regs, regs), (np.ascontiguousarray(regs.T).T, regs),
+            (np.broadcast_to(regs[0], regs.shape),
+             np.broadcast_to(regs[0], regs.shape))]
+
+
+def row_gates(k, n):
+    """Gates on qubit ``k`` of an n-qubit register, with controls of both
+    polarities where there is another qubit."""
+    other = (k + 1) % n
+    return [q.h(k), q.rx(0.7, k), q.s(k)] + (
+        [q.ry(-1.2, k, ((other, 1),)), q.x(k, ((other, 0),))] if n > 1 else [])
+
+
+@pytest.mark.parametrize("kraus", ["weak", "projectors"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_row_kernels_on_s_rows_are_s_one_row_calls(n, kraus):
+    # bit for bit, whatever the row count and the layout the rows come in:
+    # the outcome probabilities of a row must be summed in the order a
+    # lone contiguous row sums them
+    kraus = (verification._weak_step(0.3) if kraus == "weak"
+             else statevector._PROJECTORS)
+    rng = np.random.default_rng(1000 + n)
+    for shots in (1, 2, 10, 128):
+        regs = rng.normal(size=(shots, 1 << n, 2)) @ [1, 1j]
+        regs /= np.linalg.norm(regs, axis=1)[:, None]
+        uniforms = rng.random(shots)
+        for rows, held in row_layouts(regs):
+            singles = [np.array(row)[None] for row in held]
+            for k in range(n):
+                got = statevector._measure_rows(rows, k, kraus, uniforms)
+                want = [statevector._measure_rows(row, k, kraus,
+                                                  uniforms[i:i + 1])
+                        for i, row in enumerate(singles)]
+                # clicks and collapsed rows stack on the row axis, the
+                # (p0, p1) pairs on their last
+                for part, parts, axis in zip(got, zip(*want), (0, 1, 0)):
+                    assert part.tobytes() == np.concatenate(
+                        parts, axis=axis).tobytes()
+                for gate in row_gates(k, n):
+                    got = statevector._gate_rows(rows, gate)
+                    assert got.tobytes() == np.concatenate(
+                        [statevector._gate_rows(row, gate)
+                         for row in singles]).tobytes()

@@ -1,13 +1,15 @@
 """Every import in ``src/qlocker`` is used by the module that makes it,
 and every name the package re-exports is run by it or documented.
 
-No linter ships with the test extras, so these are small ``ast`` checks.
-``from __future__`` imports are directives, and the package's
-``__init__.py`` imports its submodules' names only to re-export them.
+No linter ships with the test extras, so these are small ``ast`` and
+``symtable`` checks.  ``from __future__`` imports are directives, and the
+package's ``__init__.py`` imports its submodules' names only to re-export
+them.
 """
 
 import ast
 import re
+import symtable
 from pathlib import Path
 
 import pytest
@@ -55,17 +57,34 @@ def test_no_unused_imports(path):
                           reexports=path.name == "__init__.py") == []
 
 
+def module_reads(source: str) -> set[str]:
+    """Names that ``source`` loads where the load resolves to its own
+    module-level binding: an import, or a definition or assignment at top
+    level.  A parameter or local of the same name is another binding, so
+    its loads do not count."""
+    top = symtable.symtable(source, "<module>", "exec")
+    bound = {sym.get_name() for sym in top.get_symbols()
+             if sym.is_imported() or sym.is_assigned()}
+    read = set()
+    tables = [top]
+    while tables:
+        table = tables.pop()
+        read.update(sym.get_name() for sym in table.get_symbols()
+                    if sym.is_referenced()
+                    and (table is top or sym.is_global()))
+        tables.extend(table.get_children())
+    return read & bound
+
+
 def unreached_exports(init: str, modules: list[str], readme: str) -> list[str]:
     """Names that ``init`` re-exports (relative ``from . import``) which no
-    source in ``modules`` reads and no inline code span of ``readme``
-    holds."""
+    source in ``modules`` reads (:func:`module_reads`) and no inline code
+    span of ``readme`` holds."""
     exported = [alias.asname or alias.name
                 for node in ast.walk(ast.parse(init))
                 if isinstance(node, ast.ImportFrom) and node.level
                 for alias in node.names]
-    read = {node.id for source in modules
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read = set().union(*map(module_reads, modules))
     documented = set(re.findall(r"`([^`\n]+)`", readme))
     return sorted(name for name in exported
                   if name not in read and name not in documented)
@@ -76,6 +95,16 @@ def test_the_check_finds_an_unreached_export():
     modules = ["def run():\n    pass\ndef spare():\n    spare = run()\n"]
     assert unreached_exports(init, modules, "call `shown`, not shown") == [
         "spare"]
+    # a parameter, a local and a comprehension variable named like the
+    # export are other bindings, even beside an import of it
+    modules += ["def check(spare):\n    return spare\n",
+                "from .a import spare\n"
+                "def keep(rows):\n    spare = rows\n"
+                "    return [spare for spare in spare]\n"]
+    assert unreached_exports(init, modules, "call `shown`") == ["spare"]
+    # a load of the imported name inside a function reads it
+    modules += ["from .a import spare\ndef use():\n    return spare()\n"]
+    assert unreached_exports(init, modules, "call `shown`") == []
 
 
 def test_every_export_is_run_or_documented():

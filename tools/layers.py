@@ -1,0 +1,126 @@
+"""Time each layer of ``qlocker`` on its own and print one JSON object.
+
+Every entry is the best of five timings of a batch of calls, in
+microseconds per call, on fixed inputs drawn from fixed seeds:
+
+- ``rng.substream``: one child stream;
+- ``rng.shot_uniforms``: shots x draws per shot, as the commands draw them;
+- ``statevector.apply_gate`` (Ry on qubit 0) and ``measure_qubit`` (z on
+  qubit 0), by register width;
+- ``statevector._measure_rows``: one weak step on one-qubit rows, by row
+  count, the rows in the layout the kernel itself returns;
+- ``verification._box_rows``: one 38-step box on |+> rows, by row count;
+- ``teleport.teleport``: one qubit, with a fresh Bell pair;
+- ``locker.attempt_unlock``: a fresh copy of the one-time password, by
+  ``n`` password qubits x ``m`` message bits.
+
+``src_lines`` is the total of ``tools/src_lines.py``.  The script takes no
+options and writes no file:
+
+    python3 tools/layers.py
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import qlocker as q  # noqa: E402
+from qlocker import statevector, verification  # noqa: E402
+from src_lines import counts  # noqa: E402
+
+REPEATS = 5
+
+
+def best(call, number: int) -> float:
+    """The best of :data:`REPEATS` timings of ``number`` calls of ``call``,
+    in microseconds per call."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        times.append((time.perf_counter() - start) / number)
+    return round(min(times) * 1e6, 2)
+
+
+def random_register(n: int, seed: int) -> q.StateVector:
+    amps = np.random.default_rng(seed).normal(size=(1 << n, 2)) @ [1, 1j]
+    return q.StateVector(n, amps / np.linalg.norm(amps))
+
+
+def one_qubit_rows(shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """``shots`` one-qubit rows as the kernel returns them, and a uniform
+    per row."""
+    rng = np.random.default_rng(shots)
+    amps = rng.normal(size=(shots, 2, 2)) @ [1, 1j]
+    amps /= np.linalg.norm(amps, axis=1)[:, None]
+    uniforms = rng.random(shots)
+    kraus = verification._weak_step(0.1)
+    _, _, rows = statevector._measure_rows(amps, 0, kraus, uniforms)
+    return rows, uniforms
+
+
+def layers() -> dict:
+    stream = q.RandomStream(9001)
+    out: dict = {"unit": f"us per call, best of {REPEATS}"}
+    out["rng.substream"] = best(lambda: stream.substream(7), 2000)
+    out["rng.shot_uniforms"] = {
+        f"{shots}x{k}": best(lambda: stream.shot_uniforms(range(shots), k),
+                             number)
+        for shots, k, number in ((512, 1, 200), (128, 39, 200),
+                                 (5, 78, 200), (1598, 39, 20))}
+    out["statevector.apply_gate"] = {}
+    for n, number in ((1, 2000), (3, 2000), (8, 500), (18, 5)):
+        state, gate = random_register(n, n), q.ry(0.3, 0)
+        out["statevector.apply_gate"][str(n)] = best(
+            lambda: q.apply_gate(state, gate), number)
+    out["statevector.measure_qubit"] = {}
+    for n, number in ((3, 2000), (18, 5)):
+        state = random_register(n, n)
+        out["statevector.measure_qubit"][str(n)] = best(
+            lambda: q.measure_qubit(state, 0, "z", stream), number)
+    kraus = verification._weak_step(0.1)
+    out["statevector._measure_rows"] = {}
+    for shots in (1, 2, 10, 128, 512, 1598):
+        rows, uniforms = one_qubit_rows(shots)
+        out["statevector._measure_rows"][str(shots)] = best(
+            lambda: statevector._measure_rows(rows, 0, kraus, uniforms),
+            max(20, 40000 // (shots + 20)))
+    params = q.VerificationParams(0.1, 38)
+    plus = q.apply_gate(q.new_state(1), q.h(0)).amplitudes
+    out["verification._box_rows"] = {}
+    for shots, number in ((128, 50), (1598, 10)):
+        rows = np.broadcast_to(plus, (shots, 2))
+        uniforms = stream.shot_uniforms(range(shots), 39)
+        out["verification._box_rows"][str(shots)] = best(
+            lambda: verification._box_rows(rows, 0, params, uniforms),
+            number)
+    psi = random_register(1, 1)
+    out["teleport.teleport"] = best(
+        lambda: q.teleport(psi.copy(), q.open_channel("layers"), stream),
+        1000)
+    out["locker.attempt_unlock"] = {}
+    for n, m in ((1, 4), (2, 8), (8, 8)):
+        otp = q.OtpParams.random(n, stream)
+        locker = q.store_message("1" * m, otp)
+        password = q.generate_otp(otp)
+        out["locker.attempt_unlock"][f"{n}x{m}"] = best(
+            lambda: q.attempt_unlock(locker, password.copy(), stream), 200)
+    out["src_lines"] = sum(counts().values())
+    return out
+
+
+def main() -> int:
+    print(json.dumps(layers(), indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,13 +45,17 @@ def code_lines(text: str) -> int:
     return len(lines - _docstring_lines(ast.parse(text)))
 
 
+def counts() -> dict[str, int]:
+    """The code lines of each module of ``src/qlocker``, by file name."""
+    return {path.name: code_lines(path.read_text())
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def main() -> int:
-    total = 0
-    for path in sorted(SRC.glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:5d} {path.name}")
-    print(f"{total:5d} total")
+    modules = counts()
+    for name, count in modules.items():
+        print(f"{count:5d} {name}")
+    print(f"{sum(modules.values()):5d} total")
     return 0
 
 
