@@ -14,12 +14,18 @@ output.
 
 Exit codes: 0 success, 2 usage error, 3 invalid protocol input,
 4 a report check fell outside its tolerance band.
+
+:func:`main` parses with one parser per process, built on its first call
+and never changed after, so a caller that runs many reports in one process
+builds the argparse tree once; :func:`build_parser` returns a fresh parser
+on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -570,22 +576,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep",
                        help="false-accept tables over (n, theta, N, overlap)")
     add_common(p)
+    # tuples: every parse through main shares these default objects
     p.add_argument("--grid-n", type=lambda s: _parse_grid(s, _sweep_n),
-                   default=[1, 2, 3])
+                   default=(1, 2, 3))
     p.add_argument("--grid-theta", type=lambda s: _parse_grid(s, _finite),
-                   default=[0.1, 0.2, 0.5])
+                   default=(0.1, 0.2, 0.5))
     p.add_argument("--grid-iterations",
                    type=lambda s: _parse_grid(s, _in_range(int, 0)),
-                   default=[1, 5, 38])
+                   default=(1, 5, 38))
     p.add_argument("--grid-overlap", type=lambda s: _parse_grid(s, _probability),
-                   default=[0.25, 0.5])
+                   default=(0.25, 0.5))
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+# built on first use, not at import: a one-shot run pays for it once either
+# way, and importing qlocker.cli stays cheap
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    Every call in a process parses with the same parser, built on the first
+    call; nothing changes that parser, so one call cannot leak into the next.
+    """
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         report = args.func(args)

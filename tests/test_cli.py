@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import tracemalloc
@@ -238,6 +239,40 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args(["no-such-command"])
     assert err.value.code == 2
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # counts the work instead of timing it: after one warm-up call, no
+    # call of main adds an argument to any parser
+    assert main(["converge", "--shots", "8", "--out", str(tmp_path / "w")]) == 0
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    for argv in (["verify-demo", "--shots", "8"],
+                 ["converge", "--shots", "8", "--iterations", "3"],
+                 ["locker-demo", "--shots", "8", "--repeat", "2"],
+                 ["sweep", "--shots", "8", "--grid-theta", "0.3",
+                  "--grid-iterations", "2", "--grid-n", "1"]):
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) in (0, 4)
+    assert added == []
+    first = build_parser()
+    assert added  # the spy sees a build
+    assert build_parser() is not first  # the builder shares nothing
+
+
+def test_sweep_grid_defaults_are_tuples():
+    # every parse through main shares the default objects, so none may be
+    # a list that a command could change
+    args = build_parser().parse_args(["sweep"])
+    assert args.grid_n == (1, 2, 3)
+    assert args.grid_theta == (0.1, 0.2, 0.5)
+    assert args.grid_iterations == (1, 5, 38)
+    assert args.grid_overlap == (0.25, 0.5)
 
 
 def test_stdout_emission(capsys):

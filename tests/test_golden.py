@@ -100,6 +100,39 @@ def test_report_matches_golden(name):
     assert text.encode() == golden_file(name, entry["argv"]).read_bytes()
 
 
+# calls that end before or inside a command, run between the golden cases:
+# argv, exit code, and a piece of what they print
+INTERRUPTIONS = [
+    (["converge", "--shots", "0"], 2, "argument --shots"),
+    (["locker-demo", "--message", "000"], 3, "error: all-zero message"),
+    (["sweep", "--help"], 0, "--grid-overlap"),
+    (["verify-demo", "--format", "yaml"], 2, "argument --format"),
+    (["converge", "--iterations", "10001"], 3, "iterations must be"),
+    (["locker-demo", "--help"], 0, "--wrong-overlap"),
+]
+
+
+def test_one_process_leaks_nothing_between_reports(capsys):
+    # main parses every call with one shared parser; run the goldens in
+    # the reverse of their manifest order, an error or a --help between
+    # each two, and every report must still be its golden bytes
+    manifest = json.loads(MANIFEST.read_text())
+    for i, name in enumerate(reversed(list(manifest))):
+        entry = manifest[name]
+        code, text = run_cli(entry["argv"])
+        assert code == entry["exit_code"], name
+        assert text.encode() == golden_file(name, entry["argv"]).read_bytes()
+        argv, want, needle = INTERRUPTIONS[i % len(INTERRUPTIONS)]
+        capsys.readouterr()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == want, argv
+        assert needle in (captured.out if want == 0 else captured.err)
+
+
 def test_golden_set_is_exactly_the_cases():
     # an orphaned golden file or manifest entry would otherwise pass unseen
     assert json.loads(MANIFEST.read_text()).keys() == CASES.keys()
