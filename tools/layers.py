@@ -12,7 +12,11 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
 - ``verification._box_rows``: one 38-step box on |+> rows, by row count;
 - ``teleport.teleport``: one qubit, with a fresh Bell pair;
 - ``locker.attempt_unlock``: a fresh copy of the one-time password, by
-  ``n`` password qubits x ``m`` message bits.
+  ``n`` password qubits x ``m`` message bits;
+- ``cli.build_parser``: one fresh parser;
+- ``cli.main``: one report of the converge, tomography and locker
+  workloads of ``perfbench/workloads.py``, at ``--seed 9001``, with standard
+  output sent to ``os.devnull``.
 
 ``src_lines`` is the total of ``tools/src_lines.py``.  The script takes no
 options and writes no file:
@@ -22,18 +26,22 @@ options and writes no file:
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import qlocker as q  # noqa: E402
-from qlocker import statevector, verification  # noqa: E402
+from qlocker import cli, statevector, verification  # noqa: E402
 from src_lines import counts  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 REPEATS = 5
 
@@ -113,6 +121,12 @@ def layers() -> dict:
         password = q.generate_otp(otp)
         out["locker.attempt_unlock"][f"{n}x{m}"] = best(
             lambda: q.attempt_unlock(locker, password.copy(), stream), 200)
+    out["cli.build_parser"] = best(cli.build_parser, 200)
+    out["cli.main"] = {}
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        for name in ("converge", "tomography", "locker"):
+            argv = [*WORKLOADS[name].argv, "--seed", "9001"]
+            out["cli.main"][name] = best(lambda: cli.main(argv), 20)
     out["src_lines"] = sum(counts().values())
     return out
 
