@@ -10,7 +10,11 @@ Reports embed the seed, all parameters, analytic predictions, simulated
 values, and, where one exists, the value measured in the published hardware
 experiment (tagged ``paper-hardware``; those carry known device noise and are
 references, not targets).  Identical command lines produce byte-identical
-output.
+output.  Each ``cmd_*`` function returns only the body of its report, from
+``params`` on; :func:`main` writes the envelope around it, ``schema_version``,
+``command`` and ``seed`` before the body and ``ok`` after it.  Every sampled
+check takes its band from ``_band_check``, the one normal-approximation band;
+exact and anchor checks give theirs to ``_check``.
 
 Exit codes: 0 success, 2 usage error, 3 invalid protocol input,
 4 a report check fell outside its tolerance band.
@@ -95,10 +99,6 @@ HARDWARE_CONVERGENCE = {
 }
 
 
-def _sigma_band(p: float, n: int, n_sigma: float) -> float:
-    return n_sigma * math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
 def _check(name: str, simulated: float, analytic: float, band: float,
            kind: str, reference: float | None = None) -> dict:
     entry = {
@@ -112,6 +112,16 @@ def _check(name: str, simulated: float, analytic: float, band: float,
     if reference is not None:
         entry["paper-hardware"] = reference
     return entry
+
+
+def _band_check(name: str, simulated: float, analytic: float, n: int,
+                n_sigma: int, reference: float | None = None) -> dict:
+    """A sampled check: ``simulated``, a fraction of ``n`` draws, against
+    the probability ``analytic`` within ``n_sigma`` standard deviations of
+    the normal approximation."""
+    band = n_sigma * math.sqrt(max(analytic * (1.0 - analytic), 0.0) / n)
+    return _check(name, simulated, analytic, band, f"{n_sigma}sigma",
+                  reference)
 
 
 def _in_range(cast, low, high=math.inf):
@@ -146,6 +156,10 @@ def _finite(text: str) -> float:
 _shot_count = _in_range(int, 1, 1 << 24)
 _seed = _in_range(int, 0)  # SeedSequence takes non-negative integers only
 _probability = _in_range(float, 0.0, 1.0)
+# verify-demo's coupling runs rx(2 theta), and its P(0) laws take
+# sin(2 theta): both need 2 theta finite too
+_coupling_angle = _in_range(float, -sys.float_info.max / 2,
+                            sys.float_info.max / 2)
 # sweep check j seeds password qubit k from sub-stream 8*j + k, so more than
 # 8 qubits would share sub-streams between checks
 _sweep_n = _in_range(int, 1, 8)
@@ -210,9 +224,8 @@ def cmd_verify_demo(args) -> dict:
         if at_reference_point:
             row["paper-hardware"] = list(HARDWARE_SINGLE_ITERATION[basis])
         basis_rows.append(row)
-        checks.append(_check(
-            f"{basis}-basis P(0)", p0, analytic_p0[basis],
-            _sigma_band(analytic_p0[basis], args.shots, 3), "3sigma",
+        checks.append(_band_check(
+            f"{basis}-basis P(0)", p0, analytic_p0[basis], args.shots, 3,
             HARDWARE_SINGLE_ITERATION[basis][0] if at_reference_point else None,
         ))
 
@@ -223,10 +236,7 @@ def cmd_verify_demo(args) -> dict:
     emp_physical = rho_emp.is_physical
     rho_for_fid = rho_emp if emp_physical else reconstruct_density(stokes, clip=True)
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-demo",
-        "seed": args.seed,
+    return {
         "params": {"theta": theta, "prep_angle": prep, "shots": args.shots,
                    "alpha_sq": alpha_sq},
         "ancilla_probabilities": basis_rows,
@@ -245,7 +255,6 @@ def cmd_verify_demo(args) -> dict:
         },
         "checks": checks,
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +290,14 @@ def cmd_converge(args) -> dict:
     hw = HARDWARE_CONVERGENCE if at_reference_point else {}
 
     checks = [
-        _check("all-zeros ancilla fraction", zeros_frac, analytic_zeros,
-               _sigma_band(analytic_zeros, args.shots, 3), "3sigma",
-               hw.get("all_zeros_fraction")),
+        _band_check("all-zeros ancilla fraction", zeros_frac,
+                    analytic_zeros, args.shots, 3,
+                    hw.get("all_zeros_fraction")),
     ]
     if all_zeros:
-        checks.append(_check("P(system=1 | all zeros)", cond_frac,
-                             analytic_cond,
-                             _sigma_band(analytic_cond, all_zeros, 3),
-                             "3sigma", hw.get("system_one_given_all_zeros")))
+        checks.append(_band_check("P(system=1 | all zeros)", cond_frac,
+                                  analytic_cond, all_zeros, 3,
+                                  hw.get("system_one_given_all_zeros")))
     if at_reference_point:
         checks.append(_check("hardware anchor: all-zeros fraction",
                              hw["all_zeros_fraction"], analytic_zeros,
@@ -299,10 +307,7 @@ def cmd_converge(args) -> dict:
                              0.02, "anchor"))
 
     top = outcome_counts.most_common(8)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "converge",
-        "seed": args.seed,
+    return {
         "params": {"theta": args.theta, "iterations": args.iterations,
                    "shots": args.shots, "policy": args.policy,
                    "initial_state": "plus"},
@@ -315,7 +320,6 @@ def cmd_converge(args) -> dict:
         },
         "checks": checks,
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +382,11 @@ def cmd_locker_demo(args) -> dict:
                            and correct.accepted),
                      1.0, 0.0, "exact")]
     if args.repeat >= 100:
-        checks.append(_check("wrong-password acceptance rate", wrong_rate,
-                             analytic_accept,
-                             _sigma_band(analytic_accept, args.repeat, 4),
-                             "4sigma"))
+        checks.append(_band_check("wrong-password acceptance rate",
+                                  wrong_rate, analytic_accept, args.repeat,
+                                  4))
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "locker-demo",
-        "seed": args.seed,
+    return {
         "params": {"message": args.message, "otp_qubits": args.otp_qubits,
                    "theta": args.theta, "iterations": args.iterations,
                    "policy": args.policy, "repeat": args.repeat,
@@ -409,7 +409,6 @@ def cmd_locker_demo(args) -> dict:
         },
         "checks": checks,
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +443,13 @@ def cmd_sweep(args) -> dict:
                                 master.substream(len(checks) * 8 + k))
                         mc = float(accept.mean())
                         cell[policy] = {"analytic": analytic, "monte_carlo": mc}
-                        checks.append(_check(
+                        checks.append(_band_check(
                             f"false-accept n={n} theta={theta:g} "
                             f"N={iterations} overlap={overlap:g} [{policy}]",
-                            mc, analytic,
-                            _sigma_band(analytic, args.shots, 4), "4sigma"))
+                            mc, analytic, args.shots, 4))
                     cells.append(cell)
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sweep",
-        "seed": args.seed,
+    return {
         "params": {"grid_n": args.grid_n, "grid_theta": args.grid_theta,
                    "grid_iterations": args.grid_iterations,
                    "grid_overlap": args.grid_overlap,
@@ -462,7 +457,6 @@ def cmd_sweep(args) -> dict:
         "cells": cells,
         "checks": checks,
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="single weak-coupling iteration with ancilla "
                             "tomography in x, y, z")
     add_common(p)
-    p.add_argument("--theta", type=_finite, default=0.2,
-                   help="coupling angle, any finite value: one coupling and "
-                        "its analytic P(0) laws hold for every theta")
+    p.add_argument("--theta", type=_coupling_angle, default=0.2,
+                   help="coupling angle, any value with a finite double: "
+                        "one coupling and its analytic P(0) laws hold for "
+                        "every theta")
     p.add_argument("--prep-angle", type=_finite, default=math.pi / 4,
                    help="Ry angle preparing the system qubit")
     p.set_defaults(func=cmd_verify_demo)
@@ -601,11 +596,14 @@ def main(argv=None) -> int:
 
     Every call in a process parses with the same parser, built on the first
     call; nothing changes that parser, so one call cannot leak into the next.
+    The report is the command's body inside the envelope written here:
+    ``schema_version``, ``command`` and ``seed`` first, ``ok`` last.
     """
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        report = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                  "seed": args.seed, **args.func(args)}
     except ValueError as exc:  # InvalidMessageError and CapacityError too
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -11,9 +11,10 @@ return is the ``.T`` view of a C-contiguous ``(2**n, S)`` array, so each of
 their ufuncs runs one contiguous loop over the shots, with the gate or
 Kraus entries as scalars.  They take rows in any layout (a ``.T`` view, a
 row-major array, or one register broadcast to every row) and give each row
-the bits it gets alone.  A gate is a ``reshape`` view with one length-2
-axis per gate qubit before the shot axis, its controls fixed as indices on
-their axes.  Every sampled outcome goes through one two-outcome kernel,
+the bits it gets alone.  A gate indexes a ``reshape`` view with one
+length-2 axis per qubit before the shot axis, qubit ``q`` on axis
+``n - 1 - q``: the target's axis at 0 and 1, each control's at its value.
+Every sampled outcome goes through one two-outcome kernel,
 ``_measure_rows(amps, qubit, kraus, uniforms)``: two Kraus operators,
 diagonal in z on one qubit's axis, and one uniform per row.  Its outcome
 probabilities are summed in the order numpy sums one contiguous row: in
@@ -223,27 +224,18 @@ def _gate_rows(amps: np.ndarray, gate: GateOp) -> np.ndarray:
     """``gate`` applied to every row of ``amps`` (shape ``(S, 2**n)``), as
     the ``.T`` view of a shot-last array."""
     n = _n_qubits(amps)
-    qubits = gate.qubits()
-    for q in qubits:
+    for q in gate.qubits():
         if q >= n:
             raise IndexError(f"qubit {q} out of range for {n}-qubit state")
-    # one length-2 axis per gate qubit, the qubits between them merged and
-    # the shot axis last; higher qubits are the slower-varying bits, so
-    # they come first
-    shape = []
-    axis = {}
-    top = n
-    for q in sorted(qubits, reverse=True):
-        shape += [1 << (top - q - 1), 2]
-        axis[q] = len(shape) - 1
-        top = q
-    shape += [1 << top, len(amps)]
-    index = [slice(None)] * len(shape)
+    # one length-2 axis per qubit, then the shot axis; qubit q is bit q of
+    # the basis index, so it is axis n - 1 - q
+    shape = (2,) * n + (len(amps),)
+    index = [slice(None)] * n
     for q, v in gate.controls:
-        index[axis[q]] = v
-    index[axis[gate.target]] = 0
+        index[n - 1 - q] = v
+    index[n - 1 - gate.target] = 0
     i0 = tuple(index)
-    index[axis[gate.target]] = 1
+    index[n - 1 - gate.target] = 1
     i1 = tuple(index)
     m = gate.base_matrix()
     src = amps.T.reshape(shape)

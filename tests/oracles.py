@@ -40,8 +40,9 @@ that use them:
   and CNOTs, which acceptance criterion 1 and
   ``test_gates.TestDecomposition`` compare with the direct gate.
 - ``gate_matrix`` and ``sequence_matrix`` build full matrices from
-  ``apply_gate``, and ``phase_aligned_distance`` compares matrices or
-  states modulo global phase: ``test_gates``, acceptance criteria 1 and 8,
+  ``np.kron`` of one-qubit factors, not from the gate kernel, and
+  ``phase_aligned_distance`` compares matrices or states modulo global
+  phase: ``test_gates``, acceptance criteria 1 and 8,
   ``test_locker`` and ``test_verification``.
 - ``enumerate_teleport_branches`` forces all four measurement branches of
   the sender's circuit and applies the receiver's correction itself, for
@@ -134,15 +135,21 @@ def decompose_controlled0_rx(theta, control=0, target=1):
 
 
 def gate_matrix(gate, n_qubits):
-    """Full 2^n x 2^n matrix of ``gate`` on an n-qubit register, built
-    column by column from :func:`qlocker.apply_gate` on basis states."""
-    dim = 1 << n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[col] = 1.0
-        out[:, col] = apply_gate(StateVector(n_qubits, amps), gate).amplitudes
-    return out
+    """Full 2^n x 2^n matrix of ``gate`` on an n-qubit register, built from
+    ``np.kron`` of one-qubit factors without running the gate kernel.
+
+    Qubit k is bit k of the basis index, so qubit n - 1 is the leftmost
+    factor.  With P the product of the projectors onto each control's
+    value, the gate is I - P + P (x) U, U acting on the target."""
+    def kron(factors):  # factors[k] acts on qubit k, the identity elsewhere
+        out = np.eye(1)
+        for k in reversed(range(n_qubits)):
+            out = np.kron(out, factors.get(k, np.eye(2)))
+        return out
+
+    on = {q: np.diag([1.0 - v, float(v)]) for q, v in gate.controls}
+    return (np.eye(1 << n_qubits) - kron(on)
+            + kron({**on, gate.target: gate.base_matrix()}))
 
 
 def sequence_matrix(gates, n_qubits):

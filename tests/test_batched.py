@@ -16,6 +16,7 @@ does.
 """
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from qlocker import (
     verification,
 )
 
-from oracles import reference_sample_shots, reference_unlocks
+from oracles import gate_matrix, reference_sample_shots, reference_unlocks
 
 BATCH_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                           database=None)
@@ -363,10 +364,12 @@ def row_layouts(regs):
 
 def row_gates(k, n):
     """Gates on qubit ``k`` of an n-qubit register, with controls of both
-    polarities where there is another qubit."""
-    other = (k + 1) % n
+    polarities where there is another qubit, and two controls of mixed
+    polarity where there are two."""
+    other, third = (k + 1) % n, (k + 2) % n
     return [q.h(k), q.rx(0.7, k), q.s(k)] + (
-        [q.ry(-1.2, k, ((other, 1),)), q.x(k, ((other, 0),))] if n > 1 else [])
+        [q.ry(-1.2, k, ((other, 1),)), q.x(k, ((other, 0),))] if n > 1
+        else []) + ([q.rz(0.9, k, ((third, 1), (other, 0)))] if n > 2 else [])
 
 
 @pytest.mark.parametrize("kraus", ["weak", "projectors"])
@@ -399,3 +402,27 @@ def test_row_kernels_on_s_rows_are_s_one_row_calls(n, kraus):
                     assert got.tobytes() == np.concatenate(
                         [statevector._gate_rows(row, gate)
                          for row in singles]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_gate_rows_match_the_kron_matrix(n):
+    # the oracle's matrix is built from np.kron, not from the kernel: every
+    # target, 0 to 3 controls (the qubits after the target, cyclically) and
+    # every polarity of them
+    rng = np.random.default_rng(2000 + n)
+    regs = rng.normal(size=(5, 1 << n, 2)) @ [1, 1j]
+    kinds = [q.h, partial(q.rx, 0.7), partial(q.ry, -1.2), q.x,
+             partial(q.rz, 2.3), q.s]
+    count = 0
+    for target in range(n):
+        others = [(target + j) % n for j in range(1, n)]
+        for width in range(min(3, n - 1) + 1):
+            for values in np.ndindex(*[2] * width):
+                controls = tuple(zip(others[:width], values))
+                gate = kinds[count % len(kinds)](target, controls)
+                count += 1
+                matrix = gate_matrix(gate, n)
+                for rows, held in row_layouts(regs):
+                    np.testing.assert_allclose(
+                        statevector._gate_rows(rows, gate), held @ matrix.T,
+                        rtol=0, atol=1e-12)

@@ -40,7 +40,9 @@ class TestVerifyDemo:
         assert all("paper-hardware" not in row
                    for row in report["ancilla_probabilities"])
 
-    @pytest.mark.parametrize("theta", ["0", "-0.2", "2.0"])
+    # the last is the widest angle whose double is finite
+    @pytest.mark.parametrize("theta", ["0", "-0.2", "2.0",
+                                       "8.988465674311579e307"])
     def test_any_finite_theta_runs(self, tmp_path, theta):
         # one coupling, so its three analytic P(0) laws hold for every
         # theta; only the box's commands need theta in (0, pi/2)
@@ -357,6 +359,19 @@ def test_non_finite_angles_are_usage_errors(flag, value, capsys):
     assert "Traceback" not in stderr
     last = stderr.splitlines()[-1]
     assert "error:" in last and flag in last and repr(value) in last
+
+
+@pytest.mark.parametrize("argv", [["--theta", "9e307"], ["--theta=-9e307"]])
+def test_theta_with_an_infinite_double_is_a_usage_error(argv, capsys):
+    # the coupling runs rx(2 theta), and its P(0) laws take sin(2 theta)
+    with pytest.raises(SystemExit) as err:
+        main(["verify-demo", *argv])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    last = stderr.splitlines()[-1]
+    assert "error:" in last and "--theta" in last
+    assert repr(argv[-1].split("=")[-1]) in last
 
 
 def test_finite_angles_parse():

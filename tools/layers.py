@@ -7,6 +7,12 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
 - ``rng.shot_uniforms``: shots x draws per shot, as the commands draw them;
 - ``statevector.apply_gate`` (Ry on qubit 0) and ``measure_qubit`` (z on
   qubit 0), by register width;
+- ``statevector._gate_rows``: one gate on S rows of n qubits, keyed
+  ``{n}x{S} gate``: Rx on one row, Ry on 512 rows that broadcast one
+  register, the coupling (Rx controlled on 0) on 512 rows in the layout
+  the kernels return, a CNOT on one row, an X with two controls of mixed
+  polarity on one 8-qubit row, and H on 1598 one-qubit rows in the
+  kernels' layout;
 - ``statevector._measure_rows``: one weak step on one-qubit rows, by row
   count, the rows in the layout the kernel itself returns;
 - ``verification._box_rows``: one 38-step box on |+> rows, by row count;
@@ -94,6 +100,20 @@ def layers() -> dict:
         state = random_register(n, n)
         out["statevector.measure_qubit"][str(n)] = best(
             lambda: q.measure_qubit(state, 0, "z", stream), number)
+    out["statevector._gate_rows"] = {}
+    for n, shots, name, gate, layout, number in (
+            (1, 1, "rx", q.rx(0.3, 0), "alone", 2000),
+            (2, 512, "ry", q.ry(0.3, 0), "broadcast", 1000),
+            (2, 512, "rx on 0", q.build_controlled0_rx(0.2), "T", 1000),
+            (3, 1, "cnot", q.cnot(0, 1), "alone", 2000),
+            (8, 1, "x on 1, 0", q.x(2, ((0, 1), (5, 0))), "alone", 2000),
+            (1, 1598, "h", q.h(0), "T", 500)):
+        regs = np.random.default_rng(n).normal(size=(shots, 1 << n, 2)) @ [
+            1, 1j]
+        rows = {"alone": regs, "T": np.ascontiguousarray(regs.T).T,
+                "broadcast": np.broadcast_to(regs[0], regs.shape)}[layout]
+        out["statevector._gate_rows"][f"{n}x{shots} {name}"] = best(
+            lambda: statevector._gate_rows(rows, gate), number)
     kraus = verification._weak_step(0.1)
     out["statevector._measure_rows"] = {}
     for shots in (1, 2, 10, 128, 512, 1598):
