@@ -138,24 +138,14 @@ def _in_range(cast, low, high=math.inf):
     return parse
 
 
-def _finite(text: str) -> float:
-    """Argument type: a finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {text!r}")
-    return value
-
-
 # sweep's sampler holds at most 32 bytes per shot at once, a bound
 # tests/test_verification.py pins, so 2**24 shots or repetitions stay under
 # 1 GiB
 _shot_count = _in_range(int, 1, 1 << 24)
 _seed = _in_range(int, 0)  # SeedSequence takes non-negative integers only
 _probability = _in_range(float, 0.0, 1.0)
+# any finite float: nan, inf and 1e999 fall outside the doubles' range
+_finite = _in_range(float, -sys.float_info.max, sys.float_info.max)
 # verify-demo's coupling runs rx(2 theta), and its P(0) laws take
 # sin(2 theta): both need 2 theta finite too
 _coupling_angle = _in_range(float, -sys.float_info.max / 2,

@@ -38,6 +38,14 @@ views any n-qubit state as P parts of w qubits, a writable ``(P, 2**w)``
 array, one part of n qubits for a register and n parts of one qubit for a
 product.  The locker rotates, verifies and collapses passwords through
 that view alone.
+
+A probability of |0> computed from amplitudes may land a rounding error
+outside [0, 1].  Every law that takes one (``acceptance_probability``,
+``record_probability`` and ``sample_acceptance_runs`` in
+:mod:`qlocker.verification`, ``theoretical_ancilla_density`` in
+:mod:`qlocker.tomography`) reads it through ``_clamp_p0``, the one rule:
+within :data:`NORM_TOL` of [0, 1] it is clamped to [0, 1], and further
+out, or NaN, it is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -55,6 +63,15 @@ DEFAULT_MAX_QUBITS = 24
 
 NORM_TOL = 1e-10
 _UNDERFLOW = 1e-15
+
+
+def _clamp_p0(alpha_sq: float) -> float:
+    """A P(|0>) that came out of a floating-point sum, clamped to [0, 1]; a
+    value more than :data:`NORM_TOL` outside [0, 1], or NaN, is an error."""
+    if not -NORM_TOL <= alpha_sq <= 1.0 + NORM_TOL:
+        raise ValueError(f"alpha_sq must be in [0, 1], got {alpha_sq}")
+    return float(min(max(alpha_sq, 0.0), 1.0))
+
 
 # cells (amplitudes, or per-shot uniforms and records) in one block of shots
 SHOT_BLOCK_CELLS = 1 << 16

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .statevector import CountsHistogram
+from .statevector import CountsHistogram, _clamp_p0
 
 PAPER_DIAGONAL = "paper-diagonal"
 FULL_REDUCED = "full-reduced"
@@ -113,17 +113,16 @@ def theoretical_ancilla_density(alpha: complex, theta: float,
                                 model: str = PAPER_DIAGONAL) -> DensityMatrix:
     """Predicted ancilla state after one weak-coupling iteration.
 
-    ``alpha`` is the |0> amplitude of the system (|alpha| <= 1).  The
-    diagonal model keeps only the readout populations
+    ``alpha`` is the |0> amplitude of the system, ``|alpha|^2`` read
+    through ``statevector._clamp_p0`` (a rounding error past 1 reads as 1).
+    The diagonal model keeps only the readout populations
     ``p0 = 1 - |alpha|^2 sin^2(theta)`` and ``p1 = |alpha|^2 sin^2(theta)``;
     the full reduced model adds the coherence ``i |alpha|^2 sin cos`` left
     after tracing out the system.
     """
     if model not in ANCILLA_MODELS:
         raise ValueError(f"unknown model {model!r}")
-    a2 = abs(alpha) ** 2
-    if a2 > 1.0 + 1e-12:
-        raise ValueError(f"|alpha| must be <= 1, got {abs(alpha)}")
+    a2 = _clamp_p0(abs(alpha) ** 2)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     p1 = a2 * sin_t**2
     p0 = 1.0 - p1

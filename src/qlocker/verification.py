@@ -26,7 +26,9 @@ ancilla circuit is kept where the ancilla itself is measured
 
 :func:`_box_rows` is the one sampled box: the box on qubit ``k`` of every
 row of an ``(R, 2**n)`` array, each row reading its own uniforms, drawn up
-front.  The draw layout is fixed: box ``k`` reads its weak steps from
+front.  Each step writes its rows' outcomes at that step; under the strict
+policy a row that clicks is written as it clicks, its register once into
+the box's collapsed rows, and leaves the steps.  The draw layout is fixed: box ``k`` reads its weak steps from
 columns ``k(N+1)`` to ``k(N+1) + N - 1`` and its closing readout from column
 ``k(N+1) + N``, whatever earlier boxes did (a strict row that clicked leaves
 the rest of its box's window unread).  So the boxes of separate parts of a
@@ -41,7 +43,10 @@ product's as one :func:`_box_rows` call over one-qubit rows.
 ``converge`` (:func:`box_records`) and the locker; :func:`run_box` is its
 one-row call.  :func:`record_probability` (the exact law of a whole
 record, in closed form) and :func:`sample_acceptance_runs` (accept/reject
-only, for ``sweep``) give the same law without the kernel.
+only, for ``sweep``) give the same law without the kernel.  They and
+:func:`acceptance_probability` read the input's P(|0>) through
+``statevector._clamp_p0``, so a rounding error past [0, 1] reads as its
+end.
 
 Two click policies are supported.  The default keeps iterating after a click
 (the run then accepts, since the system sits in |0>); the strict variant
@@ -61,13 +66,12 @@ import numpy as np
 
 from .rng import RandomStream
 from .statevector import (
-    NORM_TOL,
-    Measurement,
+    _PROJECTORS,
     ProductState,
     StateVector,
+    _clamp_p0,
     _measure_rows,
     _parts,
-    _readout_rows,
     _row_keys,
     _shot_rows,
 )
@@ -151,12 +155,13 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     on every row, reads the last column.  Each step is one kernel call over
     the rows still in the weak steps, and it reads their draws from column
     ``j``, a contiguous row when ``uniforms`` is the ``.T`` view of a
-    shot-last array.  Under the strict policy a row that clicks leaves the
-    weak steps: its register is stored once, bit for bit as the click left
-    it, the later steps run on the other rows only, the rest of its steps'
-    columns go unread, and its record ends at the click; its entries of
-    ``outcomes`` and ``step_p1`` after the click stay 0.  Returns the
-    records and the collapsed rows.
+    shot-last array; it writes their outcomes and click probabilities at
+    step ``j``.  Under the strict policy a row that clicks leaves the weak
+    steps: its register is written once, as the click left it, into the
+    shot-last array of collapsed rows, the later steps run on the other
+    rows only, the rest of its steps' columns go unread, and its record
+    ends at the click; its entries of ``outcomes`` and ``step_p1`` after
+    the click stay 0.  Returns the records and the collapsed rows.
     """
     strict = params.click_policy == STRICT_ABORT
     kraus = _weak_step(params.theta)
@@ -166,28 +171,25 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     steps = np.full(len(amps), params.iterations)
     # the rows in the weak steps: all of them, or the strict box's indices
     live = np.arange(len(amps)) if strict else slice(None)
-    cut = []  # each strict click's rows and their registers
+    # the strict box's collapsed rows, shot axis last: each row written as
+    # it clicks, the rows that never click after the steps
+    held = np.empty((amps.shape[1], len(amps) if strict else 0), complex)
     for j in range(params.iterations):
         click, probs, amps = _measure_rows(amps, k, kraus,
                                            uniforms[:, j][live])
         step_p1[j][live] = probs[1]
-        if not strict:
-            outcomes[j] = click
-        elif np.count_nonzero(click):
+        outcomes[j][live] = click
+        if strict and np.count_nonzero(click):
             hit, keep = np.flatnonzero(click), np.flatnonzero(~click)
             steps[live[hit]] = j + 1
-            cut.append((live[hit], amps[hit]))
+            held[:, live[hit]] = amps.T[:, hit]
             live, amps = live[keep], np.take(amps.T, keep, axis=1).T
             if not len(live):
                 break
-    if cut:  # rows that clicked read out as they clicked
-        stop, held = map(np.concatenate, zip(*cut))
-        outcomes[steps[stop] - 1, stop] = 1
-        rows = np.empty((amps.shape[1], len(steps)), dtype=complex).T
-        rows[live] = amps
-        rows[stop] = held
-        amps = rows
-    final, _, amps = _readout_rows(amps, Measurement(k), uniforms[:, -1])
+    if strict:
+        held[:, live] = amps.T
+        amps = held.T
+    final, _, amps = _measure_rows(amps, k, _PROJECTORS, uniforms[:, -1])
     # a strict row that clicked is rejected
     accepted = np.zeros(len(steps), dtype=bool)
     accepted[live] = ~final[live]
@@ -276,8 +278,7 @@ def acceptance_probability(alpha_sq: float,
     back to |alpha|^2.  Strict policy: ``alpha_sq * cos(theta)^(2N)``, the
     probability of surviving all N couplings in the |0> branch.
     """
-    if not -NORM_TOL <= alpha_sq <= 1.0 + NORM_TOL:
-        raise ValueError(f"alpha_sq must be in [0, 1], got {alpha_sq}")
+    alpha_sq = _clamp_p0(alpha_sq)
     if params.click_policy == STRICT_ABORT:
         return alpha_sq * math.cos(params.theta) ** (2 * params.iterations)
     return alpha_sq
@@ -304,9 +305,7 @@ def record_probability(record: str, alpha_sq: float,
     """
     if not record or record.strip("01"):
         raise ValueError(f"a record is a string of 0s and 1s, got {record!r}")
-    if not -NORM_TOL <= alpha_sq <= 1.0 + NORM_TOL:
-        raise ValueError(f"alpha_sq must be in [0, 1], got {alpha_sq}")
-    alpha_sq = min(max(alpha_sq, 0.0), 1.0)  # a rounding error past [0, 1]
+    alpha_sq = _clamp_p0(alpha_sq)
     steps, final = record[:-1], record[-1]
     first = steps.find("1")
     strict_click = first >= 0 and params.click_policy == STRICT_ABORT
@@ -347,14 +346,13 @@ def sample_acceptance_runs(alpha_sq: float, params: VerificationParams,
     not from sub-stream ``i``.  Drawing each run's numbers from its own
     sub-stream with ``shot_uniforms`` takes about ten times as long.
     """
-    if not 0.0 <= alpha_sq <= 1.0:
-        raise ValueError(f"alpha_sq must be in [0, 1], got {alpha_sq}")
+    alpha_sq = _clamp_p0(alpha_sq)
     if runs < 1:
         raise ValueError("runs must be >= 1")
     sin_sq = math.sin(params.theta) ** 2
     cos_sq = math.cos(params.theta) ** 2
     if params.click_policy == STRICT_ABORT:
-        a2 = float(alpha_sq)  # P(|0>) of every run that has not clicked
+        a2 = alpha_sq  # P(|0>) of every run that has not clicked
         clicked = np.zeros(runs, dtype=bool)
         for _ in range(params.iterations):
             p1 = a2 * sin_sq
@@ -363,7 +361,7 @@ def sample_acceptance_runs(alpha_sq: float, params: VerificationParams,
             # has no survivor to follow
             a2 = a2 * cos_sq / (1.0 - p1) if p1 < 1.0 else 1.0
         return (rng.randoms(runs) < a2) & ~clicked
-    a2 = np.full(runs, float(alpha_sq))
+    a2 = np.full(runs, alpha_sq)
     q = np.empty(runs)
     click = np.empty(runs, dtype=bool)
     stay = np.empty(runs, dtype=bool)

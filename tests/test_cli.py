@@ -444,3 +444,16 @@ def test_overlap_one_reads_a_rounding_above_or_below_one(tmp_path):
     assert code == 0
     wrong = json.loads(out.read_text())["wrong_attempt"]
     assert wrong["analytic_acceptance"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("otp_qubits", [1, 2, 3])
+def test_overlap_one_passes_its_rate_check_on_every_seed(otp_qubits, capsys):
+    # a per-qubit overlap may round to 1 + 4e-16; read as more than 1, the
+    # law's 4 sigma band was 0 wide and failed a run that accepted every time
+    for seed in range(1, 41):
+        code = main(["locker-demo", "--wrong-overlap", "1", "--repeat", "100",
+                     "--iterations", "4", "--otp-qubits", str(otp_qubits),
+                     "--seed", str(seed)])
+        wrong = json.loads(capsys.readouterr().out)["wrong_attempt"]
+        assert code == 0, seed
+        assert wrong["analytic_acceptance"] <= 1.0, seed

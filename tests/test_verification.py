@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import qlocker as q
 from qlocker import RandomStream, VerificationParams
+from qlocker.tomography import FULL_REDUCED
 from qlocker.verification import sample_acceptance_runs
 from conftest import accepted_mass, every_record, random_qubit_state
 from oracles import (iterate_once, perturbation_step, phase_aligned_distance,
@@ -662,7 +663,42 @@ def test_fixed_points_exactly_preserved_per_iteration():
 
 def test_acceptance_probability_takes_a_rounding_error_above_one():
     params = VerificationParams(theta=0.3, iterations=4)
-    assert q.acceptance_probability(1.0 + 1e-15, params) == 1.0 + 1e-15
+    assert q.acceptance_probability(1.0 + 1e-15, params) == 1.0
+
+
+def _strict_runs(alpha_sq):
+    """Two strict one-step runs whose first draw is the click probability
+    of alpha_sq = 1, so a P(|0>) left above 1 clicks there."""
+    params = VerificationParams(0.3, 1, q.STRICT_ABORT)
+    draws = [np.array([math.sin(0.3) ** 2, 0.9]), np.array([0.5, 0.5])]
+    return sample_acceptance_runs(alpha_sq, params, 2,
+                                  QueueStream(draws)).tolist()
+
+
+# every law that takes a P(|0>), as a function of it
+P0_LAWS = {
+    "acceptance_probability": lambda a2: q.acceptance_probability(
+        a2, VerificationParams(0.3, 4, q.STRICT_ABORT)),
+    "record_probability": lambda a2: q.record_probability(
+        "0000", a2, VerificationParams(0.3, 3)),
+    "sample_acceptance_runs": _strict_runs,
+    # takes alpha, and |alpha|^2 is never negative
+    "theoretical_ancilla_density": lambda a2: q.theoretical_ancilla_density(
+        math.sqrt(a2), 0.3, FULL_REDUCED).matrix.tolist(),
+}
+
+
+@pytest.mark.parametrize("law", P0_LAWS)
+def test_a_rounding_error_past_the_unit_interval_reads_as_its_end(law):
+    tol, p0_law = q.statevector.NORM_TOL, P0_LAWS[law]
+    assert p0_law(1.0 + tol / 2) == p0_law(1.0)
+    too_far = [1.0 + 2 * tol, math.nan]
+    if law != "theoretical_ancilla_density":
+        assert p0_law(-tol / 2) == p0_law(0.0)
+        too_far.append(-2 * tol)
+    for alpha_sq in too_far:
+        with pytest.raises(ValueError, match="alpha_sq"):
+            p0_law(alpha_sq)
 
 
 class TestRunBox:

@@ -15,7 +15,10 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
   kernels' layout;
 - ``statevector._measure_rows``: one weak step on one-qubit rows, by row
   count, the rows in the layout the kernel itself returns;
-- ``verification._box_rows``: one 38-step box on |+> rows, by row count;
+- ``verification._box_rows``: one 38-step box on |+> rows, by row count,
+  at theta 0.1 under the paper policy, and on 1598 rows at theta 0.3 under
+  the strict policy (``1598 strict``), where about half the rows click
+  and leave the box early;
 - ``teleport.teleport``: one qubit, with a fresh Bell pair;
 - ``locker.attempt_unlock``: a fresh copy of the one-time password, by
   ``n`` password qubits x ``m`` message bits;
@@ -24,8 +27,11 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
   workloads of ``perfbench/workloads.py``, at ``--seed 9001``, with standard
   output sent to ``os.devnull``.
 
-``src_lines`` is the total of ``tools/src_lines.py``.  The script takes no
-options and writes no file:
+``src_lines`` is the total of ``tools/src_lines.py``.  On a shared host the
+best of five in one process still moves by up to 2x between runs of the same
+tree, so one run per tree cannot tell apart changes smaller than about 2x:
+compare trees over several alternating fresh processes.  The script takes
+no options and writes no file:
 
     python3 tools/layers.py
 """
@@ -121,13 +127,16 @@ def layers() -> dict:
         out["statevector._measure_rows"][str(shots)] = best(
             lambda: statevector._measure_rows(rows, 0, kraus, uniforms),
             max(20, 40000 // (shots + 20)))
-    params = q.VerificationParams(0.1, 38)
     plus = q.apply_gate(q.new_state(1), q.h(0)).amplitudes
     out["verification._box_rows"] = {}
-    for shots, number in ((128, 50), (1598, 10)):
+    for name, shots, params, number in (
+            ("128", 128, q.VerificationParams(0.1, 38), 50),
+            ("1598", 1598, q.VerificationParams(0.1, 38), 10),
+            ("1598 strict", 1598,
+             q.VerificationParams(0.3, 38, q.STRICT_ABORT), 10)):
         rows = np.broadcast_to(plus, (shots, 2))
         uniforms = stream.shot_uniforms(range(shots), 39)
-        out["verification._box_rows"][str(shots)] = best(
+        out["verification._box_rows"][name] = best(
             lambda: verification._box_rows(rows, 0, params, uniforms),
             number)
     psi = random_register(1, 1)
