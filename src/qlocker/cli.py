@@ -361,16 +361,26 @@ def cmd_locker_demo(args) -> dict:
     analytic_accept = math.prod(acceptance_probability(o, verification)
                                 for o in overlaps)
 
-    accept_count = 0
-    for last_wrong in attempt_unlocks(locker, wrong_probe, wrong_stream,
-                                      range(1, args.repeat + 1)):
-        accept_count += last_wrong.accepted
-    wrong_rate = accept_count / args.repeat
+    accepted, last_wrong = attempt_unlocks(locker, wrong_probe, wrong_stream,
+                                           range(1, args.repeat + 1))
+    wrong_rate = np.count_nonzero(accepted) / args.repeat
 
-    checks = [_check("correct-password retrieval",
-                     float(correct.retrieved_bits == args.message
-                           and correct.accepted),
-                     1.0, 0.0, "exact")]
+    if args.policy == PAPER_DEFAULT:
+        name = "correct-password retrieval"
+        exact = correct.accepted and correct.retrieved_bits == args.message
+    else:
+        # a strict box accepts the correct password only with
+        # cos^(2nN)(theta); exact are the release rule and that the box can
+        # write each record from the received qubits
+        name = "correct-password release and records"
+        release = args.message if correct.accepted else "0" * locker.m_bits
+        factors = apply_inverse_rotation(ProductState(received),
+                                         params).factors
+        exact = correct.retrieved_bits == release and all(record_probability(
+            t.outcomes_bitstring() + str(t.final_system_outcome),
+            abs(a0) ** 2, verification) > 0.0
+            for t, a0 in zip(correct.trajectories, factors[:, 0]))
+    checks = [_check(name, float(exact), 1.0, 0.0, "exact")]
     if args.repeat >= 100:
         checks.append(_band_check("wrong-password acceptance rate",
                                   wrong_rate, analytic_accept, args.repeat,

@@ -16,7 +16,8 @@ released only if every run accepts.  Box ``k`` runs on qubit ``k`` of
 every part at once (:func:`~qlocker.verification._boxes`): a register's
 boxes run one after another, a product's as one box over its factors.
 :func:`attempt_unlocks` presents many fresh copies of one probe as the rows
-of one array (:func:`~qlocker.verification.box_shots`);
+of one array (:func:`~qlocker.verification.box_shots`) and keeps one accept
+bit per copy, with a full result for the last copy only;
 :func:`attempt_unlock` runs the same boxes on one password.  In the
 protocol's circuit, NOTs controlled on the message qubits and on every
 measured password qubit reading 0 copy the message to blank qubits; all
@@ -36,7 +37,8 @@ import hashlib
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator
+
+import numpy as np
 
 from .gates import rx, ry, rz
 from .rng import RandomStream
@@ -53,7 +55,7 @@ from .verification import (
     Trajectory,
     VerificationParams,
     _boxes,
-    _trajectories,
+    _trajectory,
     box_shots,
 )
 
@@ -202,14 +204,14 @@ def _check_password(locker: LockerState, password: Password) -> None:
         raise PasswordConsumedError("password register already consumed")
 
 
-def _results(locker: LockerState,
-             boxes: list[BoxRows]) -> Iterator[UnlockResult]:
-    """Each row's unlock from its boxes, one per password qubit: the
+def _result(locker: LockerState, boxes: list[BoxRows],
+            row: int) -> UnlockResult:
+    """Row ``row``'s unlock from its boxes, one per password qubit: the
     trajectories, acceptance and release."""
-    for trajectories in zip(*map(_trajectories, boxes)):
-        accepted = all(t.accepted for t in trajectories)
-        retrieved = locker.message_bits if accepted else "0" * locker.m_bits
-        yield UnlockResult(accepted, retrieved, trajectories)
+    trajectories = tuple(_trajectory(box, row) for box in boxes)
+    accepted = all(t.accepted for t in trajectories)
+    retrieved = locker.message_bits if accepted else "0" * locker.m_bits
+    return UnlockResult(accepted, retrieved, trajectories)
 
 
 def attempt_unlock(locker: LockerState, password: Password,
@@ -231,7 +233,8 @@ def attempt_unlock(locker: LockerState, password: Password,
     one one-qubit row per factor, and never builds its ``2**n`` register.
     The collapse is one rule for both forms: the basis state of the closing
     readouts, and the retrieved bits in ``blanks``, are written into the
-    parts.
+    parts.  The result holds one :class:`~qlocker.verification.Trajectory`
+    per password qubit: its outcomes, closing readout and acceptance.
     """
     _check_password(locker, password)
     m = locker.m_bits
@@ -244,9 +247,8 @@ def attempt_unlock(locker: LockerState, password: Password,
     locker.consumed_passwords[id(password)] = password
     phi = apply_inverse_rotation(password, locker.params)
     draws = locker.n_password_qubits * (locker.verification.iterations + 1)
-    (result,) = _results(locker, _boxes(_parts(phi)[None],
-                                        locker.verification,
-                                        rng.randoms(draws)[None]))
+    result = _result(locker, _boxes(_parts(phi)[None], locker.verification,
+                                    rng.randoms(draws)[None]), 0)
 
     # the presented password is now the measured eigenstate
     _write_basis(_parts(password),
@@ -258,22 +260,31 @@ def attempt_unlock(locker: LockerState, password: Password,
 
 def attempt_unlocks(locker: LockerState, probe: Password,
                     stream: RandomStream,
-                    shots: range) -> Iterator[UnlockResult]:
+                    shots: range) -> tuple[np.ndarray, UnlockResult]:
     """Present a fresh copy of ``probe`` once per shot index ``i`` in
-    ``shots``, in order: result ``i`` is what ``attempt_unlock(locker,
-    probe.copy(), stream.substream(i))`` returns, run as one row of
-    :func:`~qlocker.verification.box_shots`.  Each copy is held as its
-    parts, P parts of w qubits, so a block of B copies runs each of the w
-    boxes over ``B * P`` part rows: a product ``probe``'s n boxes as one box
-    over ``(B * n, 2)`` one-qubit rows, a register's one after another.
-    ``probe`` itself is neither collapsed nor registered as consumed; it is
-    checked, and inversely rotated once, when this is called.
+    ``shots``, in order, copy ``i`` unlocking as ``attempt_unlock(locker,
+    probe.copy(), stream.substream(i))`` does, run as one row of
+    :func:`~qlocker.verification.box_shots`.
+
+    Returns ``(accepted, last)``: a bool array with one entry per shot,
+    whether every box of that copy accepted, and the last shot's
+    :class:`UnlockResult`, the only one built.  The blocks of
+    :func:`~qlocker.verification.box_shots` are read one at a time, and
+    only each block's accept bits are kept.  Each copy is held as its parts,
+    P parts of w qubits, so a block of B copies runs each of the w boxes
+    over ``B * P`` part rows: a product ``probe``'s n boxes as one box over
+    ``(B * n, 2)`` one-qubit rows, a register's one after another.
+    ``probe`` itself is neither collapsed nor registered as consumed.  An
+    empty ``shots`` is a :class:`ValueError`.
     """
+    if not shots:
+        raise ValueError("need at least one shot")
     _check_password(locker, probe)
     phi = apply_inverse_rotation(probe, locker.params)
-    return (result
-            for boxes in box_shots(phi, locker.verification, stream, shots)
-            for result in _results(locker, boxes))
+    accepted = []
+    for boxes in box_shots(phi, locker.verification, stream, shots):
+        accepted.append(np.all([box.accepted for box in boxes], axis=0))
+    return np.concatenate(accepted), _result(locker, boxes, -1)
 
 
 def session_log(locker: LockerState, result: UnlockResult) -> list[str]:

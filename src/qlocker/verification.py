@@ -28,22 +28,26 @@ ancilla circuit is kept where the ancilla itself is measured
 row of an ``(R, 2**n)`` array, each row reading its own uniforms, drawn up
 front.  Each step writes its rows' outcomes at that step; under the strict
 policy a row that clicks is written as it clicks, its register once into
-the box's collapsed rows, and leaves the steps.  The draw layout is fixed: box ``k`` reads its weak steps from
-columns ``k(N+1)`` to ``k(N+1) + N - 1`` and its closing readout from column
-``k(N+1) + N``, whatever earlier boxes did (a strict row that clicked leaves
-the rest of its box's window unread).  So the boxes of separate parts of a
-password are independent.  :func:`_boxes` takes every password, a register
-or a :class:`~qlocker.statevector.ProductState`, in one layout: P parts of
-w qubits (``statevector._parts``), one part of n qubits for a register, n
+the box's collapsed rows, and leaves the steps.  The draw layout is fixed:
+box ``k`` reads its weak steps from columns ``k(N+1)`` to ``k(N+1) + N - 1``
+and its closing readout from column ``k(N+1) + N``, whatever earlier boxes
+did (a strict row that clicked leaves the rest of its box's window unread).
+So the boxes of separate parts of a password are independent.
+:func:`_boxes` takes every password, a register or a
+:class:`~qlocker.statevector.ProductState`, in one layout: P parts of w
+qubits (``statevector._parts``), one part of n qubits for a register, n
 parts of one qubit for a product.  Box ``k`` runs on qubit ``k`` of all the
 part rows at once, so a register's n boxes run one after another and a
 product's as one :func:`_box_rows` call over one-qubit rows.
 :func:`box_shots` runs :func:`_boxes` on the rows that
 ``statevector._shot_rows`` gives, a fresh copy of a password per shot, for
 ``converge`` (:func:`box_records`) and the locker; :func:`run_box` is its
-one-row call.  :func:`record_probability` (the exact law of a whole
-record, in closed form) and :func:`sample_acceptance_runs` (accept/reject
-only, for ``sweep``) give the same law without the kernel.  They and
+one-row call.  The results stay arrays, one entry per row (``BoxRows``),
+up to the report: a :class:`Trajectory` is built only for a row read out
+on its own (:func:`run_box`, and the attempts a locker report prints).
+:func:`record_probability` (the exact law of a whole record, in closed
+form) and :func:`sample_acceptance_runs` (accept/reject only, for
+``sweep``) give the same law without the kernel.  They and
 :func:`acceptance_probability` read the input's P(|0>) through
 ``statevector._clamp_p0``, so a rounding error past [0, 1] reads as its
 end.
@@ -112,10 +116,11 @@ class VerificationParams:
 
 @dataclass
 class Trajectory:
-    """Record of one verification run."""
+    """Record of one verification run: its weak-step outcomes (cut at the
+    click under the strict policy), its closing readout and whether it
+    accepted."""
 
     ancilla_outcomes: list[int]
-    step_p1: list[float]
     final_system_outcome: int
     accepted: bool
 
@@ -141,9 +146,9 @@ def _weak_step(theta: float) -> np.ndarray:
     return np.array([[math.cos(theta), 1.0], [-1j * math.sin(theta), 0.0]])
 
 
-# one box on R rows: row r recorded outcomes[r, :steps[r]], with click
-# probabilities step_p1[r, :steps[r]], then its closing readout final[r]
-BoxRows = namedtuple("BoxRows", "outcomes step_p1 steps final accepted")
+# one box on R rows: row r recorded outcomes[r, :steps[r]], then its
+# closing readout final[r]
+BoxRows = namedtuple("BoxRows", "outcomes steps final accepted")
 
 
 def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
@@ -155,19 +160,18 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     on every row, reads the last column.  Each step is one kernel call over
     the rows still in the weak steps, and it reads their draws from column
     ``j``, a contiguous row when ``uniforms`` is the ``.T`` view of a
-    shot-last array; it writes their outcomes and click probabilities at
-    step ``j``.  Under the strict policy a row that clicks leaves the weak
-    steps: its register is written once, as the click left it, into the
-    shot-last array of collapsed rows, the later steps run on the other
-    rows only, the rest of its steps' columns go unread, and its record
-    ends at the click; its entries of ``outcomes`` and ``step_p1`` after
-    the click stay 0.  Returns the records and the collapsed rows.
+    shot-last array; it writes their outcomes at step ``j``.  Under the
+    strict policy a row that clicks leaves the weak steps: its register is
+    written once, as the click left it, into the shot-last array of
+    collapsed rows, the later steps run on the other rows only, the rest of
+    its steps' columns go unread, and its record ends at the click; its
+    entries of ``outcomes`` after the click stay 0.  Returns the records,
+    arrays with one entry per row, and the collapsed rows.
     """
     strict = params.click_policy == STRICT_ABORT
     kraus = _weak_step(params.theta)
     # one contiguous row per step, transposed to one row per shot at the end
     outcomes = np.zeros((params.iterations, len(amps)), dtype=np.int8)
-    step_p1 = np.zeros((params.iterations, len(amps)))
     steps = np.full(len(amps), params.iterations)
     # the rows in the weak steps: all of them, or the strict box's indices
     live = np.arange(len(amps)) if strict else slice(None)
@@ -175,9 +179,7 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     # it clicks, the rows that never click after the steps
     held = np.empty((amps.shape[1], len(amps) if strict else 0), complex)
     for j in range(params.iterations):
-        click, probs, amps = _measure_rows(amps, k, kraus,
-                                           uniforms[:, j][live])
-        step_p1[j][live] = probs[1]
+        click, _, amps = _measure_rows(amps, k, kraus, uniforms[:, j][live])
         outcomes[j][live] = click
         if strict and np.count_nonzero(click):
             hit, keep = np.flatnonzero(click), np.flatnonzero(~click)
@@ -193,7 +195,7 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     # a strict row that clicked is rejected
     accepted = np.zeros(len(steps), dtype=bool)
     accepted[live] = ~final[live]
-    return BoxRows(outcomes.T, step_p1.T, steps, final, accepted), amps
+    return BoxRows(outcomes.T, steps, final, accepted), amps
 
 
 def _boxes(amps: np.ndarray, params: VerificationParams,
@@ -244,11 +246,10 @@ def box_records(box: BoxRows) -> list[str]:
     return _row_keys(chars, (box.steps + 1).tolist())
 
 
-def _trajectories(box: BoxRows) -> list[Trajectory]:
-    """Each row's record as a :class:`Trajectory`."""
-    return [Trajectory(o[:cut], p[:cut], f, a) for o, p, cut, f, a in zip(
-        box.outcomes.tolist(), box.step_p1.tolist(), box.steps.tolist(),
-        box.final.astype(int).tolist(), box.accepted.tolist())]
+def _trajectory(box: BoxRows, row: int) -> Trajectory:
+    """Row ``row``'s record as a :class:`Trajectory`."""
+    return Trajectory(box.outcomes[row, :box.steps[row]].tolist(),
+                      int(box.final[row]), bool(box.accepted[row]))
 
 
 def run_box(state: StateVector, k: int, params: VerificationParams,
@@ -265,8 +266,7 @@ def run_box(state: StateVector, k: int, params: VerificationParams,
     """
     box, amps = _box_rows(state.amplitudes[None], k, params,
                           rng.randoms(params.iterations + 1)[None])
-    (trajectory,) = _trajectories(box)
-    return trajectory, StateVector(state.n_qubits, amps[0])
+    return _trajectory(box, 0), StateVector(state.n_qubits, amps[0])
 
 
 def acceptance_probability(alpha_sq: float,

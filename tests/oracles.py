@@ -24,8 +24,12 @@ one P(|0>) per run, every step a fresh set of arrays, as the in-place
 :func:`qlocker.verification.sample_acceptance_runs` must reproduce from
 the same draws.
 
-``iterate_once`` is one iteration of the box on a single-qubit system:
-the box's kernel step run once, as the coupling circuit must reproduce.
+``weak_steps`` replays the box's weak steps on qubit ``k`` of every row
+of an n-qubit array, one kernel call per step on the box's own draws, and
+returns each step's P(click): run on the state ``ancilla_boxes`` holds
+before each coupling, it must give the P(1) that the coupling circuit
+gives its ancilla, bit for bit.
+``iterate_once`` is its one-row, one-step call on a single-qubit system.
 ``perturbation_step`` is the closed-form no-click collapse of one box
 iteration, and ``otp_consumed_check`` tells whether a presented password
 register has been measured out.
@@ -252,17 +256,20 @@ def ancilla_boxes(reg, qubits, verification, rng):
     ``reg`` holds the n password qubits plus one shared ancilla at index n,
     reset to |0> (conditional flip) after every readout.  Each box takes
     the next N + 1 draws of ``rng``, one per step and then its closing
-    readout.  Returns the per-qubit trajectories, final outcomes and the
-    final register.
+    readout.  Returns the per-qubit trajectories, each box's steps as
+    ``(inputs, p1s)``, the password qubits' amplitudes before each coupling
+    (shape ``(steps, 2**n)``, the ancilla then in |0>) and the ancilla's
+    P(1) after it, the final outcomes and the final register.
     """
     n = reg.n_qubits - 1
     theta = verification.theta
     strict = verification.click_policy == STRICT_ABORT
-    trajectories, finals = [], []
+    trajectories, steps, finals = [], [], []
     for k in qubits:
         gate = build_controlled0_rx(theta, control=k, target=n)
-        outcomes, p1s = [], []
+        outcomes, inputs, p1s = [], [], []
         for _ in range(verification.iterations):
+            inputs.append(reg.amplitudes[:1 << n])
             reg = apply_gate(reg, gate)
             p1s.append(qubit_probabilities(reg, n)[1])
             outcome, _, reg = measure_qubit(reg, n, "z", rng)
@@ -277,9 +284,10 @@ def ancilla_boxes(reg, qubits, verification, rng):
         final, _, reg = measure_qubit(reg, k, "z", rng)
         clicked = any(outcomes)
         accepted = final == 0 and not (strict and clicked)
-        trajectories.append(Trajectory(outcomes, p1s, final, accepted))
+        trajectories.append(Trajectory(outcomes, final, accepted))
+        steps.append((np.reshape(inputs, (-1, 1 << n)), p1s))
         finals.append(final)
-    return trajectories, finals, reg
+    return trajectories, steps, finals, reg
 
 
 def gate_transfer(finals, message_bits, rng):
@@ -310,8 +318,8 @@ def reference_unlock(message_bits, params, verification, password, rng):
     """
     phi = apply_inverse_rotation(password, params)
     reg = combine(phi, new_state(1))
-    trajectories, finals, _ = ancilla_boxes(reg, range(params.n_qubits),
-                                            verification, rng)
+    trajectories, _, finals, _ = ancilla_boxes(reg, range(params.n_qubits),
+                                               verification, rng)
     accepted = all(t.accepted for t in trajectories)
     strict = verification.click_policy == STRICT_ABORT
     if strict and any(any(t.ancilla_outcomes) for t in trajectories):
@@ -344,6 +352,28 @@ def reference_acceptance_runs(alpha_sq, params, runs, rng):
     return final_zero
 
 
+def weak_steps(amps, k, theta, uniforms):
+    """The box's weak steps on qubit ``k`` of every row of ``amps`` (shape
+    ``(R, 2**n)``): step ``j`` is one ``_measure_rows`` call with
+    ``_weak_step(theta)`` on column ``j`` of ``uniforms`` (shape ``(R, J)``),
+    over every row, clicked or not.
+
+    Returns ``(clicks, p1, amps)``: each row's outcome and P(click) at each
+    step, shape ``(R, J)``, and the rows after the last step.  Up to and
+    including its first click a row takes the steps that the box of either
+    policy takes on the same draws, so a row's first ``len(record)``
+    entries are those of the box that wrote ``record``.
+    """
+    kraus = _weak_step(theta)
+    clicks = np.zeros(uniforms.shape, dtype=np.int8)
+    p1 = np.zeros(uniforms.shape)
+    for j in range(uniforms.shape[1]):
+        clicks[:, j], probs, amps = _measure_rows(amps, k, kraus,
+                                                  uniforms[:, j])
+        p1[:, j] = probs[1]
+    return clicks, p1, amps
+
+
 def iterate_once(system, params, rng):
     """One iteration of the box on a single-qubit system.
 
@@ -353,10 +383,9 @@ def iterate_once(system, params, rng):
     """
     if system.n_qubits != 1:
         raise ValueError("the verification box acts on a single-qubit system")
-    click, probs, amps = _measure_rows(system.amplitudes[None], 0,
-                                       _weak_step(params.theta),
-                                       rng.randoms(1))
-    return int(click[0]), StateVector(1, amps[0]), float(probs[1, 0])
+    clicks, p1, amps = weak_steps(system.amplitudes[None], 0, params.theta,
+                                  rng.randoms(1)[None])
+    return int(clicks[0, 0]), StateVector(1, amps[0]), float(p1[0, 0])
 
 
 def perturbation_step(alpha: complex, beta: complex,

@@ -7,8 +7,9 @@ shots are split into blocks and in whatever order the blocks run.
 rows, and each row must be the ``run_box`` of a fresh copy on its own
 sub-stream, however the rows are split into blocks and in whatever order
 the blocks run.  ``attempt_unlocks`` runs many presentations of one probe
-as rows, and each row must be the ``attempt_unlock`` of a fresh copy on its
-own sub-stream, in the same way.  All three take their blocks from
+as rows, and each row's boxes and acceptance, and the last row's result,
+must be the ``attempt_unlock`` of a fresh copy on its own sub-stream, in
+the same way.  All three take their blocks from
 ``statevector._shot_rows``, so one patch of ``statevector`` splits them.  A
 product password's copies run every box at once over one-qubit rows, and
 must unlock, and collapse, as the same password combined into one register
@@ -130,7 +131,8 @@ def box_shot_records(state, params, stream, shots):
     """Every shot's trajectory and record from ``box_shots``, in order."""
     trajectories, records = [], []
     for (box,) in q.box_shots(state, params, stream, shots):
-        trajectories += verification._trajectories(box)
+        trajectories += [verification._trajectory(box, row)
+                         for row in range(len(box.steps))]
         records += q.box_records(box)
     return trajectories, records
 
@@ -183,29 +185,44 @@ def test_strict_records_end_at_the_first_click():
     assert {len(r) for r in converge_records(paper, 200, 8)} == {6 + 1}
 
 
+def unlock_rows(locker, probe, stream, shots):
+    """What ``attempt_unlocks`` gives, ``(accepted, last)``, and each row's
+    trajectories, one per password qubit, read from ``box_shots`` on the
+    inversely rotated probe as ``attempt_unlocks`` runs it."""
+    accepted, last = q.attempt_unlocks(locker, probe, stream, shots)
+    phi = q.apply_inverse_rotation(probe, locker.params)
+    rows = [tuple(verification._trajectory(box, row) for box in boxes)
+            for boxes in q.box_shots(phi, locker.verification, stream, shots)
+            for row in range(len(boxes[0].steps))]
+    return accepted, last, rows
+
+
+def assert_rows_match(got, want, order):
+    """``unlock_rows`` against the results ``want`` of one ``attempt_unlock``
+    per copy, its rows in the order ``order`` of their shots: every row's
+    outcomes, finals and acceptance, and the last row's whole result."""
+    accepted, last, rows = got
+    want = [want[i] for i in order]
+    assert accepted.dtype == bool
+    assert accepted.tolist() == [w.accepted for w in want]
+    assert rows == [w.trajectories for w in want]
+    assert last == want[-1]
+
+
 def assert_unlocks_match(locker, probe, stream, shots):
     """``attempt_unlocks`` row for row against one ``attempt_unlock`` per
     copy, in one block and in every split of :data:`SPLITS`; returns the
     oracle's results."""
     want = reference_unlocks(locker, probe, stream, shots)
-
-    def check(order=range(len(want))):
-        got = list(q.attempt_unlocks(locker, probe, stream, shots))
-        assert len(got) == len(order) == len(want)
-        for a, b in zip(got, [want[i] for i in order]):
-            assert (a.accepted, a.retrieved_bits) == (b.accepted,
-                                                      b.retrieved_bits)
-            assert len(a.trajectories) == len(b.trajectories)
-            for s, t in zip(a.trajectories, b.trajectories):
-                assert s.ancilla_outcomes == t.ancilla_outcomes
-                assert s.step_p1 == t.step_p1
-                assert s.final_system_outcome == t.final_system_outcome
-                assert s.accepted == t.accepted
-
-    check()
+    assert_rows_match(unlock_rows(locker, probe, stream, shots), want,
+                      range(len(want)))
     for cells, reverse in SPLITS:
         with pytest.MonkeyPatch.context() as mp:
-            check(split(mp, cells, reverse))
+            order = split(mp, cells, reverse)
+            got = unlock_rows(locker, probe, stream, shots)
+        # attempt_unlocks and box_shots each make the same blocks
+        assert order == order[:len(want)] * 2
+        assert_rows_match(got, want, order[:len(want)])
     return want
 
 
@@ -269,7 +286,7 @@ def test_unlock_is_run_box_on_each_qubit_in_turn(prep, theta, iterations,
         trajectory, reg = q.run_box(reg, k, locker.verification, rng)
         want.append(trajectory)
     got = q.attempt_unlock(locker, probe, RandomStream(seed, (1,)))
-    # outcomes, exact click probabilities, finals and acceptance
+    # outcomes, finals and acceptance
     assert got.trajectories == tuple(want)
 
 
@@ -280,21 +297,6 @@ def product_passwords(draw):
     n = draw(st.integers(1, 8))
     return q.ProductState([draw(one_qubit_preps()).amplitudes
                            for _ in range(n)])
-
-
-def assert_same_unlocks(got, want):
-    """Equal outcomes, finals, acceptance and retrieved bits; the click
-    probabilities to rounding (a register sums over 2**n amplitudes)."""
-    def exact(unlocks):
-        return [(u.accepted, u.retrieved_bits,
-                 [(t.ancilla_outcomes, t.final_system_outcome, t.accepted)
-                  for t in u.trajectories]) for u in unlocks]
-
-    def step_p1(unlocks):
-        return [p for u in unlocks for t in u.trajectories for p in t.step_p1]
-
-    assert exact(got) == exact(want)
-    np.testing.assert_allclose(step_p1(got), step_p1(want), rtol=1e-12)
 
 
 @BATCH_SETTINGS
@@ -317,20 +319,19 @@ def test_product_rows_match_the_combined_register(password, theta,
     locker = q.store_message("110", params,
                              VerificationParams(theta, iterations, policy))
     stream = RandomStream(seed, (1,))
-    want = list(q.attempt_unlocks(locker, password.register(), stream,
-                                  shots))
-    assert_same_unlocks(
-        [q.attempt_unlock(locker, password.copy(), stream.substream(i))
-         for i in shots], want)
-    assert_same_unlocks(list(q.attempt_unlocks(locker, password, stream,
-                                               shots)), want)
+    want = reference_unlocks(locker, password, stream, shots)
+    # the combined register's copies as rows, and the product's
+    assert_rows_match(unlock_rows(locker, password.register(), stream, shots),
+                      want, range(count))
+    assert_rows_match(unlock_rows(locker, password, stream, shots), want,
+                      range(count))
     # one collapse rule for both forms: the basis state of the finals
     # written into the password, the retrieved bits into the blanks
     product, register = password.copy(), password.copy().register()
     blanks = [q.new_state(3), q.new_state(3)]
     got = [q.attempt_unlock(locker, p, stream.substream(first), blanks=b)
            for p, b in zip((product, register), blanks)]
-    assert_same_unlocks(got, want[:1] * 2)
+    assert got == want[:1] * 2
     finals = [t.final_system_outcome for t in got[0].trajectories]
     collapsed = q.basis_state(finals).amplitudes.tobytes()
     assert product.register().amplitudes.tobytes() == collapsed
@@ -339,8 +340,8 @@ def test_product_rows_match_the_combined_register(password, theta,
     assert [b.amplitudes.tobytes() for b in blanks] == [retrieved] * 2
     with pytest.MonkeyPatch.context() as mp:
         order = split(mp, cells, reverse)
-        got = list(q.attempt_unlocks(locker, password, stream, shots))
-    assert_same_unlocks(got, [want[i] for i in order])
+        got = unlock_rows(locker, password, stream, shots)
+    assert_rows_match(got, want, order[:count])
 
 
 @pytest.mark.parametrize("shots,row_cells", [

@@ -181,6 +181,24 @@ class TestLockerDemo:
         assert report["wrong_attempt"]["per_qubit_overlap"] == pytest.approx(
             [0.5] * 24, abs=1e-12)
 
+    @pytest.mark.parametrize("otp_qubits", [1, 2])
+    def test_strict_correct_password_exits_0_on_every_seed(self, otp_qubits,
+                                                           capsys):
+        # the strict box accepts the correct password only with
+        # cos^(2nN)(theta), 0.68 at n = 1 and 0.47 at n = 2: a rejected
+        # attempt that releases nothing is the law, not a failed check
+        accepted = []
+        for seed in range(200):
+            code = main(["locker-demo", "--policy", "strict", "--otp-qubits",
+                         str(otp_qubits), "--repeat", "1",
+                         "--seed", str(seed)])
+            correct = json.loads(capsys.readouterr().out)["correct_attempt"]
+            assert code == 0, seed
+            assert correct["retrieved_bits"] == (
+                "1011" if correct["accepted"] else "0000"), seed
+            accepted.append(correct["accepted"])
+        assert 0 < sum(accepted) < 200
+
     def test_invalid_message_exits_3(self, tmp_path):
         code = main(["locker-demo", "--message", "000",
                      "--out", str(tmp_path / "x.json")])

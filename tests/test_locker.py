@@ -17,7 +17,7 @@ from qlocker import (
 
 from conftest import accepted_mass
 from oracles import (otp_consumed_check, phase_aligned_distance,
-                     qubit_probabilities)
+                     qubit_probabilities, reference_unlocks)
 
 
 def rotation_oracle(t1: float, t2: float, t3: float) -> np.ndarray:
@@ -178,12 +178,9 @@ class TestUnlock:
         params = OtpParams.random(2, RandomStream(56))
         locker = q.store_message("1011", params,
                                  VerificationParams(0.1, 38, policy))
-        released = []
         with pytest.raises(FloatingPointError):
-            released.extend(q.attempt_unlocks(
-                locker, q.StateVector(2, np.zeros(4)), RandomStream(57),
-                range(1, 20)))
-        assert released == []
+            q.attempt_unlocks(locker, q.StateVector(2, np.zeros(4)),
+                              RandomStream(57), range(1, 20))
 
     def test_probe_copies_leave_the_probe_alone(self):
         params = OtpParams.random(2, RandomStream(71))
@@ -191,16 +188,15 @@ class TestUnlock:
         probe = q.apply_rotation(q.apply_gate(q.new_state(2), q.h(0)),
                                  params)
         before = probe.amplitudes.copy()
-        results = list(q.attempt_unlocks(locker, probe, RandomStream(72),
-                                         range(5)))
-        assert len(results) == 5
+        accepted, last = q.attempt_unlocks(locker, probe, RandomStream(72),
+                                           range(5))
+        assert accepted.shape == (5,)
         np.testing.assert_array_equal(probe.amplitudes, before)
         assert len(locker.consumed_passwords) == 0
         # an unregistered probe may be presented again, with the same draws
-        again = list(q.attempt_unlocks(locker, probe, RandomStream(72),
-                                       range(5)))
-        assert [r.trajectories for r in again] == \
-            [r.trajectories for r in results]
+        again, again_last = q.attempt_unlocks(locker, probe,
+                                              RandomStream(72), range(5))
+        assert again.tolist() == accepted.tolist() and again_last == last
 
     def test_consumed_probe_is_refused(self):
         params = OtpParams.random(1, RandomStream(73))
@@ -212,6 +208,42 @@ class TestUnlock:
         with pytest.raises(ValueError):
             q.attempt_unlocks(locker, q.new_state(2), RandomStream(75),
                               range(3))
+
+    def test_no_shots_is_refused(self):
+        params = OtpParams.random(1, RandomStream(73))
+        locker = q.store_message("1", params, SMALL)
+        with pytest.raises(ValueError, match="shot"):
+            q.attempt_unlocks(locker, q.generate_otp(params),
+                              RandomStream(75), range(4, 4))
+
+    @pytest.mark.parametrize("copies", [1, 500])
+    def test_many_copies_build_one_result(self, copies):
+        # only the last copy's result is built: n trajectories whatever the
+        # number of copies; every copy's acceptance is the accept array
+        params = OtpParams.random(3, RandomStream(76))
+        locker = q.store_message("101", params, SMALL)
+        probe = q.apply_rotation(q.apply_gate(q.new_state(3), q.h(1)),
+                                 params)
+        want = reference_unlocks(locker, probe, RandomStream(77),
+                                 range(copies))
+        built = []
+
+        class CountingTrajectory(q.Trajectory):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(q.verification, "Trajectory", CountingTrajectory)
+            accepted, last = q.attempt_unlocks(locker, probe,
+                                               RandomStream(77), range(copies))
+        assert len(built) == 3
+        assert accepted.tolist() == [w.accepted for w in want]
+        assert [vars(t) for t in last.trajectories] == \
+            [vars(t) for t in want[-1].trajectories]
+        assert (last.accepted, last.retrieved_bits) == \
+            (want[-1].accepted, want[-1].retrieved_bits)
+        assert 0 < np.count_nonzero(accepted) < copies or copies == 1
 
     def test_blanks_must_be_zero(self):
         params = OtpParams.random(1, RandomStream(54))

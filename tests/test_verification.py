@@ -14,7 +14,8 @@ from qlocker.tomography import FULL_REDUCED
 from qlocker.verification import sample_acceptance_runs
 from conftest import accepted_mass, every_record, random_qubit_state
 from oracles import (iterate_once, perturbation_step, phase_aligned_distance,
-                     qubit_probabilities, reference_acceptance_runs)
+                     qubit_probabilities, reference_acceptance_runs,
+                     weak_steps)
 
 # the largest theta below pi/2: sin^2(theta) rounds to 1.0 there
 NEAR_RIGHT_ANGLE = math.nextafter(math.pi / 2, 0)
@@ -208,7 +209,13 @@ class TestRunVerification:
         truncated = False
         for i in range(100):
             traj, _ = q.run_box(q.new_state(1), 0, params, root.substream(i))
-            assert len(traj.ancilla_outcomes) == len(traj.step_p1)
+            # the steps the kernel runs on the box's draws, up to and
+            # including the first click
+            clicks, _, _ = weak_steps(q.new_state(1).amplitudes[None], 0,
+                                      params.theta,
+                                      root.substream(i).randoms(7)[None, :6])
+            executed = clicks[0].tolist().index(1) + 1 if clicks.any() else 6
+            assert traj.ancilla_outcomes == clicks[0, :executed].tolist()
             if any(traj.ancilla_outcomes):
                 assert traj.ancilla_outcomes[-1] == 1
                 assert len(traj.ancilla_outcomes) <= 6
@@ -220,11 +227,16 @@ class TestRunVerification:
         params = VerificationParams(theta=0.25, iterations=12)
         root = RandomStream(10)
         for i in range(60):
-            traj, _ = q.run_box(random_qubit_state(np_rng), 0, params,
-                                root.substream(i))
+            state = random_qubit_state(np_rng)
+            traj, _ = q.run_box(state, 0, params, root.substream(i))
+            # the kernel's click probabilities, replayed on the box's draws
+            draws = root.substream(i).randoms(13)[None, :12]
+            clicks, p1, _ = weak_steps(state.amplitudes[None], 0,
+                                       params.theta, draws)
+            assert clicks[0].tolist() == traj.ancilla_outcomes
             prefix_end = (traj.ancilla_outcomes.index(1)
-                          if any(traj.ancilla_outcomes) else len(traj.step_p1))
-            p1s = traj.step_p1[:prefix_end + 1]
+                          if any(traj.ancilla_outcomes) else 12)
+            p1s = p1[0, :prefix_end + 1].tolist()
             assert all(b <= a + 1e-12 for a, b in zip(p1s, p1s[1:]))
 
 
@@ -454,10 +466,16 @@ class TestSampledBoxLaw:
     N = 38, 200 and 1000, under both policies."""
 
     def test_step_p1_is_the_closed_form(self, sampled_box):
-        params, box, _, first = sampled_box
+        # the kernel's click probabilities, replayed on every row's draws:
+        # up to the end of its record a row replays the box's outcomes
+        params, box, uniforms, first = sampled_box
         p1, _ = closed_form(params, first)
+        rows = np.broadcast_to(LAW_STATE.amplitudes, (len(first), 2))
+        clicks, replayed, _ = weak_steps(rows, 0, params.theta,
+                                         uniforms[:, :params.iterations])
         read = np.arange(params.iterations) < box.steps[:, None]
-        np.testing.assert_allclose(box.step_p1[read], p1[read], rtol=1e-12)
+        np.testing.assert_array_equal(clicks[read], box.outcomes[read])
+        np.testing.assert_allclose(replayed[read], p1[read], rtol=1e-12)
 
     def test_every_record_is_possible(self, sampled_box):
         params, box, _, _ = sampled_box
@@ -645,7 +663,7 @@ class TestSampler:
 
 
 def test_trajectory_record_format():
-    traj = q.Trajectory([0, 0, 1], [0.1, 0.05, 0.2], 0, True)
+    traj = q.Trajectory([0, 0, 1], 0, True)
     params = VerificationParams(theta=0.1, iterations=3)
     assert q.trajectory_record(traj, 42, params) == "42,3,0.1,001,0,1"
 

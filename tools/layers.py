@@ -22,6 +22,10 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
 - ``teleport.teleport``: one qubit, with a fresh Bell pair;
 - ``locker.attempt_unlock``: a fresh copy of the one-time password, by
   ``n`` password qubits x ``m`` message bits;
+- ``locker.attempt_unlocks``: 1000 copies of an 8-qubit product probe
+  whose qubits each have overlap 0.5 with |0> after the inverse rotation,
+  as ``locker-demo --otp-qubits 8 --wrong-overlap 0.5 --repeat 1000``
+  presents them;
 - ``cli.build_parser``: one fresh parser;
 - ``cli.main``: one report of the converge, tomography and locker
   workloads of ``perfbench/workloads.py``, at ``--seed 9001``, with standard
@@ -150,6 +154,11 @@ def layers() -> dict:
         password = q.generate_otp(otp)
         out["locker.attempt_unlock"][f"{n}x{m}"] = best(
             lambda: q.attempt_unlock(locker, password.copy(), stream), 200)
+    otp = q.OtpParams.random(8, stream)
+    locker = q.store_message("1" * 8, otp)
+    probe = cli._wrong_password(otp, 0.5, stream)
+    out["locker.attempt_unlocks"] = best(
+        lambda: q.attempt_unlocks(locker, probe, stream, range(1000)), 2)
     out["cli.build_parser"] = best(cli.build_parser, 200)
     out["cli.main"] = {}
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
