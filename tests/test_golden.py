@@ -77,6 +77,14 @@ CASES = {
     "converge-long-csv": [
         "converge", "--shots", "4096", "--theta", "0.05", "--iterations",
         "200", "--format", "csv"],
+    # the perfbench locker workload's argv, below the 100-repeat rate check
+    "locker-demo-workload": [
+        "locker-demo", "--message", "10110010", "--otp-qubits", "2",
+        "--wrong-overlap", "0.5", "--policy", "paper", "--repeat", "5"],
+    # a 24-factor product password, rotated in one pass
+    "locker-demo-n24": [
+        "locker-demo", "--otp-qubits", "24", "--wrong-overlap", "0.5",
+        "--repeat", "50"],
 }
 
 
