@@ -42,9 +42,7 @@ import numpy as np
 from .gates import build_controlled0_rx, h, ry
 from .locker import (
     OtpParams,
-    apply_inverse_rotation,
     apply_rotation,
-    attempt_unlock,
     attempt_unlocks,
     generate_otp,
     session_log,
@@ -339,7 +337,7 @@ def cmd_locker_demo(args) -> dict:
     locker = store_message(args.message, params, verification)
 
     # correct-password pass: teleport each qubit of the password through
-    # its own channel, and unlock with the received qubits as factors
+    # its own channel; the received qubits are the factors it unlocks with
     otp = generate_otp(params)
     teleport_stream = master.substream(1)
     records = []
@@ -349,20 +347,19 @@ def cmd_locker_demo(args) -> dict:
                                teleport_stream.substream(k))
         records.append(record.record_line())
         received.append(got.amplitudes)
-    correct = attempt_unlock(locker, ProductState(received),
-                             master.substream(2))
 
-    # wrong-password pass(es) against the re-armed locker
+    # wrong-password pass(es), the correct password presented first, as
+    # row 0 of their first block of rows
     wrong_stream = master.substream(3)
     wrong_probe = _wrong_password(params, args.wrong_overlap,
                                   wrong_stream.substream(0))
-    phi = apply_inverse_rotation(wrong_probe, params)
-    overlaps = (np.abs(phi.factors[:, 0]) ** 2).tolist()
+    accepted, last_wrong, correct = attempt_unlocks(
+        locker, wrong_probe, wrong_stream, range(1, args.repeat + 1),
+        first=(ProductState(received), master.substream(2)))
+    phi = last_wrong.inverse_rotated.factors
+    overlaps = (np.abs(phi[:, 0]) ** 2).tolist()
     analytic_accept = math.prod(acceptance_probability(o, verification)
                                 for o in overlaps)
-
-    accepted, last_wrong = attempt_unlocks(locker, wrong_probe, wrong_stream,
-                                           range(1, args.repeat + 1))
     wrong_rate = np.count_nonzero(accepted) / args.repeat
 
     if args.policy == PAPER_DEFAULT:
@@ -374,8 +371,7 @@ def cmd_locker_demo(args) -> dict:
         # write each record from the received qubits
         name = "correct-password release and records"
         release = args.message if correct.accepted else "0" * locker.m_bits
-        factors = apply_inverse_rotation(ProductState(received),
-                                         params).factors
+        factors = correct.inverse_rotated.factors
         exact = correct.retrieved_bits == release and all(record_probability(
             t.outcomes_bitstring() + str(t.final_system_outcome),
             abs(a0) ** 2, verification) > 0.0

@@ -7,7 +7,9 @@ value, so ``(q, 0)`` is a control-on-zero and ``(q, 1)`` the usual
 control-on-one.  Multi-controlled NOTs are plain ``x`` gates with several
 controls.  The constructors (``x``, ``h``, ``s``, ``sdg``, ``z``, ``rx``,
 ``ry``, ``rz``) build the matrix once; the kernels read it back through
-:meth:`GateOp.base_matrix`.
+:meth:`GateOp.base_matrix`.  A gate on S rows at once may carry one matrix
+per row, a ``(2, 2, S)`` stack of constructor matrices, row ``r`` getting
+``[:, :, r]`` (see ``statevector._gate_rows``).
 
 Rotation conventions (angle ``a``):
 

@@ -8,24 +8,29 @@ qubit, and :func:`generate_otp` holds it as such: a
 ``2**n`` register.  An adversary may present any state, so a password is
 either form, and the locker sees both through one layout: P parts of w
 qubits (``statevector._parts``), one part of n qubits for a register, n
-parts of one qubit for a product.  R and its inverse are one loop over the
-password qubits, three gates on qubit ``q % w`` of part ``q // w``.  An
-unlock attempt undoes the rotation and runs the verification box on each
-password qubit, ending in a z-measurement of that qubit.  The message is
-released only if every run accepts.  Box ``k`` runs on qubit ``k`` of
-every part at once (:func:`~qlocker.verification._boxes`): a register's
-boxes run one after another, a product's as one box over its factors.
-:func:`attempt_unlocks` presents many fresh copies of one probe as the rows
-of one array (:func:`~qlocker.verification.box_shots`) and keeps one accept
-bit per copy, with a full result for the last copy only;
-:func:`attempt_unlock` runs the same boxes on one password.  In the
-protocol's circuit, NOTs controlled on the message qubits and on every
-measured password qubit reading 0 copy the message to blank qubits; all
-their inputs are basis states, so that copy is the classical rule
-``message if accepted else zeros``.  The verification measurement
-collapses the password, so a password cannot be replayed: the measured
-basis state is written into the password's parts, as the retrieved bits
-are into the blanks.
+parts of one qubit for a product.  R and its inverse loop over the w
+qubits of a part: on qubit ``k`` each of the three gates is one kernel call
+over all P parts, with one matrix per part, so a product is rotated in
+three kernel calls and a register in three per qubit.  An unlock attempt
+undoes the rotation and runs the verification box on each password qubit,
+ending in a z-measurement of that qubit.  The message is released only if
+every run accepts.  Box ``k`` runs on qubit ``k`` of every part at once
+(:func:`~qlocker.verification._boxes`): a register's boxes run one after
+another, a product's as one box over its factors.  :func:`attempt_unlocks`
+presents many fresh copies of one probe as the rows of blocks
+(``statevector._shot_rows``) and keeps one accept bit per copy, with a full
+result for the last copy only; it may present one more password first, as
+row 0 of the first block, so that ``locker-demo`` runs the correct and the
+wrong passwords through one box.  :func:`attempt_unlock` runs the same
+boxes on one password, and both take a presented password through one
+contract: checked, registered as consumed, inversely rotated once, and
+collapsed.  In the protocol's circuit, NOTs controlled on the message
+qubits and on every measured password qubit reading 0 copy the message to
+blank qubits; all their inputs are basis states, so that copy is the
+classical rule ``message if accepted else zeros``.  The verification
+measurement collapses the password, so a password cannot be replayed: the
+measured basis state is written into the password's parts, as the
+retrieved bits are into the blanks.
 
 Angle secrets live only in :class:`OtpParams`; logs carry a digest of the
 angles, never their values.
@@ -40,15 +45,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import rx, ry, rz
+from .gates import GateOp, rx, ry, rz
 from .rng import RandomStream
 from .statevector import (
     ProductState,
     StateVector,
+    _gate_rows,
     _n_qubits,
     _parts,
+    _shot_rows,
     _write_basis,
-    apply_gate,
 )
 from .verification import (
     BoxRows,
@@ -56,7 +62,6 @@ from .verification import (
     VerificationParams,
     _boxes,
     _trajectory,
-    box_shots,
 )
 
 Password = StateVector | ProductState
@@ -136,9 +141,15 @@ class LockerState:
 
 @dataclass
 class UnlockResult:
+    """One presentation's unlock: whether every box accepted, the retrieved
+    bits, one trajectory per password qubit, and the password as its boxes
+    took it, after the inverse rotation and before the collapse (left out
+    of ``==``)."""
+
     accepted: bool
     retrieved_bits: str
     trajectories: tuple[Trajectory, ...]
+    inverse_rotated: Password = field(compare=False, repr=False)
 
 
 def store_message(bits: str, params: OtpParams,
@@ -158,21 +169,31 @@ def store_message(bits: str, params: OtpParams,
 
 
 def _per_qubit(state: Password, params: OtpParams, gates) -> Password:
-    """A copy of ``state`` with ``gates(k, theta1, theta2, theta3)`` applied
-    to each password qubit in turn, ``k`` being the qubit's index in its
-    part (see ``statevector._parts``)."""
+    """A copy of ``state`` with ``gates(k, theta1, theta2, theta3)``, three
+    gates on qubit ``k``, applied in order to each password qubit, ``k``
+    being its index in its part (see ``statevector._parts``).
+
+    The loop runs over the w qubits of a part, not over the n password
+    qubits: on qubit ``k``, each of the three gates is one kernel call over
+    all P parts, part ``p`` getting the gate of password qubit ``p * w +
+    k``.  A product's gates are stacked into one ``(2, 2, P)`` matrix per
+    call, and a register's one part takes each gate as it is, so a product
+    is rotated in 3 kernel calls and a register in ``3w``."""
     if state.n_qubits != params.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, params cover {params.n_qubits}"
         )
     state = state.copy()
     parts = _parts(state)
-    width = _n_qubits(parts)
-    for q, triple in enumerate(params.triples):
-        part = StateVector(width, parts[q // width])
-        for gate in gates(q % width, *triple):
-            part = apply_gate(part, gate)
-        parts[q // width] = part.amplitudes
+    count, width = len(parts), _n_qubits(parts)
+    per_qubit = [gates(q % width, *triple)
+                 for q, triple in enumerate(params.triples)]
+    amps = parts
+    for k in range(width):
+        for column in zip(*per_qubit[k::width]):
+            amps = _gate_rows(amps, column[0] if count == 1 else GateOp(
+                k, np.stack([gate.matrix for gate in column], axis=-1)))
+    parts[:] = amps
     return state
 
 
@@ -204,14 +225,43 @@ def _check_password(locker: LockerState, password: Password) -> None:
         raise PasswordConsumedError("password register already consumed")
 
 
-def _result(locker: LockerState, boxes: list[BoxRows],
+def _result(locker: LockerState, phi: Password, boxes: list[BoxRows],
             row: int) -> UnlockResult:
-    """Row ``row``'s unlock from its boxes, one per password qubit: the
-    trajectories, acceptance and release."""
+    """Row ``row``'s unlock from its boxes, one per password qubit, run on
+    the inversely rotated ``phi``: the trajectories, acceptance and
+    release."""
     trajectories = tuple(_trajectory(box, row) for box in boxes)
     accepted = all(t.accepted for t in trajectories)
     retrieved = locker.message_bits if accepted else "0" * locker.m_bits
-    return UnlockResult(accepted, retrieved, trajectories)
+    return UnlockResult(accepted, retrieved, trajectories, phi)
+
+
+def _present(locker: LockerState, password: Password, rng: RandomStream,
+             blanks: StateVector | None = None
+             ) -> tuple[Password, np.ndarray]:
+    """Take ``password`` (and ``blanks``) as :func:`attempt_unlock` does:
+    check them, register the password as consumed, and return it inversely
+    rotated, with its ``n * (N + 1)`` draws from ``rng``."""
+    _check_password(locker, password)
+    m = locker.m_bits
+    if blanks is not None:
+        if blanks.n_qubits != m:
+            raise ValueError(f"blank register must have {m} qubits")
+        if abs(blanks.amplitudes[0] - 1.0) > 1e-12:
+            raise ValueError("blank qubits must be supplied in the |0...0> state")
+    locker.consumed_passwords[id(password)] = password
+    draws = locker.n_password_qubits * (locker.verification.iterations + 1)
+    return apply_inverse_rotation(password, locker.params), rng.randoms(draws)
+
+
+def _collapse(password: Password, result: UnlockResult,
+              blanks: StateVector | None = None) -> None:
+    """Write the basis state of ``result``'s closing readouts into the
+    password's parts, and its retrieved bits into ``blanks``."""
+    _write_basis(_parts(password),
+                 [t.final_system_outcome for t in result.trajectories])
+    if blanks is not None:
+        _write_basis(_parts(blanks), result.retrieved_bits)
 
 
 def attempt_unlock(locker: LockerState, password: Password,
@@ -236,55 +286,66 @@ def attempt_unlock(locker: LockerState, password: Password,
     parts.  The result holds one :class:`~qlocker.verification.Trajectory`
     per password qubit: its outcomes, closing readout and acceptance.
     """
-    _check_password(locker, password)
-    m = locker.m_bits
-    if blanks is not None:
-        if blanks.n_qubits != m:
-            raise ValueError(f"blank register must have {m} qubits")
-        if abs(blanks.amplitudes[0] - 1.0) > 1e-12:
-            raise ValueError("blank qubits must be supplied in the |0...0> state")
-
-    locker.consumed_passwords[id(password)] = password
-    phi = apply_inverse_rotation(password, locker.params)
-    draws = locker.n_password_qubits * (locker.verification.iterations + 1)
-    result = _result(locker, _boxes(_parts(phi)[None], locker.verification,
-                                    rng.randoms(draws)[None]), 0)
-
-    # the presented password is now the measured eigenstate
-    _write_basis(_parts(password),
-                 [t.final_system_outcome for t in result.trajectories])
-    if blanks is not None:
-        _write_basis(_parts(blanks), result.retrieved_bits)
+    phi, draws = _present(locker, password, rng, blanks)
+    result = _result(locker, phi, _boxes(_parts(phi)[None],
+                                         locker.verification, draws[None]), 0)
+    _collapse(password, result, blanks)
     return result
 
 
 def attempt_unlocks(locker: LockerState, probe: Password,
-                    stream: RandomStream,
-                    shots: range) -> tuple[np.ndarray, UnlockResult]:
+                    stream: RandomStream, shots: range,
+                    first: tuple[Password, RandomStream] | None = None
+                    ) -> tuple[np.ndarray, UnlockResult, UnlockResult | None]:
     """Present a fresh copy of ``probe`` once per shot index ``i`` in
     ``shots``, in order, copy ``i`` unlocking as ``attempt_unlock(locker,
-    probe.copy(), stream.substream(i))`` does, run as one row of
-    :func:`~qlocker.verification.box_shots`.
+    probe.copy(), stream.substream(i))`` does, run as one row of the
+    blocks of ``statevector._shot_rows``.
 
-    Returns ``(accepted, last)``: a bool array with one entry per shot,
-    whether every box of that copy accepted, and the last shot's
-    :class:`UnlockResult`, the only one built.  The blocks of
-    :func:`~qlocker.verification.box_shots` are read one at a time, and
-    only each block's accept bits are kept.  Each copy is held as its parts,
-    P parts of w qubits, so a block of B copies runs each of the w boxes
-    over ``B * P`` part rows: a product ``probe``'s n boxes as one box over
-    ``(B * n, 2)`` one-qubit rows, a register's one after another.
-    ``probe`` itself is neither collapsed nor registered as consumed.  An
-    empty ``shots`` is a :class:`ValueError`.
+    ``first``, if given, is a ``(password, rng)`` presented before the
+    copies, as ``attempt_unlock(locker, password, rng)`` presents it: it is
+    checked, registered as consumed and collapsed, and ``rng`` advances by
+    ``n * (N + 1)``.  Its part rows run as row 0 of the first block, which
+    stays within ``statevector.SHOT_BLOCK_CELLS``, so it must have the
+    probe's layout.
+
+    Returns ``(accepted, last, presented)``: a bool array with one entry
+    per shot, whether every box of that copy accepted; the last shot's
+    :class:`UnlockResult`; and ``first``'s, or None.  Those are the only
+    results built.  The blocks are run one at a time, and only each
+    block's accept bits are kept.  Each copy is held as its parts, P parts
+    of w qubits, so a block of B rows runs each of the w boxes over ``B *
+    P`` part rows (:func:`~qlocker.verification._boxes`): a product's n
+    boxes as one box over ``(B * n, 2)`` one-qubit rows, a register's one
+    after another.  The probe is inversely rotated once for all its
+    copies, and ``probe`` itself is neither collapsed nor registered as
+    consumed.  An empty ``shots`` is a :class:`ValueError`.
     """
     if not shots:
         raise ValueError("need at least one shot")
     _check_password(locker, probe)
     phi = apply_inverse_rotation(probe, locker.params)
-    accepted = []
-    for boxes in box_shots(phi, locker.verification, stream, shots):
+    lead = None
+    if first is not None:
+        password, rng = first
+        if _parts(password).shape != _parts(phi).shape:
+            raise ValueError(
+                f"the password's parts {_parts(password).shape} are not "
+                f"laid out as the probe's {_parts(phi).shape}")
+        password_phi, password_draws = _present(locker, password, rng)
+        lead = (_parts(password_phi), password_draws)
+    draws = locker.n_password_qubits * (locker.verification.iterations + 1)
+    accepted, presented = [], None
+    for rows, uniforms in _shot_rows(_parts(phi), stream, shots, draws,
+                                     lead):
+        boxes = _boxes(rows, locker.verification, uniforms)
+        if lead is not None and presented is None:
+            presented = _result(locker, password_phi, boxes, 0)
         accepted.append(np.all([box.accepted for box in boxes], axis=0))
-    return np.concatenate(accepted), _result(locker, boxes, -1)
+    if presented is not None:
+        _collapse(password, presented)
+    return (np.concatenate(accepted)[lead is not None:],
+            _result(locker, phi, boxes, -1), presented)
 
 
 def session_log(locker: LockerState, result: UnlockResult) -> list[str]:

@@ -215,15 +215,29 @@ def _shot_blocks(shots: int, row_cells: int) -> list[range]:
 
 
 def _shot_rows(amps: np.ndarray, stream: RandomStream, shots: range,
-               k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+               k: int, lead: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """A fresh copy of the register ``amps`` per shot index in ``shots``,
     with its uniforms: yields ``(rows, uniforms)`` per block, in shot order,
     where ``rows`` is a read-only ``(B, *amps.shape)`` view and row ``j`` of
     ``uniforms`` holds the first ``k`` draws of
-    ``stream.substream(shots[j])`` for the block's ``j``-th shot."""
-    for block in _shot_blocks(len(shots), amps.size + k):
-        yield (np.broadcast_to(amps, (len(block), *amps.shape)),
-               stream.shot_uniforms(shots[block.start:block.stop], k))
+    ``stream.substream(shots[j])`` for the block's ``j``-th shot.
+
+    ``lead``, if given, is one more row, a register of ``amps``'s shape and
+    its ``k`` uniforms, put as row 0 of the first block, before its shots.
+    The blocks are cut as if it were one more shot before ``shots[0]``, so
+    that block stays within :data:`SHOT_BLOCK_CELLS`; its uniforms stay
+    the ``.T`` view of a shot-last array."""
+    extra = lead is not None
+    for block in _shot_blocks(extra + len(shots), amps.size + k):
+        some = shots[max(block.start - extra, 0):block.stop - extra]
+        rows = np.broadcast_to(amps, (len(some), *amps.shape))
+        uniforms = stream.shot_uniforms(some, k)
+        if lead is not None:
+            rows = np.concatenate([lead[0][None], rows])
+            uniforms = np.concatenate([lead[1][:, None], uniforms.T], 1).T
+            lead = None
+        yield rows, uniforms
 
 
 def _row_keys(bits: np.ndarray, lengths) -> list[str]:
@@ -239,7 +253,9 @@ def _n_qubits(amps: np.ndarray) -> int:
 
 def _gate_rows(amps: np.ndarray, gate: GateOp) -> np.ndarray:
     """``gate`` applied to every row of ``amps`` (shape ``(S, 2**n)``), as
-    the ``.T`` view of a shot-last array."""
+    the ``.T`` view of a shot-last array.  A matrix of shape ``(2, 2, S)``
+    gives row ``r`` its own gate, ``[:, :, r]``: each entry is an ``(S,)``
+    array that broadcasts over the shot axis as a scalar entry does."""
     n = _n_qubits(amps)
     for q in gate.qubits():
         if q >= n:

@@ -5,6 +5,8 @@ joint measurement yields two classical bits, and the receiver recovers the
 payload exactly by applying X (keyed by ``m2``, the parity-side bit) and
 then Z (keyed by ``m1``, the sign-side bit).  Channels are strictly
 single-use: teleporting measures the source qubit, destroying its state.
+Every channel holds the same read-only pair, built once at import; the
+sender's circuit combines it into a new register and never writes it.
 """
 
 from __future__ import annotations
@@ -22,10 +24,16 @@ class ChannelConsumedError(RuntimeError):
 
 
 def make_bell_pair() -> StateVector:
-    """The shared pair (|00> + |11>)/sqrt(2)."""
+    """The shared pair (|00> + |11>)/sqrt(2), a fresh writable state."""
     state = new_state(2)
     state = apply_gate(state, h(0))
     return apply_gate(state, cnot(0, 1))
+
+
+# every channel's pair: built once and read-only, since teleporting only
+# combines it into a new register
+_BELL_PAIR = make_bell_pair()
+_BELL_PAIR.amplitudes.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,7 @@ class TeleportChannel:
         if channel_id is None:
             channel_id = f"ch{next(_channel_counter):06d}"
         self.channel_id = channel_id
-        self.pair = make_bell_pair()
+        self.pair = _BELL_PAIR
         self.consumed = False
 
 
@@ -60,7 +68,8 @@ def open_channel(channel_id: str | None = None) -> TeleportChannel:
 
 def _sender_circuit(psi: StateVector, pair: StateVector) -> StateVector:
     """Payload ``psi`` (qubit 0) beside ``pair`` (sender half qubit 1,
-    receiver half qubit 2), after the sender's CNOT and H."""
+    receiver half qubit 2), after the sender's CNOT and H, as a new
+    register; ``pair`` is only read."""
     if psi.n_qubits != 1:
         raise ValueError("teleport carries exactly one qubit")
     joint = combine(psi, pair)

@@ -26,9 +26,10 @@ ancilla circuit is kept where the ancilla itself is measured
 
 :func:`_box_rows` is the one sampled box: the box on qubit ``k`` of every
 row of an ``(R, 2**n)`` array, each row reading its own uniforms, drawn up
-front.  Each step writes its rows' outcomes at that step; under the strict
-policy a row that clicks is written as it clicks, its register once into
-the box's collapsed rows, and leaves the steps.  The draw layout is fixed:
+front.  Each step writes its rows' outcomes at that step (a strict step
+only its clicks, into zeroed outcomes); under the strict policy a row that
+clicks is written as it clicks, its register once into the box's collapsed
+rows, and leaves the steps.  The draw layout is fixed:
 box ``k`` reads its weak steps from columns ``k(N+1)`` to ``k(N+1) + N - 1``
 and its closing readout from column ``k(N+1) + N``, whatever earlier boxes
 did (a strict row that clicked leaves the rest of its box's window unread).
@@ -41,8 +42,9 @@ part rows at once, so a register's n boxes run one after another and a
 product's as one :func:`_box_rows` call over one-qubit rows.
 :func:`box_shots` runs :func:`_boxes` on the rows that
 ``statevector._shot_rows`` gives, a fresh copy of a password per shot, for
-``converge`` (:func:`box_records`) and the locker; :func:`run_box` is its
-one-row call.  The results stay arrays, one entry per row (``BoxRows``),
+``converge`` (:func:`box_records`); the locker runs :func:`_boxes` on the
+same rows, with a presented password as row 0 of the first block
+(``locker.attempt_unlocks``), and :func:`run_box` is the one-row call.  The results stay arrays, one entry per row (``BoxRows``),
 up to the report: a :class:`Trajectory` is built only for a row read out
 on its own (:func:`run_box`, and the attempts a locker report prints).
 :func:`record_probability` (the exact law of a whole record, in closed
@@ -160,13 +162,15 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     on every row, reads the last column.  Each step is one kernel call over
     the rows still in the weak steps, and it reads their draws from column
     ``j``, a contiguous row when ``uniforms`` is the ``.T`` view of a
-    shot-last array; it writes their outcomes at step ``j``.  Under the
-    strict policy a row that clicks leaves the weak steps: its register is
-    written once, as the click left it, into the shot-last array of
-    collapsed rows, the later steps run on the other rows only, the rest of
-    its steps' columns go unread, and its record ends at the click; its
-    entries of ``outcomes`` after the click stay 0.  Returns the records,
-    arrays with one entry per row, and the collapsed rows.
+    shot-last array.  Under the paper policy it writes every row's outcome
+    at step ``j``; under the strict policy only the clicks, which write a 1
+    into the zeroed outcomes.  A strict row that clicks leaves the weak
+    steps: its register is written once, as the click left it, into the
+    shot-last array of collapsed rows, the later steps run on the other
+    rows only, the rest of its steps' columns go unread, and its record
+    ends at the click; its entries of ``outcomes`` after the click stay 0.
+    Returns the records, arrays with one entry per row, and the collapsed
+    rows.
     """
     strict = params.click_policy == STRICT_ABORT
     kraus = _weak_step(params.theta)
@@ -180,9 +184,12 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     held = np.empty((amps.shape[1], len(amps) if strict else 0), complex)
     for j in range(params.iterations):
         click, _, amps = _measure_rows(amps, k, kraus, uniforms[:, j][live])
-        outcomes[j][live] = click
-        if strict and np.count_nonzero(click):
+        if not strict:
+            outcomes[j] = click
+        elif np.count_nonzero(click):
+            # only a click writes a 1 into the zeroed outcomes
             hit, keep = np.flatnonzero(click), np.flatnonzero(~click)
+            outcomes[j, live[hit]] = 1
             steps[live[hit]] = j + 1
             held[:, live[hit]] = amps.T[:, hit]
             live, amps = live[keep], np.take(amps.T, keep, axis=1).T

@@ -19,6 +19,11 @@ reads 0.  Keep them small: the transfer register is exponential in m.
 at a time, each on its own sub-stream, as the row-batched
 :func:`qlocker.attempt_unlocks` must reproduce.
 
+``reference_rotation`` rotates a password one qubit at a time, three
+gates on one part each, as the per-part gates of
+:func:`qlocker.apply_rotation` and :func:`qlocker.apply_inverse_rotation`
+must reproduce.
+
 ``reference_acceptance_runs`` is ``sweep``'s accept/reject sampler as
 one P(|0>) per run, every step a fresh set of arrays, as the in-place
 :func:`qlocker.verification.sample_acceptance_runs` must reproduce from
@@ -82,12 +87,13 @@ from qlocker import (
     make_bell_pair,
     measure_qubit,
     new_state,
+    rx,
     ry,
     rz,
     x,
     z,
 )
-from qlocker.statevector import _measure_rows
+from qlocker.statevector import _measure_rows, _parts
 from qlocker.teleport import _sender_circuit
 from qlocker.verification import _weak_step
 
@@ -248,6 +254,24 @@ def reference_unlocks(locker, probe, stream, shots):
     index ``i``, each unlocked alone on sub-stream ``i`` of ``stream``."""
     return [attempt_unlock(locker, probe.copy(), stream.substream(i))
             for i in shots]
+
+
+def reference_rotation(state, params, inverse=False):
+    """R (or, with ``inverse``, R^-1) applied one password qubit at a time:
+    three ``apply_gate`` calls on qubit ``q % w`` of part ``q // w`` of the
+    ``(P, 2**w)`` layout (``statevector._parts``), as the per-part gates of
+    ``apply_rotation`` and ``apply_inverse_rotation`` must reproduce."""
+    state = state.copy()
+    parts = _parts(state)
+    width = parts.shape[1].bit_length() - 1
+    for q, (t1, t2, t3) in enumerate(params.triples):
+        k = q % width
+        part = StateVector(width, parts[q // width])
+        for gate in ((rz(-t3, k), ry(-t2, k), rx(-t1, k)) if inverse
+                     else (rx(t1, k), ry(t2, k), rz(t3, k))):
+            part = apply_gate(part, gate)
+        parts[q // width] = part.amplitudes
+    return state
 
 
 def ancilla_boxes(reg, qubits, verification, rng):

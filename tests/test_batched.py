@@ -34,6 +34,8 @@ from qlocker import (
     verification,
 )
 
+from qlocker.statevector import _parts
+
 from oracles import gate_matrix, reference_sample_shots, reference_unlocks
 
 BATCH_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
@@ -189,7 +191,9 @@ def unlock_rows(locker, probe, stream, shots):
     """What ``attempt_unlocks`` gives, ``(accepted, last)``, and each row's
     trajectories, one per password qubit, read from ``box_shots`` on the
     inversely rotated probe as ``attempt_unlocks`` runs it."""
-    accepted, last = q.attempt_unlocks(locker, probe, stream, shots)
+    accepted, last, presented = q.attempt_unlocks(locker, probe, stream,
+                                                  shots)
+    assert presented is None
     phi = q.apply_inverse_rotation(probe, locker.params)
     rows = [tuple(verification._trajectory(box, row) for box in boxes)
             for boxes in q.box_shots(phi, locker.verification, stream, shots)
@@ -373,6 +377,11 @@ def row_gates(k, n):
         else []) + ([q.rz(0.9, k, ((third, 1), (other, 0)))] if n > 2 else [])
 
 
+# the gates a row may get of its own, each made by a constructor
+ROW_KINDS = [q.h, partial(q.rx, 0.7), q.s, partial(q.ry, -1.2), q.x,
+             partial(q.rz, 2.3)]
+
+
 @pytest.mark.parametrize("kraus", ["weak", "projectors"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_row_kernels_on_s_rows_are_s_one_row_calls(n, kraus):
@@ -403,6 +412,16 @@ def test_row_kernels_on_s_rows_are_s_one_row_calls(n, kraus):
                     assert got.tobytes() == np.concatenate(
                         [statevector._gate_rows(row, gate)
                          for row in singles]).tobytes()
+                    # one gate per row, on the same target and controls: a
+                    # (2, 2, S) stack of the rows' constructor matrices
+                    mine = [ROW_KINDS[(i + len(gate.controls)) % 6](
+                        k, gate.controls) for i in range(shots)]
+                    stacked = q.GateOp(k, np.stack(
+                        [g.matrix for g in mine], axis=-1), gate.controls)
+                    got = statevector._gate_rows(rows, stacked)
+                    assert got.tobytes() == np.concatenate(
+                        [statevector._gate_rows(row, g)
+                         for row, g in zip(singles, mine)]).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -427,3 +446,69 @@ def test_gate_rows_match_the_kron_matrix(n):
                     np.testing.assert_allclose(
                         statevector._gate_rows(rows, gate), held @ matrix.T,
                         rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("policy", verification.CLICK_POLICIES)
+@pytest.mark.parametrize("form", ["product", "register"])
+def test_a_presented_password_is_row_0_of_the_first_block(form, policy):
+    # attempt_unlocks(first=(password, rng)) unlocks the password as
+    # attempt_unlock does alone (result, collapse, registry, stream
+    # advance) and the copies as they unlock without it, in one block and
+    # split, the password's block within the cell budget
+    n, shots = 3, range(3, 12)
+    params = OtpParams.random(n, RandomStream(90))
+    near = q.ProductState(np.tile(q.apply_gate(q.new_state(1), q.ry(
+        0.9, 0)).amplitudes, (n, 1)))
+    password = q.apply_rotation(near, params)
+    probe = q.apply_rotation(q.ProductState(np.tile(q.apply_gate(
+        q.new_state(1), q.ry(1.7, 0)).amplitudes, (n, 1))), params)
+    if form == "register":
+        password, probe = password.register(), probe.register()
+    verify = VerificationParams(0.7, 6, policy)
+    locker = q.store_message("101", params, verify)
+    alone, rng_alone = password.copy(), RandomStream(91)
+    want = q.attempt_unlock(locker, alone, rng_alone)
+    after = rng_alone.random()
+    copies = reference_unlocks(locker, probe, RandomStream(92), shots)
+    row_cells = probe.amplitudes.size + n * (verify.iterations + 1)
+    for cells, reverse in [(None, False), (1, False), (3 * row_cells, False),
+                           (3 * row_cells, True)]:
+        locker = q.store_message("101", params, verify)
+        mine, rng = password.copy(), RandomStream(91)
+        rows = []
+        with pytest.MonkeyPatch.context() as mp:
+            order = (split(mp, cells, reverse) if cells
+                     else list(range(len(shots) + 1)))
+            boxes = q.locker._boxes
+
+            def counting(amps, *args):
+                rows.append(len(amps))
+                return boxes(amps, *args)
+
+            mp.setattr(q.locker, "_boxes", counting)
+            accepted, last, got = q.attempt_unlocks(
+                locker, probe, RandomStream(92), shots, first=(mine, rng))
+        assert got == want and rng.random() == after
+        assert _parts(got.inverse_rotated).tobytes() == \
+            _parts(want.inverse_rotated).tobytes()
+        assert _parts(mine).tobytes() == _parts(alone).tobytes()
+        assert locker.consumed_passwords[id(mine)] is mine
+        # the password's row is not among the copies' accept bits
+        positions = [i - 1 for i in order if i]
+        assert accepted.tolist() == [copies[i].accepted for i in positions]
+        assert last == copies[positions[-1]]
+        if not reverse:
+            budget = max(1, statevector.SHOT_BLOCK_CELLS // row_cells
+                         if cells is None else cells // row_cells)
+            assert rows[0] <= budget and sum(rows) == len(shots) + 1
+
+
+def test_a_presented_password_must_share_the_probe_layout():
+    params = OtpParams.random(2, RandomStream(93))
+    locker = q.store_message("11", params, VerificationParams(0.1, 4))
+    password = q.generate_otp(params)
+    with pytest.raises(ValueError, match="laid out"):
+        q.attempt_unlocks(locker, password.register(), RandomStream(94),
+                          range(2), first=(password, RandomStream(95)))
+    # refused before the password is registered
+    assert len(locker.consumed_passwords) == 0

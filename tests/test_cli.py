@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from qlocker import statevector, verification
 from qlocker.cli import build_parser, main
 
 
@@ -198,6 +199,28 @@ class TestLockerDemo:
                 "1011" if correct["accepted"] else "0000"), seed
             accepted.append(correct["accepted"])
         assert 0 < sum(accepted) < 200
+
+    def test_one_box_per_report(self, monkeypatch, capsys):
+        # the correct attempt runs as row 0 of the wrong copies' block: one
+        # box of N + 1 kernel calls, beside the two readouts of each of the
+        # n teleports
+        calls = {"box": 0, "readout": 0}
+
+        def counting(kind, kernel):
+            def call(*args):
+                calls[kind] += 1
+                return kernel(*args)
+            return call
+
+        monkeypatch.setattr(verification, "_measure_rows", counting(
+            "box", verification._measure_rows))
+        monkeypatch.setattr(statevector, "_measure_rows", counting(
+            "readout", statevector._measure_rows))
+        code = main(["locker-demo", "--message", "10110010", "--otp-qubits",
+                     "2", "--wrong-overlap", "0.5", "--policy", "paper",
+                     "--repeat", "5"])
+        assert code == 0 and json.loads(capsys.readouterr().out)["ok"]
+        assert calls == {"box": 38 + 1, "readout": 2 * 2}
 
     def test_invalid_message_exits_3(self, tmp_path):
         code = main(["locker-demo", "--message", "000",

@@ -16,8 +16,11 @@ from qlocker import (
 )
 
 from conftest import accepted_mass
+from qlocker.statevector import _parts
+
 from oracles import (otp_consumed_check, phase_aligned_distance,
-                     qubit_probabilities, reference_unlocks)
+                     qubit_probabilities, reference_rotation,
+                     reference_unlocks)
 
 
 def rotation_oracle(t1: float, t2: float, t3: float) -> np.ndarray:
@@ -129,6 +132,30 @@ class TestInverseRotation:
             q.apply_inverse_rotation(q.new_state(2),
                                      OtpParams(((0.0, 0.1, 0.2),)))
 
+    @pytest.mark.parametrize("form,n", [("product", n) for n in range(1, 25)]
+                             + [("register", n) for n in range(1, 7)])
+    def test_per_part_gates_are_the_per_qubit_loop(self, form, n):
+        # bit for bit what one qubit at a time gives: a product's gates run
+        # as three kernel calls with one entry per factor, a register's as
+        # three per qubit
+        rng = np.random.default_rng(3000 + n)
+        params = OtpParams.random(n, RandomStream(3000 + n))
+        if form == "product":
+            factors = rng.normal(size=(n, 2, 2)) @ [1, 1j]
+            state = q.ProductState(factors / np.linalg.norm(
+                factors, axis=1)[:, None])
+        else:
+            amps = rng.normal(size=(1 << n, 2)) @ [1, 1j]
+            state = q.StateVector(n, amps / np.linalg.norm(amps))
+        before = _parts(state).tobytes()
+        for inverse, rotate in ((False, q.apply_rotation),
+                                (True, q.apply_inverse_rotation)):
+            got = rotate(state, params)
+            assert type(got) is type(state)
+            assert _parts(got).tobytes() == _parts(
+                reference_rotation(state, params, inverse)).tobytes()
+        assert _parts(state).tobytes() == before
+
 
 class TestUnlock:
     def test_correct_password_retrieves_message(self):
@@ -188,14 +215,14 @@ class TestUnlock:
         probe = q.apply_rotation(q.apply_gate(q.new_state(2), q.h(0)),
                                  params)
         before = probe.amplitudes.copy()
-        accepted, last = q.attempt_unlocks(locker, probe, RandomStream(72),
-                                           range(5))
+        accepted, last, _ = q.attempt_unlocks(locker, probe,
+                                              RandomStream(72), range(5))
         assert accepted.shape == (5,)
         np.testing.assert_array_equal(probe.amplitudes, before)
         assert len(locker.consumed_passwords) == 0
         # an unregistered probe may be presented again, with the same draws
-        again, again_last = q.attempt_unlocks(locker, probe,
-                                              RandomStream(72), range(5))
+        again, again_last, _ = q.attempt_unlocks(locker, probe,
+                                                 RandomStream(72), range(5))
         assert again.tolist() == accepted.tolist() and again_last == last
 
     def test_consumed_probe_is_refused(self):
@@ -235,8 +262,8 @@ class TestUnlock:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(q.verification, "Trajectory", CountingTrajectory)
-            accepted, last = q.attempt_unlocks(locker, probe,
-                                               RandomStream(77), range(copies))
+            accepted, last, _ = q.attempt_unlocks(
+                locker, probe, RandomStream(77), range(copies))
         assert len(built) == 3
         assert accepted.tolist() == [w.accepted for w in want]
         assert [vars(t) for t in last.trajectories] == \

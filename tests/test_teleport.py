@@ -15,6 +15,23 @@ def test_bell_pair_amplitudes():
         pair.amplitudes, np.array([1, 0, 0, 1]) / math.sqrt(2), atol=1e-15)
 
 
+def test_channels_share_one_read_only_pair():
+    # every channel reads the pair built at import; make_bell_pair still
+    # gives a fresh state that may be written
+    first, second = q.open_channel(), q.open_channel()
+    assert first.pair is second.pair
+    with pytest.raises(ValueError, match="read-only"):
+        first.pair.amplitudes[0] = 0.0
+    fresh = q.make_bell_pair()
+    assert fresh.amplitudes.tobytes() == first.pair.amplitudes.tobytes()
+    fresh.amplitudes[0] = 0.0
+    assert q.make_bell_pair().amplitudes[0] != 0.0
+    # a teleport reads the pair and leaves it as it was
+    q.teleport(q.basis_state("1"), first, RandomStream(5))
+    assert second.pair.amplitudes.tobytes() == \
+        q.make_bell_pair().amplitudes.tobytes()
+
+
 def test_bell_pair_outcomes_always_agree():
     ops = [q.h(0), q.cnot(0, 1), Measurement(0), Measurement(1)]
     hist = q.sample_shots(2, ops, 8192, seed=21)

@@ -20,6 +20,9 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
   the strict policy (``1598 strict``), where about half the rows click
   and leave the box early;
 - ``teleport.teleport``: one qubit, with a fresh Bell pair;
+- ``locker.apply_inverse_rotation``: the one-time password as a product
+  of 2 and of 24 factors (three kernel calls with one entry per factor),
+  and combined into an 8-qubit register (three kernel calls per qubit);
 - ``locker.attempt_unlock``: a fresh copy of the one-time password, by
   ``n`` password qubits x ``m`` message bits;
 - ``locker.attempt_unlocks``: 1000 copies of an 8-qubit product probe
@@ -147,6 +150,17 @@ def layers() -> dict:
     out["teleport.teleport"] = best(
         lambda: q.teleport(psi.copy(), q.open_channel("layers"), stream),
         1000)
+    out["locker.apply_inverse_rotation"] = {}
+    for form, n, number in (("product", 2, 500), ("product", 24, 50),
+                            ("register", 8, 200)):
+        # a stream of its own, so that the entries after this one take the
+        # inputs they took before it was added
+        otp = q.OtpParams.random(n, q.RandomStream(n))
+        password = q.generate_otp(otp)
+        if form == "register":
+            password = password.register()
+        out["locker.apply_inverse_rotation"][f"{form} {n}"] = best(
+            lambda: q.apply_inverse_rotation(password, otp), number)
     out["locker.attempt_unlock"] = {}
     for n, m in ((1, 4), (2, 8), (8, 8)):
         otp = q.OtpParams.random(n, stream)
