@@ -8,10 +8,10 @@ qubit, and :func:`generate_otp` holds it as such: a
 ``2**n`` register.  An adversary may present any state, so a password is
 either form, and the locker sees both through one layout: P parts of w
 qubits (``statevector._parts``), one part of n qubits for a register, n
-parts of one qubit for a product.  R and its inverse loop over the w
-qubits of a part: on qubit ``k`` each of the three gates is one kernel call
-over all P parts, with one matrix per part, so a product is rotated in
-three kernel calls and a register in three per qubit.  An unlock attempt
+parts of one qubit for a product.  R and its inverse run each of their
+three gates as one kernel call over all of a product's factors, with one
+matrix per factor, and a register's gates one after another: three kernel
+calls for a product, three per qubit for a register.  An unlock attempt
 undoes the rotation and runs the verification box on each password qubit,
 ending in a z-measurement of that qubit.  The message is released only if
 every run accepts.  Box ``k`` runs on qubit ``k`` of every part at once
@@ -39,6 +39,7 @@ angles, never their values.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -55,6 +56,7 @@ from .statevector import (
     _parts,
     _shot_rows,
     _write_basis,
+    apply_gate,
 )
 from .verification import (
     BoxRows,
@@ -173,27 +175,28 @@ def _per_qubit(state: Password, params: OtpParams, gates) -> Password:
     gates on qubit ``k``, applied in order to each password qubit, ``k``
     being its index in its part (see ``statevector._parts``).
 
-    The loop runs over the w qubits of a part, not over the n password
-    qubits: on qubit ``k``, each of the three gates is one kernel call over
-    all P parts, part ``p`` getting the gate of password qubit ``p * w +
-    k``.  A product's gates are stacked into one ``(2, 2, P)`` matrix per
-    call, and a register's one part takes each gate as it is, so a product
-    is rotated in 3 kernel calls and a register in ``3w``."""
+    Parts of one qubit (a product, or a one-qubit register) take each of
+    the three gates as one kernel call over all P parts, its matrix a
+    ``(2, 2, P)`` stack of the parts' own gate matrices, so a product is
+    rotated in 3 kernel calls whatever n is.  A register of w > 1 qubits,
+    the only form with wider parts, takes its ``3w`` gates one after
+    another."""
     if state.n_qubits != params.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, params cover {params.n_qubits}"
         )
-    state = state.copy()
-    parts = _parts(state)
-    count, width = len(parts), _n_qubits(parts)
+    width = _n_qubits(_parts(state))
     per_qubit = [gates(q % width, *triple)
                  for q, triple in enumerate(params.triples)]
-    amps = parts
-    for k in range(width):
-        for column in zip(*per_qubit[k::width]):
-            amps = _gate_rows(amps, column[0] if count == 1 else GateOp(
-                k, np.stack([gate.matrix for gate in column], axis=-1)))
-    parts[:] = amps
+    if width > 1:
+        for gate in itertools.chain.from_iterable(per_qubit):
+            state = apply_gate(state, gate)
+        return state
+    state = state.copy()
+    parts = _parts(state)
+    for column in zip(*per_qubit):
+        parts[:] = _gate_rows(parts, GateOp(0, np.stack(
+            [gate.matrix for gate in column], axis=-1)))
     return state
 
 

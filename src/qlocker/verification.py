@@ -44,9 +44,10 @@ product's as one :func:`_box_rows` call over one-qubit rows.
 ``statevector._shot_rows`` gives, a fresh copy of a password per shot, for
 ``converge`` (:func:`box_records`); the locker runs :func:`_boxes` on the
 same rows, with a presented password as row 0 of the first block
-(``locker.attempt_unlocks``), and :func:`run_box` is the one-row call.  The results stay arrays, one entry per row (``BoxRows``),
-up to the report: a :class:`Trajectory` is built only for a row read out
-on its own (:func:`run_box`, and the attempts a locker report prints).
+(``locker.attempt_unlocks``), and :func:`run_box` is the one-row call.
+The results stay arrays, one entry per row (``BoxRows``), up to the
+report: a :class:`Trajectory` is built only for a row read out on its own
+(:func:`run_box`, and the attempts a locker report prints).
 :func:`record_probability` (the exact law of a whole record, in closed
 form) and :func:`sample_acceptance_runs` (accept/reject only, for
 ``sweep``) give the same law without the kernel.  They and
@@ -187,7 +188,6 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
         if not strict:
             outcomes[j] = click
         elif np.count_nonzero(click):
-            # only a click writes a 1 into the zeroed outcomes
             hit, keep = np.flatnonzero(click), np.flatnonzero(~click)
             outcomes[j, live[hit]] = 1
             steps[live[hit]] = j + 1

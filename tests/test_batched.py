@@ -34,8 +34,6 @@ from qlocker import (
     verification,
 )
 
-from qlocker.statevector import _parts
-
 from oracles import gate_matrix, reference_sample_shots, reference_unlocks
 
 BATCH_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
@@ -457,13 +455,14 @@ def test_a_presented_password_is_row_0_of_the_first_block(form, policy):
     # split, the password's block within the cell budget
     n, shots = 3, range(3, 12)
     params = OtpParams.random(n, RandomStream(90))
-    near = q.ProductState(np.tile(q.apply_gate(q.new_state(1), q.ry(
-        0.9, 0)).amplitudes, (n, 1)))
-    password = q.apply_rotation(near, params)
-    probe = q.apply_rotation(q.ProductState(np.tile(q.apply_gate(
-        q.new_state(1), q.ry(1.7, 0)).amplitudes, (n, 1))), params)
-    if form == "register":
-        password, probe = password.register(), probe.register()
+
+    def rotated(angle):  # every qubit Ry(angle)|0> after the inverse rotation
+        qubit = q.apply_gate(q.new_state(1), q.ry(angle, 0)).amplitudes
+        state = q.apply_rotation(q.ProductState(np.tile(qubit, (n, 1))),
+                                 params)
+        return state.register() if form == "register" else state
+
+    password, probe = rotated(0.9), rotated(1.7)
     verify = VerificationParams(0.7, 6, policy)
     locker = q.store_message("101", params, verify)
     alone, rng_alone = password.copy(), RandomStream(91)
@@ -471,6 +470,7 @@ def test_a_presented_password_is_row_0_of_the_first_block(form, policy):
     after = rng_alone.random()
     copies = reference_unlocks(locker, probe, RandomStream(92), shots)
     row_cells = probe.amplitudes.size + n * (verify.iterations + 1)
+    parts = statevector._parts
     for cells, reverse in [(None, False), (1, False), (3 * row_cells, False),
                            (3 * row_cells, True)]:
         locker = q.store_message("101", params, verify)
@@ -489,18 +489,18 @@ def test_a_presented_password_is_row_0_of_the_first_block(form, policy):
             accepted, last, got = q.attempt_unlocks(
                 locker, probe, RandomStream(92), shots, first=(mine, rng))
         assert got == want and rng.random() == after
-        assert _parts(got.inverse_rotated).tobytes() == \
-            _parts(want.inverse_rotated).tobytes()
-        assert _parts(mine).tobytes() == _parts(alone).tobytes()
+        assert parts(got.inverse_rotated).tobytes() == \
+            parts(want.inverse_rotated).tobytes()
+        assert parts(mine).tobytes() == parts(alone).tobytes()
         assert locker.consumed_passwords[id(mine)] is mine
         # the password's row is not among the copies' accept bits
         positions = [i - 1 for i in order if i]
         assert accepted.tolist() == [copies[i].accepted for i in positions]
         assert last == copies[positions[-1]]
         if not reverse:
-            budget = max(1, statevector.SHOT_BLOCK_CELLS // row_cells
-                         if cells is None else cells // row_cells)
-            assert rows[0] <= budget and sum(rows) == len(shots) + 1
+            budget = (cells or statevector.SHOT_BLOCK_CELLS) // row_cells
+            assert rows[0] <= max(1, budget)
+            assert sum(rows) == len(shots) + 1
 
 
 def test_a_presented_password_must_share_the_probe_layout():

@@ -14,10 +14,9 @@ from qlocker import (
     RandomStream,
     VerificationParams,
 )
-
-from conftest import accepted_mass
 from qlocker.statevector import _parts
 
+from conftest import accepted_mass
 from oracles import (otp_consumed_check, phase_aligned_distance,
                      qubit_probabilities, reference_rotation,
                      reference_unlocks)
