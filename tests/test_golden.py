@@ -85,6 +85,13 @@ CASES = {
     "locker-demo-n24": [
         "locker-demo", "--otp-qubits", "24", "--wrong-overlap", "0.5",
         "--repeat", "50"],
+    # the three bases over several blocks of shots
+    "verify-demo-blocks": ["verify-demo", "--shots", "20000"],
+    # off the reference point at a wide coupling and a prepared state near
+    # |1>, as CSV
+    "verify-demo-wide-csv": [
+        "verify-demo", "--shots", "3000", "--theta", "1.2", "--prep-angle",
+        "2.5", "--format", "csv"],
 }
 
 
