@@ -39,6 +39,7 @@ from .statevector import (
     combine,
     measure_qubit,
     new_state,
+    sample_circuits,
     sample_shots,
 )
 from .teleport import (

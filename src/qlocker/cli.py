@@ -55,7 +55,7 @@ from .statevector import (
     ProductState,
     apply_gate,
     new_state,
-    sample_shots,
+    sample_circuits,
 )
 from .teleport import open_channel, teleport
 from .tomography import (
@@ -191,17 +191,16 @@ def cmd_verify_demo(args) -> dict:
         "y": (1.0 - alpha_sq * math.sin(2 * theta)) / 2.0,
     }
 
-    histograms = {}
+    # one seed per basis, drawn in x, y, z order; the three circuits share
+    # their preparation and coupling gates and are sampled as one batch
+    bases = ("x", "y", "z")
+    prepare = [ry(prep, 0), build_controlled0_rx(theta, control=0, target=1)]
+    histograms = dict(zip(bases, sample_circuits(2, [
+        (prepare + [Measurement(1, basis)], master.spawn_seed())
+        for basis in bases], args.shots)))
     basis_rows = []
     checks = []
-    for basis in ("x", "y", "z"):
-        ops = [
-            ry(prep, 0),
-            build_controlled0_rx(theta, control=0, target=1),
-            Measurement(1, basis),
-        ]
-        hist = sample_shots(2, ops, args.shots, master.spawn_seed())
-        histograms[basis] = hist
+    for basis, hist in histograms.items():
         p0 = hist.probability("0")
         row = {
             "basis": basis,

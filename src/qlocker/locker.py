@@ -339,7 +339,7 @@ def attempt_unlocks(locker: LockerState, probe: Password,
         lead = (_parts(password_phi), password_draws)
     draws = locker.n_password_qubits * (locker.verification.iterations + 1)
     accepted, presented = [], None
-    for rows, uniforms in _shot_rows(_parts(phi), stream, shots, draws,
+    for rows, uniforms in _shot_rows(_parts(phi), [stream], shots, draws,
                                      lead):
         boxes = _boxes(rows, locker.verification, uniforms)
         if lead is not None and presented is None:

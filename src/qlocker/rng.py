@@ -7,23 +7,28 @@ sub-streams may be consumed in any order (or in parallel) without changing
 results.
 
 A batch of shots keeps that contract by drawing each shot's uniforms up
-front: :meth:`RandomStream.shot_uniforms` gives shot ``i`` the first ``k``
-draws of sub-stream ``(seed, i)``, the same doubles ``k`` calls of
-:meth:`RandomStream.random` on that sub-stream return.  It builds no
-per-shot generator.  It takes this stream's own ``SeedSequence`` pool, runs
-the spawn's last entropy word, the shot index, and ``generate_state`` as
-one ``(4, S)`` uint32 pass, then Philox4x64-10 (Salmon et al., SC 2011) on
-stacked lane pairs: counter words ``(c0, c2)`` in one ``(2, blocks, S)``
-uint64 array and ``(c1, c3)`` in another, the shot axis last, so that each
-of its ufunc calls (18 a round) loops over the shots.  The doubles keep the
-shot axis last too: the result is the ``.T`` view of a ``(k, S)`` array
-whose row ``c`` holds every shot's draw ``c``, so a kernel step reads its
-draws as one contiguous row.  Only its bit-equality tests against numpy's
-own generators tie that arithmetic to numpy's algorithms, so those tests
-pin it to the numpy version they run with.
+front: :func:`shot_uniforms` gives shot ``i`` of stream ``g`` the first
+``k`` draws of that stream's sub-stream ``i``, the same doubles ``k`` calls
+of :meth:`RandomStream.random` on that sub-stream return, for G streams at
+once (:meth:`RandomStream.shot_uniforms` is its one-stream call).  It
+builds no per-shot generator.  It stacks each stream's own ``SeedSequence``
+pool and hash constants on a stream axis, runs the spawn's last entropy
+word, the shot index, and ``generate_state`` as one ``(4, G, S)`` uint32
+pass, then Philox4x64-10 (Salmon et al., SC 2011) on stacked lane pairs:
+counter words ``(c0, c2)`` in one ``(2, blocks, G * S)`` uint64 array and
+``(c1, c3)`` in another, the stream and shot axes last, so that each of
+its ufunc calls (18 a round) loops over every stream's shots and G streams
+pay its fixed cost once.  The doubles keep those axes last too: the result
+is a ``(G, S, k)`` view of a ``(k, G, S)`` array whose row ``c`` holds
+every shot's draw ``c``, so a kernel step reads its draws as one
+contiguous row, of one stream or of all of them.  Only its bit-equality
+tests against numpy's own generators tie that arithmetic to numpy's
+algorithms, so those tests pin it to the numpy version they run with.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -50,14 +55,15 @@ def _n_words(value: int) -> int:
 
 def _hash_consts(init: int, mult: int, step: int) -> np.ndarray:
     """SeedSequence's hash constant at hashmix calls ``step`` to ``step +
-    4``, a (5, 1) uint32 column: call ``step + j`` xors with row ``j`` and
-    multiplies by row ``j + 1``."""
+    4``, a (5,) uint32 array: call ``step + j`` xors with entry ``j`` and
+    multiplies by entry ``j + 1``."""
     return np.array([init * pow(mult, step + j, 1 << 32) & _M32
-                     for j in range(_POOL + 1)], dtype=np.uint32)[:, None]
+                     for j in range(_POOL + 1)], dtype=np.uint32)
 
 
-# generate_state's hash constants, the same for every pool
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0)
+# generate_state's hash constants, the same for every pool, as a (5, 1, 1)
+# column over the stream and shot axes
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0)[:, None, None]
 
 
 class RandomStream:
@@ -76,83 +82,12 @@ class RandomStream:
         return RandomStream(self.seed, self.path + (int(index),))
 
     def shot_uniforms(self, shots: range, k: int) -> np.ndarray:
-        """Row ``j``: the first ``k`` uniforms of sub-stream ``shots[j]``.
-
-        Computed for all shots at once, bit for bit what
-        ``substream(i).randoms(k)`` returns; this stream does not advance.
-        Shot indices must be in ``[0, 2**32)``, one spawn-key word each.
-        The result, of shape ``(S, k)``, is the ``.T`` view of the first
-        ``k`` rows of the C-contiguous ``(4 * ceil(k / 4), S)`` doubles of
-        whole Philox blocks, each lane written straight into its rows, so
-        column ``c`` is a contiguous row of draws.  A call's peak memory is
-        about four and a half times the result.
-        """
-        ends = (shots[0], shots[-1]) if shots else (0,)
-        if min(ends) < 0 or max(ends) > _M32:
-            raise ValueError(f"shot indices of {shots} are not in [0, 2**32)")
-        index = np.arange(shots.start, shots.stop, shots.step,
-                          dtype=np.int64).astype(np.uint32)
-
-        # SeedSequence(seed, spawn_key=path + (i,)) is this stream's own
-        # SeedSequence with one more entropy word, i: its pool, each word
-        # mixed with one more hashmix of i (hashmix calls 4n to 4n + 3 for
-        # entropy word n, the seed's words padded to the pool).  That and
-        # generate_state(2, uint64) run as one (4, S) uint32 pass over the
-        # buffers h and t; the key words are state words 0|1 and 2|3.
-        n = max(_n_words(self.seed), _POOL) + sum(map(_n_words, self.path))
-        consts = _hash_consts(_INIT_A, _MULT_A, 4 * n)
-        pool = self._gen.bit_generator.seed_seq.pool[:, None]
-        h, t = np.empty((2, _POOL, len(shots)), np.uint32)
-        np.bitwise_xor(index, consts[:-1], out=h)
-        h *= consts[1:]
-        h ^= np.right_shift(h, 16, out=t)
-        h *= _MIX_R
-        np.subtract(pool * _MIX_L, h, out=h)
-        h ^= np.right_shift(h, 16, out=t)
-        h ^= _STATE_CONSTS[:-1]
-        h *= _STATE_CONSTS[1:]
-        h ^= np.right_shift(h, 16, out=t)
-        keys = (np.left_shift(h[1::2], 32, dtype=np.uint64) | h[0::2])[:, None]
-
-        # Philox4x64-10 on lane pairs, shot axis last: a holds (c0, c2) and
-        # b holds (c1, c3), each (2, blocks, S).  numpy bumps the counter
-        # before its first block, so block b of a shot starts at (b + 1, 0,
-        # 0, 0).  A round multiplies a by (M0, M1); the next (c0, c2) is
-        # hi(M1 c2, M0 c0) ^ (c1, c3) ^ key and the next (c1, c3) is
-        # lo(M1 c2, M0 c0), so each product crosses the pair through a
-        # [::-1] view, and lo is written straight into the next b.
-        blocks = -(-k // 4)
-        a, b, lo, t1, t2, t3 = np.zeros((6, 2, blocks, len(shots)), np.uint64)
-        a[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
-        for _ in range(_ROUNDS):
-            np.multiply(a, _PHILOX_M, out=lo[::-1])
-            # mulhi from 32-bit halves: t = hl + (ll >> 32),
-            # w = (t & M32) + lh, hi = hh + (t >> 32) + (w >> 32)
-            np.bitwise_and(a, _M32, out=t1)
-            a >>= 32
-            np.multiply(t1, _M_HI, out=t2)
-            t1 *= _M_LO
-            t1 >>= 32
-            t2 += t1
-            np.multiply(a, _M_LO, out=t1)
-            a *= _M_HI
-            np.bitwise_and(t2, _M32, out=t3)
-            t3 += t1
-            t2 >>= 32
-            t3 >>= 32
-            a += t2
-            a += t3
-            b ^= a[::-1]
-            b ^= keys
-            keys += _PHILOX_W
-            a, b, lo = b, lo, a
-        # each block's words c0, c1, c2, c3 go straight into rows 4b to
-        # 4b + 3 of the doubles, the shot axis last in both
-        out = np.empty((blocks, 4, len(shots)))
-        for lanes, words in ((a, out[:, 0::2]), (b, out[:, 1::2])):
-            lanes >>= 11
-            np.multiply(lanes.transpose(1, 0, 2), 2.0 ** -53, out=words)
-        return out.reshape(4 * blocks, len(shots))[:k].T
+        """Row ``j``: the first ``k`` uniforms of sub-stream ``shots[j]``,
+        bit for bit what ``substream(i).randoms(k)`` returns; this stream
+        does not advance.  The one-stream case of :func:`shot_uniforms`:
+        an ``(S, k)`` array whose column ``c`` is a contiguous row of
+        draws."""
+        return shot_uniforms((self,), shots, k)[0]
 
     def random(self) -> float:
         """Next uniform double in [0, 1)."""
@@ -172,3 +107,94 @@ class RandomStream:
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, path={self.path})"
+
+
+def shot_uniforms(streams: Sequence[RandomStream], shots: range,
+                  k: int) -> np.ndarray:
+    """``[g]``: ``streams[g].shot_uniforms(shots, k)``, for every stream in
+    one pass.
+
+    Entry ``[g, j]`` holds the first ``k`` uniforms of
+    ``streams[g].substream(shots[j])``, bit for bit what that sub-stream's
+    ``randoms(k)`` returns; no stream advances.  The streams may differ in
+    seed and path.  Shot indices must be in ``[0, 2**32)``, one spawn-key
+    word each.  The result, of shape ``(G, S, k)``, is a view of the first
+    ``k`` rows of the C-contiguous ``(4 * ceil(k / 4), G, S)`` doubles of
+    whole Philox blocks, each lane written straight into its rows: column
+    ``c`` of each ``[g]`` is a contiguous row of draws, and so is column
+    ``c`` of its ``(G * S, k)`` reshape, stream-major.  A call's peak
+    memory is about four and a half times the result.
+    """
+    ends = (shots[0], shots[-1]) if shots else (0,)
+    if min(ends) < 0 or max(ends) > _M32:
+        raise ValueError(f"shot indices of {shots} are not in [0, 2**32)")
+    index = np.arange(shots.start, shots.stop, shots.step,
+                      dtype=np.int64).astype(np.uint32)
+    size = len(streams) * len(shots)
+
+    # SeedSequence(seed, spawn_key=path + (i,)) is the stream's own
+    # SeedSequence with one more entropy word, i: its pool, each word mixed
+    # with one more hashmix of i (hashmix calls 4n to 4n + 3 for entropy
+    # word n, the seed's words padded to the pool).  That and
+    # generate_state(2, uint64) run as one (4, G, S) uint32 pass over the
+    # buffers h and t, each stream's constants and pool a (G, 1) column;
+    # the key words are state words 0|1 and 2|3.
+    consts = np.stack([_hash_consts(
+        _INIT_A, _MULT_A,
+        4 * (max(_n_words(s.seed), _POOL) + sum(map(_n_words, s.path))))
+        for s in streams], 1)[:, :, None]
+    pool = np.stack([s._gen.bit_generator.seed_seq.pool for s in streams],
+                    1)[:, :, None]
+    h, t = np.empty((2, _POOL, len(streams), len(shots)), np.uint32)
+    np.bitwise_xor(index, consts[:-1], out=h)
+    h *= consts[1:]
+    h ^= np.right_shift(h, 16, out=t)
+    h *= _MIX_R
+    np.subtract(pool * _MIX_L, h, out=h)
+    h ^= np.right_shift(h, 16, out=t)
+    h ^= _STATE_CONSTS[:-1]
+    h *= _STATE_CONSTS[1:]
+    h ^= np.right_shift(h, 16, out=t)
+    keys = (np.left_shift(h[1::2], 32, dtype=np.uint64)
+            | h[0::2]).reshape(2, 1, size)
+
+    # Philox4x64-10 on lane pairs, the stream and shot axes last as one:
+    # a holds (c0, c2) and b holds (c1, c3), each (2, blocks, G * S).
+    # numpy bumps the counter before its first block, so block b of a shot
+    # starts at (b + 1, 0, 0, 0).  A round multiplies a by (M0, M1); the
+    # next (c0, c2) is hi(M1 c2, M0 c0) ^ (c1, c3) ^ key and the next
+    # (c1, c3) is lo(M1 c2, M0 c0), so each product crosses the pair
+    # through a [::-1] view, and lo is written straight into the next b.
+    blocks = -(-k // 4)
+    a, b, lo, t1, t2, t3 = np.zeros((6, 2, blocks, size), np.uint64)
+    a[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    for _ in range(_ROUNDS):
+        np.multiply(a, _PHILOX_M, out=lo[::-1])
+        # mulhi from 32-bit halves: t = hl + (ll >> 32),
+        # w = (t & M32) + lh, hi = hh + (t >> 32) + (w >> 32)
+        np.bitwise_and(a, _M32, out=t1)
+        a >>= 32
+        np.multiply(t1, _M_HI, out=t2)
+        t1 *= _M_LO
+        t1 >>= 32
+        t2 += t1
+        np.multiply(a, _M_LO, out=t1)
+        a *= _M_HI
+        np.bitwise_and(t2, _M32, out=t3)
+        t3 += t1
+        t2 >>= 32
+        t3 >>= 32
+        a += t2
+        a += t3
+        b ^= a[::-1]
+        b ^= keys
+        keys += _PHILOX_W
+        a, b, lo = b, lo, a
+    # each block's words c0, c1, c2, c3 go straight into rows 4b to
+    # 4b + 3 of the doubles, the stream and shot axes last in both
+    out = np.empty((blocks, 4, size))
+    for lanes, words in ((a, out[:, 0::2]), (b, out[:, 1::2])):
+        lanes >>= 11
+        np.multiply(lanes.transpose(1, 0, 2), 2.0 ** -53, out=words)
+    return out.reshape(4 * blocks, len(streams),
+                       len(shots))[:k].transpose(1, 2, 0)

@@ -22,18 +22,24 @@ plain order for 2 and 4 amplitudes, as a reduce over the amplitude axis of
 the shot-last array does, and pairwise from 8 up, where the kernel reduces
 a row-major copy instead (a strided reduce would sum in plain order and
 move the last bit).  A projective x/y/z readout is that kernel with the
-projectors, between basis rotations (``_readout_rows``); the verification
+projectors, between basis rotations (``_basis_rows``); the verification
 box (:mod:`qlocker.verification`) runs it with its own K0 and K1.
 :func:`apply_gate` and :func:`measure_qubit` are the S = 1 calls.  One
 driver, ``_shot_rows``, turns shot indices into rows: fresh copies of a
-register, block by block, shot ``i`` drawing its uniforms up front from
-sub-stream ``(seed, i)``.  :func:`sample_shots` runs a circuit of gates and
-readouts over every row of each block, and ``_row_keys`` reads each row's
-outcome bits as its key.  A block holds at most :data:`SHOT_BLOCK_CELLS`
-amplitudes and uniforms, so no shot count or register width allocates
-``S * 2**n`` at once.  A :class:`ProductState` is held as its ``(n, 2)``
-one-qubit factors; it builds its ``2**n`` register only when one is asked
-for.  :func:`_parts` is the one place that tells the two forms apart: it
+register, block by block, one per stream and shot, shot ``i`` of stream
+``g`` drawing its uniforms up front from that stream's sub-stream ``i``,
+every stream's in one Philox pass (:func:`qlocker.rng.shot_uniforms`).
+:func:`sample_circuits` runs circuits of one shape, gates and readouts at
+the same positions, over every row of each block, the rows circuit-major:
+an op object that every circuit holds runs once over all rows, any other
+gate over its own circuit's rows, and a readout rotates each circuit's
+rows into its basis and measures all of them in one kernel call.
+:func:`sample_shots` is its one-circuit call, and ``_row_keys`` reads
+each row's outcome bits as its key.  A block holds at most
+:data:`SHOT_BLOCK_CELLS` amplitudes and uniforms, so no shot count,
+circuit count or register width allocates ``S * 2**n`` at once.  A
+:class:`ProductState` is held as its ``(n, 2)`` one-qubit factors; it
+builds its ``2**n`` register only when one is asked for.  :func:`_parts` is the one place that tells the two forms apart: it
 views any n-qubit state as P parts of w qubits, a writable ``(P, 2**w)``
 array, one part of n qubits for a register and n parts of one qubit for a
 product.  The locker rotates, verifies and collapses passwords through
@@ -52,12 +58,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .gates import GateOp, h, s, sdg
-from .rng import RandomStream
+from .rng import RandomStream, shot_uniforms
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -214,25 +221,30 @@ def _shot_blocks(shots: int, row_cells: int) -> list[range]:
     return [range(i, min(i + rows, shots)) for i in range(0, shots, rows)]
 
 
-def _shot_rows(amps: np.ndarray, stream: RandomStream, shots: range,
-               k: int, lead: tuple[np.ndarray, np.ndarray] | None = None
+def _shot_rows(amps: np.ndarray, streams: Sequence[RandomStream],
+               shots: range, k: int,
+               lead: tuple[np.ndarray, np.ndarray] | None = None
                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """A fresh copy of the register ``amps`` per shot index in ``shots``,
-    with its uniforms: yields ``(rows, uniforms)`` per block, in shot order,
-    where ``rows`` is a read-only ``(B, *amps.shape)`` view and row ``j`` of
-    ``uniforms`` holds the first ``k`` draws of
-    ``stream.substream(shots[j])`` for the block's ``j``-th shot.
+    """A fresh copy of the register ``amps`` per stream in ``streams`` and
+    shot index in ``shots``, with its uniforms: yields ``(rows, uniforms)``
+    per block, in shot order.  ``rows`` is a read-only ``(G * B,
+    *amps.shape)`` view, stream-major: row ``g * B + j`` is stream ``g``'s
+    copy for the block's ``j``-th shot, and that row of ``uniforms`` holds
+    the first ``k`` draws of ``streams[g].substream(shots[j])``, each
+    column contiguous.  The blocks are cut at ``G * (amps.size + k)`` cells
+    per shot, so that a block stays within :data:`SHOT_BLOCK_CELLS`.
 
     ``lead``, if given, is one more row, a register of ``amps``'s shape and
     its ``k`` uniforms, put as row 0 of the first block, before its shots.
-    The blocks are cut as if it were one more shot before ``shots[0]``, so
-    that block stays within :data:`SHOT_BLOCK_CELLS`; its uniforms stay
-    the ``.T`` view of a shot-last array."""
+    The blocks are cut as if it were one more shot before ``shots[0]``;
+    its uniforms stay the ``.T`` view of a shot-last array."""
     extra = lead is not None
-    for block in _shot_blocks(extra + len(shots), amps.size + k):
+    for block in _shot_blocks(extra + len(shots),
+                              len(streams) * (amps.size + k)):
         some = shots[max(block.start - extra, 0):block.stop - extra]
-        rows = np.broadcast_to(amps, (len(some), *amps.shape))
-        uniforms = stream.shot_uniforms(some, k)
+        uniforms = shot_uniforms(streams, some, k).reshape(
+            len(streams) * len(some), k)
+        rows = np.broadcast_to(amps, (len(uniforms), *amps.shape))
         if lead is not None:
             rows = np.concatenate([lead[0][None], rows])
             uniforms = np.concatenate([lead[1][:, None], uniforms.T], 1).T
@@ -240,11 +252,16 @@ def _shot_rows(amps: np.ndarray, stream: RandomStream, shots: range,
         yield rows, uniforms
 
 
-def _row_keys(bits: np.ndarray, lengths) -> list[str]:
-    """Row ``r`` of the uint8 outcome bits ``bits`` as a string of its first
-    ``lengths[r]`` bits, the whole array decoded once."""
-    text, width = (bits + ord("0")).tobytes().decode(), bits.shape[1]
-    return [text[i * width:i * width + n] for i, n in enumerate(lengths)]
+def _row_keys(bits: np.ndarray, lengths=None) -> list[str]:
+    """Row ``r`` of the uint8 outcome bits ``bits`` as a string of its
+    first ``lengths[r]`` bits (of all of them without ``lengths``), the
+    whole array decoded once, as one UTF-32 string per row."""
+    if not bits.shape[1]:
+        return [""] * len(bits)
+    rows = np.add(bits, ord("0"), dtype=np.uint32, order="C").view(
+        f"<U{bits.shape[1]}")[:, 0].tolist()
+    return rows if lengths is None else [
+        row[:n] for row, n in zip(rows, lengths)]
 
 
 def _n_qubits(amps: np.ndarray) -> int:
@@ -350,19 +367,30 @@ def _measure_rows(amps: np.ndarray, qubit: int, kraus: np.ndarray,
     return click, probs, out.T
 
 
-def _readout_rows(amps: np.ndarray, op: Measurement,
-                  uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray]:
-    """The readout ``op`` on every row of ``amps``: the rows rotated into
-    ``op.basis``, measured with the projectors, and rotated back; returns
-    what :func:`_measure_rows` does."""
-    to_z, back = _ROTATIONS[op.basis]
-    for g in to_z:
-        amps = _gate_rows(amps, g(op.qubit))
-    click, probs, out = _measure_rows(amps, op.qubit, _PROJECTORS, uniforms)
-    for g in back:
-        out = _gate_rows(out, g(op.qubit))
-    return click, probs, out
+def _circuit_rows(amps: np.ndarray, gates: Sequence[GateOp | None]
+                  ) -> np.ndarray:
+    """Each of the G equal row blocks of ``amps`` (circuit-major, as
+    :func:`_shot_rows` gives them) through its own entry of ``gates``, left
+    as it is where that is None; a gate that every block holds runs once
+    over all rows.  Returns the ``.T`` view of a shot-last array."""
+    if all(gate is gates[0] for gate in gates):
+        return amps if gates[0] is None else _gate_rows(amps, gates[0])
+    size = len(amps) // len(gates)
+    parts = (amps[g * size:(g + 1) * size] for g in range(len(gates)))
+    return np.concatenate([(rows if gate is None else _gate_rows(rows, gate)).T
+                           for gate, rows in zip(gates, parts)], 1).T
+
+
+def _basis_rows(amps: np.ndarray, ops: Sequence[Measurement],
+                side: int) -> np.ndarray:
+    """Each circuit's rows rotated into the basis of its readout in ``ops``
+    (``side`` 0), or back from it (``side`` 1); the rotation gates are
+    built once per basis, so circuits that read in one basis share them."""
+    gates = {op.basis: [g(op.qubit) for g in _ROTATIONS[op.basis][side]]
+             for op in ops}
+    for step in zip_longest(*(gates[op.basis] for op in ops)):
+        amps = _circuit_rows(amps, step)
+    return amps
 
 
 def measure_qubit(state: StateVector, qubit: int, basis: str,
@@ -374,9 +402,11 @@ def measure_qubit(state: StateVector, qubit: int, basis: str,
     rotating back after the collapse.  Draws one uniform.  Returns (outcome,
     probability of that outcome, renormalized post-measurement state).
     """
-    click, probs, amps = _readout_rows(state.amplitudes[None],
-                                       Measurement(qubit, basis),
+    op = Measurement(qubit, basis)
+    amps = _basis_rows(state.amplitudes[None], [op], 0)
+    click, probs, amps = _measure_rows(amps, qubit, _PROJECTORS,
                                        rng.randoms(1))
+    amps = _basis_rows(amps, [op], 1)
     outcome = int(click[0])
     p0, p1 = probs[:, 0].tolist()
     return (outcome, (p1 if outcome else p0) / (p0 + p1),
@@ -409,24 +439,65 @@ def sample_shots(n_qubits: int, ops: Sequence[CircuitOp], shots: int,
     each readout adding its outcome bit to the shot's key.  Shot ``i`` draws
     its uniforms, one per readout, up front from sub-stream ``(seed, i)``,
     so the histogram is identical however the shots are ordered or grouped.
-    The circuit runs once per block of shots, over all of the block's rows.
+    The circuit runs once per block of shots, over all of the block's rows:
+    it is :func:`sample_circuits` of one circuit.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    return sample_circuits(n_qubits, [(ops, seed)], shots)[0]
+
+
+def _readout_qubits(ops: Sequence[CircuitOp]) -> list[int | None]:
+    """Per op, the qubit it reads out, or None for a gate."""
     for op in ops:
         if not isinstance(op, (GateOp, Measurement)):
             raise TypeError(f"unsupported circuit element {op!r}")
-    k = sum(isinstance(op, Measurement) for op in ops)
-    counts: Counter[str] = Counter()
-    for amps, uniforms in _shot_rows(new_state(n_qubits).amplitudes,
-                                     RandomStream(seed), range(shots), k):
+    return [op.qubit if isinstance(op, Measurement) else None for op in ops]
+
+
+def sample_circuits(n_qubits: int,
+                    circuits: Sequence[tuple[Sequence[CircuitOp], int]],
+                    shots: int) -> list[CountsHistogram]:
+    """:func:`sample_shots` of each ``(ops, seed)`` in ``circuits``, sampled
+    as one batch: histogram ``g`` is the ``sample_shots(n_qubits, ops,
+    shots, seed)`` of ``circuits[g]``, its outcomes tallied in the same
+    first-appearance order.
+
+    The circuits must have one shape, the same number of ops with a readout
+    at the same positions on the same qubits (each in its own basis);
+    anything else is a ``ValueError``.  Each block of shots holds every
+    circuit's rows, circuit-major, and draws them in one pass.  An op object
+    that every circuit holds at a position runs once over all rows, and any
+    other gate over its own circuit's rows.  A readout rotates each
+    circuit's rows into its basis, measures all rows in one kernel call,
+    and rotates them back, except at the end of the circuits, where no
+    later op reads them.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    shapes = {tuple(_readout_qubits(ops)) for ops, _ in circuits}
+    if len(shapes) != 1:
+        raise ValueError(f"need circuits of one shape, got {len(shapes)}")
+    shape, = shapes
+    k = len(shape) - shape.count(None)
+    columns = list(zip(*(ops for ops, _ in circuits)))
+    streams = [RandomStream(seed) for _, seed in circuits]
+    counts: list[Counter[str]] = [Counter() for _ in circuits]
+    for amps, uniforms in _shot_rows(new_state(n_qubits).amplitudes, streams,
+                                     range(shots), k):
         bits = np.empty((len(amps), k), dtype=np.uint8)
         j = 0
-        for op in ops:
-            if isinstance(op, GateOp):
-                amps = _gate_rows(amps, op)
-            else:
-                bits[:, j], _, amps = _readout_rows(amps, op, uniforms[:, j])
-                j += 1
-        counts.update(_row_keys(bits, [k] * len(bits)))
-    return CountsHistogram(shots=shots, counts=dict(counts))
+        for position, (qubit, ops) in enumerate(zip(shape, columns)):
+            if qubit is None:
+                amps = _circuit_rows(amps, ops)
+                continue
+            amps = _basis_rows(amps, ops, 0)
+            bits[:, j], _, amps = _measure_rows(amps, qubit, _PROJECTORS,
+                                                uniforms[:, j])
+            j += 1
+            if position < len(columns) - 1:
+                amps = _basis_rows(amps, ops, 1)
+        keys = _row_keys(bits)
+        size = len(bits) // len(circuits)
+        for g, tally in enumerate(counts):
+            tally.update(keys[g * size:(g + 1) * size])
+    return [CountsHistogram(shots=shots, counts=dict(tally))
+            for tally in counts]

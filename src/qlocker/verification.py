@@ -242,7 +242,7 @@ def box_shots(state: StateVector | ProductState, params: VerificationParams,
     one array, each held as its parts (see :func:`_boxes`); each block of
     rows' boxes is yielded in shot order."""
     draws = state.n_qubits * (params.iterations + 1)
-    for rows, uniforms in _shot_rows(_parts(state), stream, shots, draws):
+    for rows, uniforms in _shot_rows(_parts(state), [stream], shots, draws):
         yield _boxes(rows, params, uniforms)
 
 

@@ -3,13 +3,15 @@
 ``sample_shots`` runs a circuit once over a block of shots; every shot
 must get exactly what it gets alone on its own sub-stream, however the
 shots are split into blocks and in whatever order the blocks run.
+``sample_circuits`` runs circuits of one shape as the rows of one block,
+and each must get the histogram ``sample_shots`` gives it alone.
 ``box_shots`` runs the verification box on many copies of one register as
 rows, and each row must be the ``run_box`` of a fresh copy on its own
 sub-stream, however the rows are split into blocks and in whatever order
 the blocks run.  ``attempt_unlocks`` runs many presentations of one probe
 as rows, and each row's boxes and acceptance, and the last row's result,
 must be the ``attempt_unlock`` of a fresh copy on its own sub-stream, in
-the same way.  All three take their blocks from
+the same way.  All four take their blocks from
 ``statevector._shot_rows``, so one patch of ``statevector`` splits them.  A
 product password's copies run every box at once over one-qubit rows, and
 must unlock, and collapse, as the same password combined into one register
@@ -116,6 +118,71 @@ def test_sample_shots_matches_the_per_shot_oracle(circuit, shots, seed):
         with pytest.MonkeyPatch.context() as mp:
             split(mp, cells, reverse)
             assert q.sample_shots(n, ops, shots, seed).counts == want
+
+
+@st.composite
+def circuit_batches(draw):
+    """A register width of 1 to 3 qubits and 1 to 4 circuits of one shape
+    on it, each with its seed: at each position either every circuit reads
+    out one qubit, each in its own basis, or every circuit holds a gate,
+    one shared op object or a gate of its own.  A readout ends the circuits
+    or not."""
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("readout", "shared", "own")))
+        if kind == "readout":
+            qubit = draw(st.integers(0, n - 1))
+            columns.append([Measurement(qubit, draw(st.sampled_from("xyz")))
+                            for _ in range(count)])
+        elif kind == "shared":
+            columns.append([draw(gates(n))] * count)
+        else:
+            columns.append([draw(gates(n)) for _ in range(count)])
+    if draw(st.booleans()):
+        qubit = draw(st.integers(0, n - 1))
+        columns.append([Measurement(qubit, basis) for basis in
+                        draw(st.lists(st.sampled_from("xyz"),
+                                      min_size=count, max_size=count))])
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=count,
+                          max_size=count))
+    return n, [([column[g] for column in columns], seeds[g])
+               for g in range(count)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(batch=circuit_batches(), shots=st.integers(1, 30))
+def test_circuits_sampled_as_one_batch_are_each_sampled_alone(batch, shots):
+    n, circuits = batch
+    alone = [q.sample_shots(n, ops, shots, seed) for ops, seed in circuits]
+    got = q.sample_circuits(n, circuits, shots)
+    # the same outcomes, tallied in the same first-appearance order
+    assert [list(h.counts.items()) for h in got] == [
+        list(h.counts.items()) for h in alone]
+    for hist, (ops, seed) in zip(got, circuits):
+        assert hist.shots == shots
+        assert hist.counts == reference_sample_shots(n, ops, shots, seed)
+    for cells, reverse in SPLITS:
+        with pytest.MonkeyPatch.context() as mp:
+            split(mp, cells, reverse)
+            assert [h.counts for h in q.sample_circuits(n, circuits, shots)
+                    ] == [h.counts for h in alone]
+
+
+def test_circuits_of_different_shapes_are_refused():
+    prep = [q.h(0), q.cnot(0, 1)]
+    for other in (prep,                                # one op fewer
+                  prep + [q.x(1)],                     # a gate, no readout
+                  [q.h(0), Measurement(0), q.x(1)],    # another position
+                  prep + [Measurement(1)]):            # another qubit
+        with pytest.raises(ValueError):
+            q.sample_circuits(2, [(prep + [Measurement(0, "x")], 1),
+                                  (other, 2)], 10)
+    with pytest.raises(ValueError):
+        q.sample_circuits(2, [], 10)
+    with pytest.raises(TypeError):
+        q.sample_circuits(1, [([Measurement(0)], 1), (["measure"], 2)], 10)
 
 
 @st.composite

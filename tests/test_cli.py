@@ -15,6 +15,14 @@ def run_to_file(tmp_path, name, argv):
     return code, out
 
 
+def counting(calls, kind, kernel):
+    """``kernel``, counting each call in ``calls[kind]``."""
+    def call(*args):
+        calls[kind] += 1
+        return kernel(*args)
+    return call
+
+
 class TestVerifyDemo:
     def test_default_run_passes_and_reports(self, tmp_path):
         code, out = run_to_file(
@@ -65,6 +73,21 @@ class TestVerifyDemo:
             tmp_path, "v.json",
             ["verify-demo", "--shots", "12", "--seed", "22"])
         assert code == 4
+
+    def test_one_draw_pass_and_one_readout_per_report(self, monkeypatch,
+                                                      capsys):
+        # at the tomography workload's argv the three bases are the rows of
+        # one block: one Philox pass draws their uniforms, and one kernel
+        # call reads all of them out
+        calls = {"draw": 0, "readout": 0}
+        monkeypatch.setattr(statevector, "shot_uniforms", counting(
+            calls, "draw", statevector.shot_uniforms))
+        monkeypatch.setattr(statevector, "_measure_rows", counting(
+            calls, "readout", statevector._measure_rows))
+        code = main(["verify-demo", "--theta", "0.2", "--prep-angle",
+                     repr(math.pi / 4), "--shots", "512"])
+        assert code == 0 and json.loads(capsys.readouterr().out)["ok"]
+        assert calls == {"draw": 1, "readout": 1}
 
     def test_csv_format(self, tmp_path):
         code, out = run_to_file(
@@ -205,17 +228,10 @@ class TestLockerDemo:
         # box of N + 1 kernel calls, beside the two readouts of each of the
         # n teleports
         calls = {"box": 0, "readout": 0}
-
-        def counting(kind, kernel):
-            def call(*args):
-                calls[kind] += 1
-                return kernel(*args)
-            return call
-
         monkeypatch.setattr(verification, "_measure_rows", counting(
-            "box", verification._measure_rows))
+            calls, "box", verification._measure_rows))
         monkeypatch.setattr(statevector, "_measure_rows", counting(
-            "readout", statevector._measure_rows))
+            calls, "readout", statevector._measure_rows))
         code = main(["locker-demo", "--message", "10110010", "--otp-qubits",
                      "2", "--wrong-overlap", "0.5", "--policy", "paper",
                      "--repeat", "5"])

@@ -5,6 +5,8 @@ Philox4x64-10 as array arithmetic, so only these tests tie it to numpy:
 each shot's row must be bit for bit the first ``k`` doubles of
 ``Generator(Philox(SeedSequence(seed, spawn_key=path + (i,))))``.  The
 pinned literals fail loudly if a numpy upgrade changes either algorithm.
+``rng.shot_uniforms`` draws several streams in one pass, and each stream's
+draws must be the ones it draws alone.
 """
 
 import tracemalloc
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlocker import RandomStream, statevector
+from qlocker import RandomStream, rng, statevector
 
 from oracles import reference_shot_uniforms
 
@@ -35,6 +37,14 @@ shot_ranges = st.builds(
     lambda start, length, step: range(start, start + length * step, step),
     st.one_of(st.integers(0, 50), st.integers(0, 2**32 - 40)),
     st.integers(0, 12), st.integers(1, 3))
+
+
+# seeds of 1, 2 and 7 entropy words, and paths of length 0 to 2
+stream_keys = st.tuples(
+    st.one_of(st.integers(0, 2), st.integers(2**32, 2**63 - 1),
+              st.integers(2**192, 2**224 - 1)),
+    st.lists(st.one_of(st.integers(0, 7), st.integers(2**32, 2**40)),
+             max_size=2).map(tuple))
 
 
 def numpy_rows(seed, path, shots, k):
@@ -83,6 +93,35 @@ def test_command_sized_blocks_are_numpys_doubles(shots, k):
                                                  k)
     assert_bits_equal(got, numpy_rows(seed, path,
                                       range(start, start + shots), k))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(keys=st.lists(stream_keys, min_size=1, max_size=4), shots=shot_ranges,
+       k=st.sampled_from((0, 1, 5, 78)))
+def test_many_streams_in_one_pass_are_each_streams_own(keys, shots, k):
+    streams = [RandomStream(seed, path) for seed, path in keys]
+    got = rng.shot_uniforms(streams, shots, k)
+    assert got.shape == (len(streams), len(shots), k)
+    for g, stream in enumerate(streams):
+        assert_bits_equal(got[g], stream.shot_uniforms(shots, k))
+        # a kernel step reads each stream's draw c as one contiguous row
+        for c in range(k if shots else 0):
+            assert got[g][:, c].flags.c_contiguous
+    # and the (G * S, k) rows of one block, stream-major, as a view
+    rows = got.reshape(len(streams) * len(shots), k)
+    assert k == 0 or not shots or np.shares_memory(rows, got)
+    for c in range(k if shots else 0):
+        assert rows[:, c].flags.c_contiguous
+
+
+def test_many_streams_are_numpys_doubles():
+    streams = [RandomStream(2**200 + 3, (7, 2**33)), RandomStream(42),
+               RandomStream(2**63 - 25, (3,))]
+    shots = range(2**32 - 7, 2**32, 3)
+    got = rng.shot_uniforms(streams, shots, 6)
+    for g, stream in enumerate(streams):
+        assert_bits_equal(got[g], numpy_rows(stream.seed, stream.path,
+                                             shots, 6))
 
 
 @pytest.mark.parametrize("shots, k", [(1598, 39), (65, 1001)])

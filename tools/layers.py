@@ -4,7 +4,9 @@ Every entry is the best of five timings of a batch of calls, in
 microseconds per call, on fixed inputs drawn from fixed seeds:
 
 - ``rng.substream``: one child stream;
-- ``rng.shot_uniforms``: shots x draws per shot, as the commands draw them;
+- ``rng.shot_uniforms``: shots x draws per shot, as the commands draw them,
+  and ``3x512x1``: three streams of 512 shots of one draw in one pass, as
+  ``verify-demo`` draws its three bases;
 - ``statevector.apply_gate`` (Ry on qubit 0) and ``measure_qubit`` (z on
   qubit 0), by register width;
 - ``statevector._gate_rows``: one gate on S rows of n qubits, keyed
@@ -15,6 +17,9 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
   kernels' layout;
 - ``statevector._measure_rows``: one weak step on one-qubit rows, by row
   count, the rows in the layout the kernel itself returns;
+- ``statevector.sample_circuits``: the tomography workload's three
+  circuits (Ry(pi/4), the coupling at theta 0.2, and an x, y or z readout
+  of the ancilla) at 512 shots, sampled as one batch;
 - ``verification._box_rows``: one 38-step box on |+> rows, by row count,
   at theta 0.1 under the paper policy, and on 1598 rows at theta 0.3 under
   the strict policy (``1598 strict``), where about half the rows click
@@ -59,6 +64,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import qlocker as q  # noqa: E402
 from qlocker import cli, statevector, verification  # noqa: E402
+from qlocker.rng import shot_uniforms  # noqa: E402
 from src_lines import counts  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -103,6 +109,9 @@ def layers() -> dict:
                              number)
         for shots, k, number in ((512, 1, 200), (128, 39, 200),
                                  (5, 78, 200), (1598, 39, 20))}
+    streams = [q.RandomStream(seed) for seed in (1, 2, 3)]
+    out["rng.shot_uniforms"]["3x512x1"] = best(
+        lambda: shot_uniforms(streams, range(512), 1), 200)
     out["statevector.apply_gate"] = {}
     for n, number in ((1, 2000), (3, 2000), (8, 500), (18, 5)):
         state, gate = random_register(n, n), q.ry(0.3, 0)
@@ -134,6 +143,11 @@ def layers() -> dict:
         out["statevector._measure_rows"][str(shots)] = best(
             lambda: statevector._measure_rows(rows, 0, kraus, uniforms),
             max(20, 40000 // (shots + 20)))
+    prepare = [q.ry(np.pi / 4, 0), q.build_controlled0_rx(0.2)]
+    circuits = [(prepare + [q.Measurement(1, basis)], seed)
+                for seed, basis in enumerate("xyz")]
+    out["statevector.sample_circuits"] = best(
+        lambda: q.sample_circuits(2, circuits, 512), 200)
     plus = q.apply_gate(q.new_state(1), q.h(0)).amplitudes
     out["verification._box_rows"] = {}
     for name, shots, params, number in (
