@@ -28,6 +28,7 @@ algorithms, so those tests pin it to the numpy version they run with.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -53,12 +54,16 @@ def _n_words(value: int) -> int:
     return max(1, -(-value.bit_length() // 32))
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, step: int) -> np.ndarray:
     """SeedSequence's hash constant at hashmix calls ``step`` to ``step +
-    4``, a (5,) uint32 array: call ``step + j`` xors with entry ``j`` and
-    multiplies by entry ``j + 1``."""
-    return np.array([init * pow(mult, step + j, 1 << 32) & _M32
-                     for j in range(_POOL + 1)], dtype=np.uint32)
+    4``, a read-only (5,) uint32 array: call ``step + j`` xors with entry
+    ``j`` and multiplies by entry ``j + 1``.  Cached: a stream's constants
+    depend only on how many entropy words its seed and path make."""
+    consts = np.array([init * pow(mult, step + j, 1 << 32) & _M32
+                       for j in range(_POOL + 1)], dtype=np.uint32)
+    consts.flags.writeable = False
+    return consts
 
 
 # generate_state's hash constants, the same for every pool, as a (5, 1, 1)
@@ -139,12 +144,12 @@ def shot_uniforms(streams: Sequence[RandomStream], shots: range,
     # generate_state(2, uint64) run as one (4, G, S) uint32 pass over the
     # buffers h and t, each stream's constants and pool a (G, 1) column;
     # the key words are state words 0|1 and 2|3.
-    consts = np.stack([_hash_consts(
+    consts = np.array([_hash_consts(
         _INIT_A, _MULT_A,
         4 * (max(_n_words(s.seed), _POOL) + sum(map(_n_words, s.path))))
-        for s in streams], 1)[:, :, None]
-    pool = np.stack([s._gen.bit_generator.seed_seq.pool for s in streams],
-                    1)[:, :, None]
+        for s in streams]).T[:, :, None]
+    pool = np.array([s._gen.bit_generator.seed_seq.pool
+                     for s in streams]).T[:, :, None]
     h, t = np.empty((2, _POOL, len(streams), len(shots)), np.uint32)
     np.bitwise_xor(index, consts[:-1], out=h)
     h *= consts[1:]
