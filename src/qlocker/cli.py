@@ -22,7 +22,9 @@ Exit codes: 0 success, 2 usage error, 3 invalid protocol input,
 :func:`main` parses with one parser per process, built on its first call
 and never changed after, so a caller that runs many reports in one process
 builds the argparse tree once; :func:`build_parser` returns a fresh parser
-on every call.
+on every call.  The parser binds no function: :func:`main` runs
+``cmd_<subcommand>`` (dashes become underscores), looked up on this module
+at each call, so a caller that rebinds ``cli.cmd_*`` is the one called.
 """
 
 from __future__ import annotations
@@ -220,25 +222,26 @@ def cmd_verify_demo(args) -> dict:
     rho_emp = reconstruct_density(stokes)
     rho_diag = theoretical_ancilla_density(alpha, theta, PAPER_DIAGONAL)
     rho_reduced = theoretical_ancilla_density(alpha, theta, FULL_REDUCED)
-    emp_physical = rho_emp.is_physical
-    rho_for_fid = rho_emp if emp_physical else reconstruct_density(stokes, clip=True)
+    # one verdict for the Stokes vector, the matrix and the fidelities
+    physical = rho_emp.is_physical
+    rho_for_fid = rho_emp if physical else reconstruct_density(stokes, clip=True)
 
     return {
         "params": {"theta": theta, "prep_angle": prep, "shots": args.shots,
                    "alpha_sq": alpha_sq},
         "ancilla_probabilities": basis_rows,
         "stokes": {"x": stokes.x, "y": stokes.y, "z": stokes.z,
-                   "physical": stokes.is_physical},
+                   "physical": physical},
         "density": {
             "empirical": rho_emp.tables(),
-            "empirical_physical": emp_physical,
+            "empirical_physical": physical,
             "theory_diagonal": rho_diag.tables(),
             "theory_full_reduced": rho_reduced.tables(),
         },
         "fidelity": {
             "diagonal_vs_empirical": fidelity(rho_diag, rho_for_fid),
             "full_reduced_vs_empirical": fidelity(rho_reduced, rho_for_fid),
-            "empirical_clipped": not emp_physical,
+            "empirical_clipped": not physical,
         },
         "checks": checks,
     }
@@ -542,13 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "every theta")
     p.add_argument("--prep-angle", type=_finite, default=math.pi / 4,
                    help="Ry angle preparing the system qubit")
-    p.set_defaults(func=cmd_verify_demo)
 
     p = sub.add_parser("converge",
                        help="many-iteration verification of |+>")
     add_common(p)
     _add_box_flags(p)
-    p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("locker-demo",
                        help="store, teleport, and unlock end to end")
@@ -561,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wrong-password repetitions for rate estimation")
     p.add_argument("--wrong-overlap", type=_probability, default=None,
                    help="force the wrong password's per-qubit overlap")
-    p.set_defaults(func=cmd_locker_demo)
 
     p = sub.add_parser("sweep",
                        help="false-accept tables over (n, theta, N, overlap)")
@@ -576,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(1, 5, 38))
     p.add_argument("--grid-overlap", type=lambda s: _parse_grid(s, _probability),
                    default=(0.25, 0.5))
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -591,14 +590,16 @@ def main(argv=None) -> int:
 
     Every call in a process parses with the same parser, built on the first
     call; nothing changes that parser, so one call cannot leak into the next.
+    The command run is the module's ``cmd_<subcommand>`` at this call.
     The report is the command's body inside the envelope written here:
     ``schema_version``, ``command`` and ``seed`` first, ``ok`` last.
     """
     parser = _parser()
     args = parser.parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         report = {"schema_version": SCHEMA_VERSION, "command": args.command,
-                  "seed": args.seed, **args.func(args)}
+                  "seed": args.seed, **command(args)}
     except ValueError as exc:  # InvalidMessageError and CapacityError too
         print(f"error: {exc}", file=sys.stderr)
         return 3

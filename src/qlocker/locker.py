@@ -63,6 +63,7 @@ from .verification import (
     Trajectory,
     VerificationParams,
     _boxes,
+    _shot_draws,
     _trajectory,
 )
 
@@ -253,7 +254,7 @@ def _present(locker: LockerState, password: Password, rng: RandomStream,
         if abs(blanks.amplitudes[0] - 1.0) > 1e-12:
             raise ValueError("blank qubits must be supplied in the |0...0> state")
     locker.consumed_passwords[id(password)] = password
-    draws = locker.n_password_qubits * (locker.verification.iterations + 1)
+    draws = _shot_draws(locker.n_password_qubits, locker.verification)
     return apply_inverse_rotation(password, locker.params), rng.randoms(draws)
 
 
@@ -337,7 +338,7 @@ def attempt_unlocks(locker: LockerState, probe: Password,
                 f"laid out as the probe's {_parts(phi).shape}")
         password_phi, password_draws = _present(locker, password, rng)
         lead = (_parts(password_phi), password_draws)
-    draws = locker.n_password_qubits * (locker.verification.iterations + 1)
+    draws = _shot_draws(locker.n_password_qubits, locker.verification)
     accepted, presented = [], None
     for rows, uniforms in _shot_rows(_parts(phi), [stream], shots, draws,
                                      lead):

@@ -4,7 +4,13 @@ Stokes parameters come straight from basis-resolved counts,
 ``<j> = p(0_j) - p(1_j)``, and the density matrix is the affine Pauli
 reconstruction ``rho = (I + <x> sx + <y> sy + <z> sz) / 2``.  Reconstructions
 from noisy counts may land outside the physical set; they are flagged, not
-silently projected (eigenvalue clipping is available behind a flag).
+silently projected (eigenvalue clipping is available behind a flag).  One
+rule decides physicality, :attr:`DensityMatrix.is_physical`: the Bloch
+vector has length at most ``1 + 1e-9``, which for a unit-trace Hermitian
+2x2 matrix is "no negative eigenvalue" up to rounding.
+:attr:`StokesVector.is_physical` and :func:`fidelity`'s guard read it.  A
+non-finite Stokes component or matrix entry is a ``ValueError`` where the
+object is built.
 
 Two theoretical references for the verification-box ancilla are provided:
 the diagonal model ``diag(p0, p1)`` used in the published analysis, and the
@@ -28,7 +34,6 @@ ANCILLA_MODELS = (PAPER_DIAGONAL, FULL_REDUCED)
 
 _HERMITIAN_TOL = 1e-10
 _TRACE_TOL = 1e-10
-_EIGEN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -37,13 +42,14 @@ class StokesVector:
     y: float
     z: float
 
-    def norm(self) -> float:
-        return math.sqrt(self.x**2 + self.y**2 + self.z**2)
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.z))):
+            raise ValueError(f"Stokes components must be finite, got {self}")
 
     @property
     def is_physical(self) -> bool:
-        """Bloch vectors longer than 1 cannot come from a quantum state."""
-        return self.norm() <= 1.0 + 1e-9
+        """Whether its reconstruction is physical."""
+        return reconstruct_density(self).is_physical
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,8 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(m.trace() - 1.0) > _TRACE_TOL:
@@ -63,12 +71,13 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
     @property
     def is_physical(self) -> bool:
-        return bool(self.eigenvalues().min() >= -_EIGEN_TOL)
+        """Bloch vectors ``(2 Re m01, -2 Im m01, m00 - m11)`` longer than 1
+        cannot come from a quantum state."""
+        m = self.matrix
+        return math.hypot(2.0 * abs(m[0, 1]),
+                          (m[0, 0] - m[1, 1]).real) <= 1.0 + 1e-9
 
     def tables(self) -> dict[str, list[list[float]]]:
         """Real/imaginary component tables for text or JSON emission."""

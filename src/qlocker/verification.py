@@ -33,7 +33,9 @@ rows, and leaves the steps.  The draw layout is fixed:
 box ``k`` reads its weak steps from columns ``k(N+1)`` to ``k(N+1) + N - 1``
 and its closing readout from column ``k(N+1) + N``, whatever earlier boxes
 did (a strict row that clicked leaves the rest of its box's window unread).
-So the boxes of separate parts of a password are independent.
+So the boxes of separate parts of a password are independent, and a shot
+of an n-qubit password reads ``n(N + 1)`` uniforms, a count written once,
+in :func:`_shot_draws`, which :func:`box_shots` and the locker read.
 :func:`_boxes` takes every password, a register or a
 :class:`~qlocker.statevector.ProductState`, in one layout: P parts of w
 qubits (``statevector._parts``), one part of n qubits for a register, n
@@ -90,7 +92,8 @@ CLICK_POLICIES = (PAPER_DEFAULT, STRICT_ABORT)
 DEFAULT_THETA = 0.1
 DEFAULT_ITERATIONS = 38
 
-# longest box: a row holds n * (N + 1) uniforms up front
+# longest box: a shot of an n-qubit password holds its n * (N + 1)
+# uniforms (``_shot_draws``) up front
 MAX_ITERATIONS = 10_000
 
 
@@ -234,6 +237,12 @@ def _boxes(amps: np.ndarray, params: VerificationParams,
             for p in range(parts) for box in boxes]
 
 
+def _shot_draws(n_qubits: int, params: VerificationParams) -> int:
+    """The uniforms a shot of an n-qubit password reads, ``n * (N + 1)``:
+    one window of ``N + 1`` per box, as :func:`_boxes` lays them out."""
+    return n_qubits * (params.iterations + 1)
+
+
 def box_shots(state: StateVector | ProductState, params: VerificationParams,
               stream: RandomStream, shots: range) -> Iterator[list[BoxRows]]:
     """The boxes on each qubit of a fresh copy of ``state`` per shot ``i``
@@ -241,8 +250,8 @@ def box_shots(state: StateVector | ProductState, params: VerificationParams,
     :func:`run_box` on each qubit in turn does.  The copies are the rows of
     one array, each held as its parts (see :func:`_boxes`); each block of
     rows' boxes is yielded in shot order."""
-    draws = state.n_qubits * (params.iterations + 1)
-    for rows, uniforms in _shot_rows(_parts(state), [stream], shots, draws):
+    for rows, uniforms in _shot_rows(_parts(state), [stream], shots,
+                                     _shot_draws(state.n_qubits, params)):
         yield _boxes(rows, params, uniforms)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from qlocker import statevector, verification
+from qlocker import cli, statevector, verification
 from qlocker.cli import build_parser, main
 
 
@@ -66,6 +66,19 @@ class TestVerifyDemo:
         _, first = run_to_file(tmp_path, "a.json", argv)
         _, second = run_to_file(tmp_path, "b.json", argv)
         assert first.read_bytes() == second.read_bytes()
+
+    # at theta 0 the ancilla is |0>, and these seeds' x and y counts put its
+    # Stokes vector just outside the sphere
+    @pytest.mark.parametrize("seed", [16, 60, 87, 161, 270, 319, 355])
+    def test_one_physicality_verdict(self, tmp_path, seed):
+        code, out = run_to_file(
+            tmp_path, "v.json",
+            ["verify-demo", "--theta", "0", "--seed", str(seed)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["stokes"]["physical"] is False
+        assert report["density"]["empirical_physical"] is False
+        assert report["fidelity"]["empirical_clipped"] is True
 
     def test_check_failure_exits_4(self, tmp_path):
         # seed 22 at 12 shots lands outside the y-basis 3-sigma band
@@ -322,6 +335,20 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     first = build_parser()
     assert added  # the spy sees a build
     assert build_parser() is not first  # the builder shares nothing
+
+
+def test_main_runs_the_modules_command_at_each_call(monkeypatch, capsys):
+    # the parser binds no function: main looks cmd_converge up on the
+    # module, so a wrapper bound after the parser was built is the one run
+    argv = ["converge", "--shots", "8"]
+    code = main(argv)
+    want = capsys.readouterr().out
+    calls = {"converge": 0}
+    monkeypatch.setattr(cli, "cmd_converge",
+                        counting(calls, "converge", cli.cmd_converge))
+    assert main(argv) == code
+    assert calls == {"converge": 1}
+    assert capsys.readouterr().out == want
 
 
 def test_sweep_grid_defaults_are_tuples():

@@ -92,6 +92,9 @@ CASES = {
     "verify-demo-wide-csv": [
         "verify-demo", "--shots", "3000", "--theta", "1.2", "--prep-angle",
         "2.5", "--format", "csv"],
+    # counts whose Stokes vector lies just outside the sphere: one
+    # physicality verdict, and fidelities from the clipped reconstruction
+    "verify-demo-theta0": ["verify-demo", "--theta", "0", "--seed", "16"],
 }
 
 

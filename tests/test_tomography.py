@@ -4,6 +4,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlocker as q
 from qlocker import CountsHistogram, DensityMatrix, StokesVector
@@ -120,6 +122,79 @@ class TestDensityMatrixValidation:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4)
+
+    # NaN fails every tolerance comparison, so only a finiteness check
+    # rejects it; infinities would warn in the Hermitian check's subtraction
+    @pytest.mark.parametrize("entries", [
+        [[math.nan, 0], [0, math.nan]],
+        [[0.5, complex(0, math.nan)], [complex(0, math.nan), 0.5]],
+        [[math.inf, 0], [0, -math.inf]],
+    ])
+    def test_non_finite_entries_rejected(self, entries):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.array(entries))
+        # nor can fidelity be handed one
+        with pytest.raises(ValueError, match="finite"):
+            q.fidelity(DensityMatrix(np.array(entries)),
+                       q.reconstruct_density(StokesVector(0, 0, 0)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_non_finite_stokes_rejected(self, value, axis):
+        components = [0.0, 0.0, 0.0]
+        components[axis] = value
+        with pytest.raises(ValueError, match="finite"):
+            q.reconstruct_density(StokesVector(*components))
+
+
+SHOTS = 8192
+
+
+def histograms(zeros) -> dict:
+    """One 8192-shot histogram per basis, ``zeros`` the x, y and z counts
+    of outcome 0."""
+    return {axis: CountsHistogram(SHOTS, {"0": n0, "1": SHOTS - n0})
+            for axis, n0 in zip("xyz", zeros)}
+
+
+# z reads 0 on every shot and x and y are near even: the Stokes vector
+# sits just outside the sphere, or on it
+near_sphere = st.tuples(st.integers(SHOTS // 2 - 16, SHOTS // 2 + 16),
+                        st.integers(SHOTS // 2 - 16, SHOTS // 2 + 16),
+                        st.just(SHOTS))
+interior = st.tuples(*[st.integers(0, SHOTS)] * 3).filter(
+    lambda zeros: sum((2 * n - SHOTS) ** 2 for n in zeros) < SHOTS**2)
+
+
+class TestPhysicality:
+    def test_a_vector_just_outside_the_sphere(self):
+        # verify-demo --theta 0 --seed 16: Bloch length 1 + 1.8e-6, so the
+        # reconstruction's smallest eigenvalue is -9e-7
+        s = StokesVector(-10 / 8192, 12 / 8192, 1.0)
+        rho = q.reconstruct_density(s)
+        assert not s.is_physical
+        assert not rho.is_physical
+        clipped = q.reconstruct_density(s, clip=True)
+        assert clipped.is_physical
+        assert q.fidelity(clipped, clipped) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError):
+            q.fidelity(rho, clipped)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(zeros=st.one_of(near_sphere, interior))
+    def test_one_verdict_for_counts(self, zeros):
+        s = q.stokes_from_counts(histograms(zeros))
+        rho = q.reconstruct_density(s)
+        assert s.is_physical == rho.is_physical
+        # counts leave no Bloch length within 1e-9 of 1 but 1 itself, so
+        # the verdict is the sign of the smallest eigenvalue
+        assert rho.is_physical == (
+            np.linalg.eigvalsh(rho.matrix).min() > -1e-12)
+        if not rho.is_physical:
+            clipped = q.reconstruct_density(s, clip=True)
+            assert clipped.is_physical
+            assert 0.0 <= q.fidelity(clipped, clipped) <= 1.0
 
 
 class TestTheoreticalModels:
