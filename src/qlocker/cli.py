@@ -138,9 +138,9 @@ def _in_range(cast, low, high=math.inf):
     return parse
 
 
-# sweep's sampler holds at most 32 bytes per shot at once, a bound
-# tests/test_verification.py pins, so 2**24 shots or repetitions stay under
-# 1 GiB
+# sweep's sampler holds at most 16 bytes per shot at once, a bound
+# tests/test_verification.py pins, so 2**24 shots or repetitions stay within
+# 256 MiB
 _shot_count = _in_range(int, 1, 1 << 24)
 _seed = _in_range(int, 0)  # SeedSequence takes non-negative integers only
 _probability = _in_range(float, 0.0, 1.0)

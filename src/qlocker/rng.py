@@ -24,11 +24,17 @@ every shot's draw ``c``, so a kernel step reads its draws as one
 contiguous row, of one stream or of all of them.  Only its bit-equality
 tests against numpy's own generators tie that arithmetic to numpy's
 algorithms, so those tests pin it to the numpy version they run with.
+
+:meth:`RandomStream.below` is ``randoms(size) < p`` without the doubles: a
+Philox double is its 64-bit word's top 53 bits times ``2**-53``, an exact
+function of the word, so the test runs on the raw words against one
+integer threshold.  ``sweep``'s sampler draws through it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +107,17 @@ class RandomStream:
     def randoms(self, size: int) -> np.ndarray:
         """Array of ``size`` uniform doubles in [0, 1)."""
         return self._gen.random(size)
+
+    def below(self, p: float, size: int) -> np.ndarray:
+        """``randoms(size) < p``, bit for bit, tested on the raw words.
+
+        A double is ``(word >> 11) * 2**-53``, so it is below ``p`` exactly
+        when ``word < ceil(p * 2**53) << 11``; the stream advances by
+        ``size`` whatever ``p`` is."""
+        words = self._gen.bit_generator.random_raw(size)
+        if not 0.0 < p < 1.0:  # every draw or none; none at NaN, as < reads
+            return np.full(size, p >= 1.0)
+        return words < np.uint64(math.ceil(p * 2.0 ** 53) << 11)
 
     def uniform(self, low: float, high: float) -> float:
         """Next uniform double in [low, high)."""

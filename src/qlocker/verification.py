@@ -340,59 +340,38 @@ def sample_acceptance_runs(alpha_sq: float, params: VerificationParams,
                            runs: int, rng: RandomStream) -> np.ndarray:
     """Boolean accept/reject outcome of ``runs`` independent verification runs.
 
-    Each run tracks its current P(|0>) ``a2``, clicks at a step when its draw
-    is below ``p1 = a2 * sin^2(theta)``, and otherwise moves to
-    ``a2 * cos^2(theta) / (1 - p1)``; a click sets ``a2`` to 1.  The closing
-    z-measurement accepts when the last draw is below ``a2``.  Statistically
-    identical to repeated :func:`run_box` on a single qubit, at array speed.
+    A run that has not clicked has P(|0>) ``a2``: it clicks at a step when
+    its draw is below ``p1 = a2 * sin^2(theta)``, and otherwise moves to
+    ``a2 * cos^2(theta) / (1 - p1)``.  Every such run has gone through the
+    same steps from the same ``alpha_sq``, so all of them share one ``a2``
+    chain, one float per step.  A run that clicked sits in |0>: the strict
+    policy rejects it and the paper policy accepts it, whatever it draws
+    next.  So the runs keep only a click mask, and the closing
+    z-measurement accepts a run that never clicked when its last draw is
+    below ``a2``.  Statistically identical to repeated :func:`run_box` on a
+    single qubit, at array speed.  Each test is :meth:`RandomStream.below`,
+    ``randoms(runs) < p`` read off the raw words.
 
-    Under the strict policy a run that clicked is rejected whatever it draws
-    next, and every run that has not clicked has gone through the same
-    steps from the same ``alpha_sq``, so those runs share one ``a2`` chain:
-    one float per step instead of one per run, computed by the same IEEE
-    operations a per-run array would use, so the accept array is the same
-    bit for bit.  The paper policy keeps one ``a2`` per run and updates it in
-    place; a run that clicks divides 1 by 1, never by its ``1 - p1`` (0 when
-    ``sin^2(theta)`` rounds to 1).
-
-    Draws are step-major: step ``j`` takes ``rng.randoms(runs)`` and the
-    closing readout one more, so ``rng`` advances by ``runs * (N + 1)`` under
+    Draws are step-major: step ``j`` takes ``runs`` draws and the closing
+    readout ``runs`` more, so ``rng`` advances by ``runs * (N + 1)`` under
     either policy.  This is the one exception to the per-shot draw contract:
     run ``i``'s draws come from one stream per call and depend on ``runs``,
     not from sub-stream ``i``.  Drawing each run's numbers from its own
     sub-stream with ``shot_uniforms`` takes about ten times as long.
     """
-    alpha_sq = _clamp_p0(alpha_sq)
+    a2 = _clamp_p0(alpha_sq)
     if runs < 1:
         raise ValueError("runs must be >= 1")
     sin_sq = math.sin(params.theta) ** 2
     cos_sq = math.cos(params.theta) ** 2
-    if params.click_policy == STRICT_ABORT:
-        a2 = alpha_sq  # P(|0>) of every run that has not clicked
-        clicked = np.zeros(runs, dtype=bool)
-        for _ in range(params.iterations):
-            p1 = a2 * sin_sq
-            clicked |= rng.randoms(runs) < p1
-            # at p1 >= 1 every run clicks (draws are below 1), so the chain
-            # has no survivor to follow
-            a2 = a2 * cos_sq / (1.0 - p1) if p1 < 1.0 else 1.0
-        return (rng.randoms(runs) < a2) & ~clicked
-    a2 = np.full(runs, alpha_sq)
-    q = np.empty(runs)
-    click = np.empty(runs, dtype=bool)
-    stay = np.empty(runs, dtype=bool)
-    # branch-free selects: a boolean-indexed write costs several times a
-    # whole-array ufunc once clicks are common
+    clicked = np.zeros(runs, dtype=bool)
     for _ in range(params.iterations):
-        np.multiply(a2, sin_sq, out=q)  # p1
-        np.less(rng.randoms(runs), q, out=click)
-        np.logical_not(click, out=stay)
-        np.subtract(1.0, q, out=q)
-        # a run that stays has p1 <= u < 1, so 1 - p1 > 0 is kept; a click
-        # has 1 - p1 <= 1 and divides by 1
-        np.maximum(q, click, out=q)
-        a2 *= cos_sq
-        a2 *= stay
-        np.maximum(a2, click, out=a2)  # a click's 0 becomes 1
-        a2 /= q
-    return rng.randoms(runs) < a2
+        p1 = a2 * sin_sq
+        clicked |= rng.below(p1, runs)
+        # at p1 >= 1 every run clicks (draws are below 1), so the chain
+        # has no survivor to follow
+        a2 = a2 * cos_sq / (1.0 - p1) if p1 < 1.0 else 1.0
+    final = rng.below(a2, runs)
+    if params.click_policy == STRICT_ABORT:
+        return final & ~clicked
+    return final | clicked

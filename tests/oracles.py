@@ -25,9 +25,9 @@ gates on one part each, as the per-part gates of
 must reproduce.
 
 ``reference_acceptance_runs`` is ``sweep``'s accept/reject sampler as
-one P(|0>) per run, every step a fresh set of arrays, as the in-place
-:func:`qlocker.verification.sample_acceptance_runs` must reproduce from
-the same draws.
+one P(|0>) per run, every step a fresh set of arrays, as
+:func:`qlocker.verification.sample_acceptance_runs`, on one shared chain
+and a click mask, must reproduce from the same draws.
 
 ``weak_steps`` replays the box's weak steps on qubit ``k`` of every row
 of an n-qubit array, one kernel call per step on the box's own draws, and
@@ -355,7 +355,8 @@ def reference_unlock(message_bits, params, verification, password, rng):
 
 def reference_acceptance_runs(alpha_sq, params, runs, rng):
     """Accept array of ``runs`` verification runs of a qubit with P(|0>) =
-    ``alpha_sq``, each run tracking its own P(|0>) ``a2``; step ``j`` draws
+    ``alpha_sq``, each run tracking its own P(|0>) ``a2``, which a click
+    sets to 1 for good (the qubit sits in |0>); step ``j`` draws
     ``rng.randoms(runs)`` and the closing readout one more."""
     sin_sq = math.sin(params.theta) ** 2
     cos_sq = math.cos(params.theta) ** 2
@@ -363,13 +364,12 @@ def reference_acceptance_runs(alpha_sq, params, runs, rng):
     clicked = np.zeros(runs, dtype=bool)
     for _ in range(params.iterations):
         p1 = a2 * sin_sq
-        click = rng.randoms(runs) < p1
-        clicked |= click
+        clicked |= rng.randoms(runs) < p1
         # where sin^2(theta) rounds to 1 a run at a2 = 1 divides by 0; it
         # clicks for sure, so np.where drops its inf
         with np.errstate(divide="ignore"):
             survive_a2 = a2 * cos_sq / (1.0 - p1)
-        a2 = np.where(click, 1.0, survive_a2)
+        a2 = np.where(clicked, 1.0, survive_a2)
     final_zero = rng.randoms(runs) < a2
     if params.click_policy == STRICT_ABORT:
         return final_zero & ~clicked

@@ -6,7 +6,9 @@ each shot's row must be bit for bit the first ``k`` doubles of
 ``Generator(Philox(SeedSequence(seed, spawn_key=path + (i,))))``.  The
 pinned literals fail loudly if a numpy upgrade changes either algorithm.
 ``rng.shot_uniforms`` draws several streams in one pass, and each stream's
-draws must be the ones it draws alone.
+draws must be the ones it draws alone.  ``RandomStream.below`` tests draws
+against a threshold on the raw words, and must give what ``randoms`` and
+``<`` give, from the same stream position to the same one.
 """
 
 import tracemalloc
@@ -167,3 +169,46 @@ def test_no_draws_and_no_shots_keep_their_shapes():
 def test_shot_indices_outside_one_word_are_refused(shots):
     with pytest.raises(ValueError):
         RandomStream(5).shot_uniforms(shots, 3)
+
+
+def assert_below_is_randoms_below(seed, path, p, size):
+    """``below(p, size)`` gives ``randoms(size) < p`` bit for bit and leaves
+    the stream where ``randoms`` leaves it."""
+    got_stream, want_stream = RandomStream(seed, path), RandomStream(seed, path)
+    got = got_stream.below(p, size)
+    want = want_stream.randoms(size) < p
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert got_stream.randoms(3).tolist() == want_stream.randoms(3).tolist()
+
+
+@pytest.mark.parametrize("p", [
+    -0.1, 0.0, 5e-324, 2.0**-53, 1.5 * 2.0**-53, 0.3,
+    np.nextafter(1.0, 0.0), 1.0, 1.5])
+@pytest.mark.parametrize("size", [0, 1, 7, 4096])
+def test_below_is_randoms_below(p, size):
+    assert_below_is_randoms_below(11, (2,), p, size)
+
+
+def test_below_on_a_word_whose_double_is_p():
+    # a raw word with its 11 low bits 0 sits exactly on the threshold of
+    # its own double: that draw is not below p, and its word is not below
+    # the threshold either
+    words = RandomStream(11, (2,))._gen.bit_generator.random_raw(4096)
+    on_threshold = words[words & 0x7FF == 0]
+    assert len(on_threshold)
+    for word in on_threshold:
+        assert_below_is_randoms_below(11, (2,), int(word >> 11) * 2.0**-53,
+                                      4096)
+
+
+@RNG_SETTINGS
+@given(seed=seeds, path=paths, size=st.integers(0, 300),
+       p=st.one_of(st.floats(0.0, 1.0),
+                   st.tuples(st.integers(0, 299), st.integers(-1, 1))))
+def test_below_is_randoms_below_on_any_stream(seed, path, size, p):
+    if isinstance(p, tuple):  # a stream's own draw, moved by -1 to 1 ulps
+        (index, ulps), draws = p, RandomStream(seed, path).randoms(300)
+        p = float(draws[index])
+        if ulps:
+            p = float(np.nextafter(p, ulps * np.inf))
+    assert_below_is_randoms_below(seed, path, p, size)

@@ -23,7 +23,7 @@ NEAR_RIGHT_ANGLE = math.nextafter(math.pi / 2, 0)
 
 class QueueStream:
     """A stand-in stream that hands out prepared draws, one array per
-    ``randoms`` call."""
+    ``randoms`` or ``below`` call."""
 
     def __init__(self, draws):
         self._draws = iter(draws)
@@ -33,6 +33,9 @@ class QueueStream:
         assert len(draws) == size
         return draws
 
+    def below(self, p, size):
+        return self.randoms(size) < p
+
 
 def threshold_draws(alpha_sq, theta, iterations, strict):
     """Draws that sit on each run's thresholds, and the accept array they
@@ -40,10 +43,13 @@ def threshold_draws(alpha_sq, theta, iterations, strict):
 
     Run ``(c, e)`` clicks at step ``c`` (never, for ``c = iterations``) by
     drawing the largest double below its ``p1``, and otherwise draws
-    ``p1`` itself, which does not click; its closing draw is its final
-    P(|0>) ``a2`` moved by ``e`` ulps.  The chain is the per-run law in
-    plain floats, so a sampler that rounds any step differently, or
-    compares with ``<=``, moves some run across its threshold.
+    ``p1`` itself, which does not click.  A run that never clicked draws
+    its final P(|0>) ``a2`` moved by ``e`` ulps last.  The chain is the
+    per-run law in plain floats, so a sampler that rounds any step
+    differently, or compares with ``<=``, moves some run across its
+    threshold.  A run that clicked sits in |0>, its ``a2`` 1 for good: it
+    draws the largest double below 1 last, and accepts unless the policy
+    is strict.
     """
     sin_sq = math.sin(theta) ** 2
     cos_sq = math.cos(theta) ** 2
@@ -58,12 +64,17 @@ def threshold_draws(alpha_sq, theta, iterations, strict):
                     a2, clicked = 1.0, True
                 else:
                     draws.append(p1)
-                    a2 = a2 * cos_sq / (1.0 - p1)
+                    if not clicked:
+                        a2 = a2 * cos_sq / (1.0 - p1)
+            if clicked:
+                columns.append(draws + [math.nextafter(1.0, 0.0)])
+                accept.append(not strict)
+                continue
             final = a2
             for _ in range(abs(ulps)):
                 final = math.nextafter(final, ulps * math.inf)
             columns.append(draws + [final])
-            accept.append(final < a2 and not (strict and clicked))
+            accept.append(final < a2)
     return list(np.array(columns).T), np.array(accept)
 
 
@@ -618,14 +629,15 @@ class TestSampler:
                            [0.3, 1.2, 1.5], [0.3, 0.9, 1.0], [12]),
         # P(|0>) = 1 is an unstable fixed point: rounding pushes the run
         # that never clicks up to a2 = 25 (a2 * cos^2 = 12) at step 49,
-        # where p1 >= 1 forces its click; strict runs all reject there
+        # where p1 >= 1 forces its click, so every run clicks and accepts
+        # (strict runs would all reject)
         (q.PAPER_DEFAULT, 0.808, 1.0, 52)])
     def test_draws_on_the_thresholds(self, policy, theta, alpha_sq,
                                      iterations):
         params = VerificationParams(theta, iterations, policy)
         draws, want = threshold_draws(alpha_sq, theta, iterations,
                                       policy == q.STRICT_ABORT)
-        assert want.any() and not want.all()
+        assert want.any() and want.all() == (iterations == 52)
         for sampler in (sample_acceptance_runs, reference_acceptance_runs):
             got = sampler(alpha_sq, params, len(want), QueueStream(draws))
             assert np.array_equal(got, want), sampler.__name__
@@ -645,11 +657,23 @@ class TestSampler:
             expect = alpha_sq == 1.0 and policy == q.PAPER_DEFAULT
             assert accept.all() if expect else not accept.any()
 
+    def test_a_run_that_clicked_accepts_under_the_paper_policy(self):
+        # the run clicks at once, then stays quiet for 29 steps; its
+        # P(|0>) is 1 for good, so its closing draw of 0.5 accepts.  A
+        # per-run P(|0>) kept in floats would drift from 1 to 4.6e-10 here,
+        # each quiet step multiplying its rounding error by 1/cos^2(theta)
+        params = VerificationParams(1.2, 30)
+        draws = [np.array([0.0])] + [np.array([0.99])] * 29 + [
+            np.array([0.5])]
+        for sampler in (sample_acceptance_runs, reference_acceptance_runs):
+            got = sampler(0.5, params, 1, QueueStream(draws))
+            assert got.tolist() == [True], sampler.__name__
+
     @pytest.mark.parametrize("policy, bytes_per_run",
-                             [(q.PAPER_DEFAULT, 32), (q.STRICT_ABORT, 20)])
+                             [(q.PAPER_DEFAULT, 16), (q.STRICT_ABORT, 20)])
     def test_memory_per_run(self, policy, bytes_per_run):
-        # a per-run P(|0>) and its divisor, one step's draws and two masks
-        # under the paper policy; a click mask and one step's draws strict
+        # under either policy a click mask, one step's raw words and the
+        # mask of their test
         runs = 1 << 18
         params = VerificationParams(0.5, 4, policy)
         tracemalloc.start()

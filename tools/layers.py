@@ -7,6 +7,8 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
 - ``rng.shot_uniforms``: shots x draws per shot, as the commands draw them,
   and ``3x512x1``: three streams of 512 shots of one draw in one pass, as
   ``verify-demo`` draws its three bases;
+- ``rng.randoms`` and ``rng.below``: 32768 draws, and 32768 draws tested
+  against 0.3 on the raw words, as ``sweep`` draws one step of a cell;
 - ``statevector.apply_gate`` (Ry on qubit 0) and ``measure_qubit`` (z on
   qubit 0), by register width;
 - ``statevector._gate_rows``: one gate on S rows of n qubits, keyed
@@ -24,6 +26,9 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
   at theta 0.1 under the paper policy, and on 1598 rows at theta 0.3 under
   the strict policy (``1598 strict``), where about half the rows click
   and leave the box early;
+- ``verification.sample_acceptance_runs``: 32768 runs of a 38-step box at
+  theta 0.2 on P(|0>) = 0.5, under each policy, as ``sweep`` samples a
+  cell;
 - ``teleport.teleport``: one qubit, with a fresh Bell pair;
 - ``locker.apply_inverse_rotation``: the one-time password as a product
   of 2 and of 24 factors (three kernel calls with one entry per factor),
@@ -36,8 +41,9 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
   presents them;
 - ``cli.build_parser``: one fresh parser;
 - ``cli.main``: one report of the converge, tomography and locker
-  workloads of ``perfbench/workloads.py``, at ``--seed 9001``, with standard
-  output sent to ``os.devnull``.
+  workloads of ``perfbench/workloads.py``, and one of the sweep workload's
+  reports (``--grid-theta 0.2``), at ``--seed 9001``, with standard output
+  sent to ``os.devnull``.
 
 ``src_lines`` is the total of ``tools/src_lines.py``.  On a shared host the
 best of five in one process still moves by up to 2x between runs of the same
@@ -112,6 +118,11 @@ def layers() -> dict:
     streams = [q.RandomStream(seed) for seed in (1, 2, 3)]
     out["rng.shot_uniforms"]["3x512x1"] = best(
         lambda: shot_uniforms(streams, range(512), 1), 200)
+    # a stream of its own for sweep's draws, so that the entries after
+    # these take the inputs they took before these were added
+    sweep_stream = q.RandomStream(32768)
+    out["rng.randoms"] = best(lambda: sweep_stream.randoms(32768), 200)
+    out["rng.below"] = best(lambda: sweep_stream.below(0.3, 32768), 200)
     out["statevector.apply_gate"] = {}
     for n, number in ((1, 2000), (3, 2000), (8, 500), (18, 5)):
         state, gate = random_register(n, n), q.ry(0.3, 0)
@@ -160,6 +171,11 @@ def layers() -> dict:
         out["verification._box_rows"][name] = best(
             lambda: verification._box_rows(rows, 0, params, uniforms),
             number)
+    out["verification.sample_acceptance_runs"] = {
+        policy: best(lambda: verification.sample_acceptance_runs(
+            0.5, q.VerificationParams(0.2, 38, policy), 32768,
+            sweep_stream), 20)
+        for policy in verification.CLICK_POLICIES}
     psi = random_register(1, 1)
     out["teleport.teleport"] = best(
         lambda: q.teleport(psi.copy(), q.open_channel("layers"), stream),
@@ -193,6 +209,9 @@ def layers() -> dict:
         for name in ("converge", "tomography", "locker"):
             argv = [*WORKLOADS[name].argv, "--seed", "9001"]
             out["cli.main"][name] = best(lambda: cli.main(argv), 20)
+        argv = [*WORKLOADS["sweep"].argv, "--grid-theta", "0.2",
+                "--seed", "9001"]
+        out["cli.main"]["sweep"] = best(lambda: cli.main(argv), 1)
     out["src_lines"] = sum(counts().values())
     return out
 
