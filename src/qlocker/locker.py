@@ -8,7 +8,9 @@ qubit, and :func:`generate_otp` holds it as such: a
 ``2**n`` register.  An adversary may present any state, so a password is
 either form, and the locker sees both through one layout: P parts of w
 qubits (``statevector._parts``), one part of n qubits for a register, n
-parts of one qubit for a product.  R and its inverse run each of their
+parts of one qubit for a product.  R is written once, as each qubit's
+gate list (Rx(theta1), Ry(theta2), Rz(theta3)), and R^-1 is that list
+reversed, each angle negated (``_per_qubit``).  Both run each of their
 three gates as one kernel call over all of a product's factors, with one
 matrix per factor, and a register's gates one after another: three kernel
 calls for a product, three per qubit for a register.  An unlock attempt
@@ -171,10 +173,12 @@ def store_message(bits: str, params: OtpParams,
     return LockerState(bits, params, verification)
 
 
-def _per_qubit(state: Password, params: OtpParams, gates) -> Password:
-    """A copy of ``state`` with ``gates(k, theta1, theta2, theta3)``, three
-    gates on qubit ``k``, applied in order to each password qubit, ``k``
-    being its index in its part (see ``statevector._parts``).
+def _per_qubit(state: Password, params: OtpParams, direction: int) -> Password:
+    """A copy of ``state`` with R (``direction`` 1) or R^-1 (``direction``
+    -1) applied to each password qubit.  Qubit ``q``'s R is the gate list
+    (Rx(theta1), Ry(theta2), Rz(theta3)) on qubit ``k``, its index in its
+    part (see ``statevector._parts``), and R^-1 is that list reversed, each
+    angle negated.
 
     Parts of one qubit (a product, or a one-qubit register) take each of
     the three gates as one kernel call over all P parts, its matrix a
@@ -187,9 +191,13 @@ def _per_qubit(state: Password, params: OtpParams, gates) -> Password:
             f"state has {state.n_qubits} qubits, params cover {params.n_qubits}"
         )
     width = _n_qubits(_parts(state))
-    per_qubit = [gates(q % width, *triple)
+    per_qubit = [[gate(direction * angle, q % width)
+                  for gate, angle in zip((rx, ry, rz), triple)][::direction]
                  for q, triple in enumerate(params.triples)]
     if width > 1:
+        # one gate at a time through apply_gate: perfbench's
+        # test_every_patched_binding_is_put_back reads this module's
+        # apply_gate, which one stacked path for both forms would not use
         for gate in itertools.chain.from_iterable(per_qubit):
             state = apply_gate(state, gate)
         return state
@@ -203,14 +211,12 @@ def _per_qubit(state: Password, params: OtpParams, gates) -> Password:
 
 def apply_rotation(state: Password, params: OtpParams) -> Password:
     """Per-qubit R = Rz(theta3) Ry(theta2) Rx(theta1)."""
-    return _per_qubit(state, params, lambda k, t1, t2, t3: (
-        rx(t1, k), ry(t2, k), rz(t3, k)))
+    return _per_qubit(state, params, 1)
 
 
 def apply_inverse_rotation(state: Password, params: OtpParams) -> Password:
     """Per-qubit R^-1 = Rx(-theta1) Ry(-theta2) Rz(-theta3)."""
-    return _per_qubit(state, params, lambda k, t1, t2, t3: (
-        rz(-t3, k), ry(-t2, k), rx(-t1, k)))
+    return _per_qubit(state, params, -1)
 
 
 def generate_otp(params: OtpParams) -> ProductState:

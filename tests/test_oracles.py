@@ -10,17 +10,22 @@ one, which may group the additions differently.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlocker as q
 from qlocker import OtpParams, RandomStream, VerificationParams
 
+import oracles
 from oracles import (ancilla_boxes, iterate_once, qubit_probabilities,
                      reference_unlock, weak_steps)
 
 ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                            database=None)
+
+# (n, k, theta, N, seed): boxes that click under either policy
+NEGATED_CASES = ((1, 0, 0.9, 6, 0), (2, 1, 0.7, 8, 3), (3, 2, 1.2, 5, 2))
 
 
 def random_register(n: int, seed: int) -> q.StateVector:
@@ -92,19 +97,13 @@ def test_entangled_password_matches_oracle():
     assert accepted == {True, False}
 
 
-@ORACLE_SETTINGS
-@given(n=st.integers(1, 3), data=st.data(), theta=st.floats(0.05, 1.3),
-       iterations=st.integers(0, 8),
-       policy=st.sampled_from(q.verification.CLICK_POLICIES),
-       seed=st.integers(0, 2**32 - 1))
-def test_run_box_matches_ancilla_circuit(n, data, theta, iterations, policy,
-                                         seed):
-    k = data.draw(st.integers(0, n - 1))
-    state = random_register(n, seed)
-    params = VerificationParams(theta, iterations, policy)
+def assert_box_matches_circuit(state, k, params, seed):
+    """``run_box`` on qubit ``k`` of ``state`` against the literal circuit
+    on the same stream; returns the box's trajectory."""
     traj, collapsed = q.run_box(state, k, params, RandomStream(seed))
 
     # the literal circuit: password qubits, one ancilla at index n, box on k
+    n = state.n_qubits
     reg = q.combine(state, q.new_state(1))
     (want,), ((inputs, want_p1),), _, reg = ancilla_boxes(
         reg, [k], params, RandomStream(seed))
@@ -115,14 +114,48 @@ def test_run_box_matches_ancilla_circuit(n, data, theta, iterations, policy,
     # (across steps the two collapse to rounding, which may differ in the
     # last bit, so the box's own later P(click) need not be the circuit's)
     if len(inputs):  # a box of N = 0 has no step
-        draws = RandomStream(seed).randoms(iterations + 1)
-        clicks, p1, _ = weak_steps(inputs, k, theta,
+        draws = RandomStream(seed).randoms(params.iterations + 1)
+        clicks, p1, _ = weak_steps(inputs, k, params.theta,
                                    draws[:len(inputs), None])
         assert clicks[:, 0].tolist() == traj.ancilla_outcomes
         assert p1[:, 0].tolist() == want_p1
     np.testing.assert_allclose(collapsed.amplitudes,
                                reg.amplitudes[:1 << n], atol=1e-12)
     assert not np.any(reg.amplitudes[1 << n:])
+    return traj
+
+
+@ORACLE_SETTINGS
+@given(n=st.integers(1, 3), data=st.data(), theta=st.floats(0.05, 1.3),
+       iterations=st.integers(0, 8),
+       policy=st.sampled_from(q.verification.CLICK_POLICIES),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_box_matches_ancilla_circuit(n, data, theta, iterations, policy,
+                                         seed):
+    k = data.draw(st.integers(0, n - 1))
+    assert_box_matches_circuit(random_register(n, seed), k,
+                               VerificationParams(theta, iterations, policy),
+                               seed)
+
+
+def negated_coupling(theta, control=0, target=1):
+    """The coupling of the opposite sign, Rx(-2 theta) controlled on 0."""
+    return q.rx(-2.0 * theta, target, controls=((control, 0),))
+
+
+@pytest.mark.parametrize("policy", q.verification.CLICK_POLICIES)
+def test_box_follows_the_coupling_gate(monkeypatch, policy):
+    # the box reads its Kraus rows off build_controlled0_rx, so with the
+    # coupling of the opposite sign, K1 = +i sin(theta), it still matches
+    # the circuit: each click puts +i, not -i, on the collapsed register
+    monkeypatch.setattr(q.verification, "build_controlled0_rx",
+                        negated_coupling)
+    monkeypatch.setattr(oracles, "build_controlled0_rx", negated_coupling)
+    for n, k, theta, iterations, seed in NEGATED_CASES:
+        traj = assert_box_matches_circuit(
+            random_register(n, seed), k,
+            VerificationParams(theta, iterations, policy), seed)
+        assert any(traj.ancilla_outcomes)
 
 
 @ORACLE_SETTINGS

@@ -25,7 +25,10 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
 - ``verification._box_rows``: one 38-step box on |+> rows, by row count,
   at theta 0.1 under the paper policy, and on 1598 rows at theta 0.3 under
   the strict policy (``1598 strict``), where about half the rows click
-  and leave the box early;
+  and leave the box early; and a 500-step box on 4096 |+> rows at theta
+  0.1 under each policy (``4096x500 paper`` and ``4096x500 strict``),
+  where the strict box's rows that click leave the kernel, so the two
+  differ by what that compaction saves;
 - ``verification.sample_acceptance_runs``: 32768 runs of a 38-step box at
   theta 0.2 on P(|0>) = 0.5, under each policy, as ``sweep`` samples a
   cell;
@@ -171,6 +174,14 @@ def layers() -> dict:
         out["verification._box_rows"][name] = best(
             lambda: verification._box_rows(rows, 0, params, uniforms),
             number)
+    # a stream of its own, so that the entries after these take the
+    # inputs they took before these were added
+    uniforms = q.RandomStream(4096).shot_uniforms(range(4096), 501)
+    rows = np.broadcast_to(plus, (4096, 2))
+    for policy in verification.CLICK_POLICIES:
+        params = q.VerificationParams(0.1, 500, policy)
+        out["verification._box_rows"][f"4096x500 {policy}"] = best(
+            lambda: verification._box_rows(rows, 0, params, uniforms), 2)
     out["verification.sample_acceptance_runs"] = {
         policy: best(lambda: verification.sample_acceptance_runs(
             0.5, q.VerificationParams(0.2, 38, policy), 32768,
