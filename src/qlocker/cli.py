@@ -531,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-        p.add_argument("--shots", type=_shot_count, default=DEFAULT_SHOTS)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=_out_path, default=None, metavar="PATH")
 
@@ -539,6 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="single weak-coupling iteration with ancilla "
                             "tomography in x, y, z")
     add_common(p)
+    p.add_argument("--shots", type=_shot_count, default=DEFAULT_SHOTS)
     p.add_argument("--theta", type=_coupling_angle, default=0.2,
                    help="coupling angle, any value with a finite double: "
                         "one coupling and its analytic P(0) laws hold for "
@@ -549,6 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge",
                        help="many-iteration verification of |+>")
     add_common(p)
+    p.add_argument("--shots", type=_shot_count, default=DEFAULT_SHOTS)
     _add_box_flags(p)
 
     p = sub.add_parser("locker-demo",
@@ -566,6 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep",
                        help="false-accept tables over (n, theta, N, overlap)")
     add_common(p)
+    p.add_argument("--shots", type=_shot_count, default=DEFAULT_SHOTS)
     # tuples: every parse through main shares these default objects
     p.add_argument("--grid-n", type=lambda s: _parse_grid(s, _sweep_n),
                    default=(1, 2, 3))
@@ -607,7 +609,8 @@ def main(argv=None) -> int:
     try:
         emit(report, args)
     except OSError as exc:
-        parser.error(f"cannot write {args.out!r}: {exc.strerror}")
+        where = repr(args.out) if args.out else "standard output"
+        parser.error(f"cannot write {where}: {exc.strerror}")
     return 0 if report["ok"] else 4
 
 

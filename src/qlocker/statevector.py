@@ -22,8 +22,11 @@ plain order for 2 and 4 amplitudes, as a reduce over the amplitude axis of
 the shot-last array does, and pairwise from 8 up, where the kernel reduces
 a row-major copy instead (a strided reduce would sum in plain order and
 move the last bit).  A projective x/y/z readout is that kernel with the
-projectors, between basis rotations (``_basis_rows``); the verification
-box (:mod:`qlocker.verification`) runs it with its own K0 and K1.
+projectors, between basis rotations (``_basis_rows``): each basis has one
+2x2 matrix in ``_ROTATIONS`` (none for z) that rotates it into the
+computational basis, and that matrix's adjoint rotates it back.  The
+verification box (:mod:`qlocker.verification`) runs the kernel with its
+own K0 and K1.
 :func:`apply_gate` and :func:`measure_qubit` are the S = 1 calls.  One
 driver, ``_shot_rows``, turns shot indices into rows: fresh copies of a
 register, block by block, one per stream and shot, shot ``i`` of stream
@@ -33,7 +36,8 @@ every stream's in one Philox pass (:func:`qlocker.rng.shot_uniforms`).
 the same positions, over every row of each block, the rows circuit-major:
 an op object that every circuit holds runs once over all rows, any other
 gate over its own circuit's rows, and a readout rotates each circuit's
-rows into its basis and measures all of them in one kernel call.
+rows into its basis, one gate per circuit, and measures all of them in
+one kernel call.
 :func:`sample_shots` is its one-circuit call, and ``_row_keys`` reads
 each row's outcome bits as its key.  A block holds at most
 :data:`SHOT_BLOCK_CELLS` amplitudes and uniforms, so no shot count,
@@ -58,12 +62,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .gates import GateOp, h, s, sdg
+from .gates import HADAMARD, S_DAGGER_MATRIX, GateOp
 from .rng import RandomStream, shot_uniforms
 
 DEFAULT_MAX_QUBITS = 24
@@ -304,8 +307,11 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
                        _gate_rows(state.amplitudes[None], gate)[0])
 
 
-# gates into the computational basis before a readout, and back after it
-_ROTATIONS = {"z": ((), ()), "x": ((h,), (h,)), "y": ((sdg, h), (h, s))}
+# each basis's rotation into the computational basis before a readout (None
+# for z); its adjoint rotates back after it.  y's is H S-dagger, S-dagger
+# first, written as S-dagger's diagonal scaling H's columns: a matmul here
+# would start BLAS, which adds 0.3-0.5 MiB to every command's peak memory
+_ROTATIONS = dict(z=None, x=HADAMARD, y=HADAMARD * np.diag(S_DAGGER_MATRIX))
 _PROJECTORS = np.eye(2, dtype=complex)
 
 
@@ -384,23 +390,24 @@ def _circuit_rows(amps: np.ndarray, gates: Sequence[GateOp | None]
 def _basis_rows(amps: np.ndarray, ops: Sequence[Measurement],
                 side: int) -> np.ndarray:
     """Each circuit's rows rotated into the basis of its readout in ``ops``
-    (``side`` 0), or back from it (``side`` 1); the rotation gates are
-    built once per basis, so circuits that read in one basis share them."""
-    gates = {op.basis: [g(op.qubit) for g in _ROTATIONS[op.basis][side]]
-             for op in ops}
-    for step in zip_longest(*(gates[op.basis] for op in ops)):
-        amps = _circuit_rows(amps, step)
-    return amps
+    by that basis's matrix in ``_ROTATIONS`` (``side`` 0), or back from it
+    by the matrix's adjoint (``side`` 1), one gate per circuit; the gate is
+    built once per basis, so circuits that read in one basis share it."""
+    gates = {op.basis: GateOp(op.qubit, m.conj().T if side else m)
+             for op in ops if (m := _ROTATIONS[op.basis]) is not None}
+    return _circuit_rows(amps, [gates.get(op.basis) for op in ops])
 
 
 def measure_qubit(state: StateVector, qubit: int, basis: str,
                   rng: RandomStream) -> tuple[int, float, StateVector]:
     """Projectively measure one qubit in the x, y, or z basis.
 
-    x and y are realized by rotating into the computational basis (H, or
-    S-dagger then H), sampling a z outcome with the Born probability, and
-    rotating back after the collapse.  Draws one uniform.  Returns (outcome,
-    probability of that outcome, renormalized post-measurement state).
+    x and y are realized by rotating into the computational basis by the
+    basis's one matrix in ``_ROTATIONS`` (H for x; H S-dagger, S-dagger
+    first, for y), sampling a z outcome with the Born probability, and
+    rotating back by that matrix's adjoint after the collapse.  Draws one
+    uniform.  Returns (outcome, probability of that outcome, renormalized
+    post-measurement state).
     """
     op = Measurement(qubit, basis)
     amps = _basis_rows(state.amplitudes[None], [op], 0)
@@ -467,9 +474,9 @@ def sample_circuits(n_qubits: int,
     circuit's rows, circuit-major, and draws them in one pass.  An op object
     that every circuit holds at a position runs once over all rows, and any
     other gate over its own circuit's rows.  A readout rotates each
-    circuit's rows into its basis, measures all rows in one kernel call,
-    and rotates them back, except at the end of the circuits, where no
-    later op reads them.
+    circuit's rows into its basis by that basis's one matrix, measures all
+    rows in one kernel call, and rotates them back by the matrix's adjoint,
+    except at the end of the circuits, where no later op reads them.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

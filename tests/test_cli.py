@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import errno
+import io
 import json
 import math
 import tracemalloc
@@ -313,6 +316,16 @@ def test_usage_error_exits_2():
     assert err.value.code == 2
 
 
+# one small run of each subcommand
+SMALL_RUNS = [
+    ["verify-demo", "--shots", "8"],
+    ["converge", "--shots", "8", "--iterations", "3"],
+    ["locker-demo", "--repeat", "2"],
+    ["sweep", "--shots", "8", "--grid-theta", "0.3", "--grid-iterations",
+     "2", "--grid-n", "1"],
+]
+
+
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     # counts the work instead of timing it: after one warm-up call, no
     # call of main adds an argument to any parser
@@ -325,11 +338,7 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
         return add_argument(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
-    for argv in (["verify-demo", "--shots", "8"],
-                 ["converge", "--shots", "8", "--iterations", "3"],
-                 ["locker-demo", "--shots", "8", "--repeat", "2"],
-                 ["sweep", "--shots", "8", "--grid-theta", "0.3",
-                  "--grid-iterations", "2", "--grid-n", "1"]):
+    for argv in SMALL_RUNS:
         assert main([*argv, "--out", str(tmp_path / argv[0])]) in (0, 4)
     assert added == []
     first = build_parser()
@@ -349,6 +358,43 @@ def test_main_runs_the_modules_command_at_each_call(monkeypatch, capsys):
     assert main(argv) == code
     assert calls == {"converge": 1}
     assert capsys.readouterr().out == want
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it
+    once its ``reads`` is a set (argparse reads each one while parsing)."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
+def test_every_parsed_flag_is_read(argv, tmp_path, monkeypatch):
+    # a flag that its command never reads changes nothing but the usage
+    # line, so each subcommand parses only what its run reads
+    parser = build_parser()
+    parse_args = parser.parse_args
+    parsed = []
+
+    def recording(args=None):
+        namespace = parse_args(args, ReadRecorder())
+        namespace.reads = set()
+        parsed.append(namespace)
+        return namespace
+
+    parser.parse_args = recording
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    assert main([*argv, "--out", str(tmp_path / "report")]) in (0, 4)
+    sub, = (action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for action in sub.choices[argv[0]]._actions}
+    args, = parsed
+    assert dests - {"help"} - args.reads == set()
 
 
 def test_sweep_grid_defaults_are_tuples():
@@ -404,7 +450,10 @@ def test_bad_input_is_a_usage_error(argv, capsys):
     ["locker-demo", "--iterations", "-1"],
     # at most 2**24 shots or repetitions, so no size asks for many GiB
     *([command, "--shots", str(2**24 + 1)] for command in (
-        "verify-demo", "converge", "locker-demo", "sweep")),
+        "verify-demo", "converge")),
+    # locker-demo counts its presentations with --repeat and takes no --shots
+    ["locker-demo", "--shots", "8"],
+    ["sweep", "--shots", str(2**24 + 1)],
     ["locker-demo", "--repeat", str(2**24 + 1)],
     # a non-finite theta is a usage error here, as --theta's is
     ["sweep", "--grid-theta", "nan"],
@@ -488,7 +537,7 @@ def test_largest_sizes_parse():
     assert args.otp_qubits == 24
     args = build_parser().parse_args(["sweep", "--grid-iterations", "0,38"])
     assert args.grid_iterations == [0, 38]
-    for command in ("verify-demo", "converge", "locker-demo", "sweep"):
+    for command in ("verify-demo", "converge", "sweep"):
         args = build_parser().parse_args([command, "--shots", str(2**24)])
         assert args.shots == 2**24
     args = build_parser().parse_args(["locker-demo", "--repeat", str(2**24)])
@@ -505,12 +554,30 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+class GonePipe(io.StringIO):
+    """Standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_failed_write_to_standard_output_names_it(capsys):
+    # with no --out the report goes to standard output, so a failed write
+    # names that, not the absent --out
+    with pytest.raises(SystemExit) as err, \
+            contextlib.redirect_stdout(GonePipe()):
+        main(["converge", "--shots", "8"])
+    assert err.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "qlocker: error: cannot write standard output: Broken pipe"
+
+
 @pytest.mark.parametrize("command", [
     "verify-demo", "converge", "locker-demo", "sweep"])
 def test_empty_out_is_a_usage_error(command, capsys):
     # emit reads an empty --out as "no file", so "" must not parse
     with pytest.raises(SystemExit) as err:
-        main([command, "--shots", "8", "--out", ""])
+        main([command, "--out", ""])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -32,9 +32,9 @@ CASES = {
         "converge", "--shots", "512", "--policy", "strict", "--theta", "1.2",
         "--iterations", "6"],
     "converge-csv": ["converge", "--shots", "512", "--format", "csv"],
-    "locker-demo": ["locker-demo", "--shots", "512", "--repeat", "200"],
+    "locker-demo": ["locker-demo", "--repeat", "200"],
     "locker-demo-strict-n3": [
-        "locker-demo", "--shots", "512", "--otp-qubits", "3",
+        "locker-demo", "--otp-qubits", "3",
         "--message", "101101", "--policy", "strict",
         "--wrong-overlap", "0.5", "--repeat", "200"],
     "sweep": ["sweep", "--shots", "512"],
@@ -46,7 +46,7 @@ CASES = {
     "converge-no-iterations": [
         "converge", "--shots", "512", "--iterations", "0"],
     "locker-demo-n2-csv": [
-        "locker-demo", "--shots", "512", "--otp-qubits", "2",
+        "locker-demo", "--otp-qubits", "2",
         "--message", "1011", "--format", "csv"],
     # a degenerate theta = 0 row
     "sweep-degenerate": [
@@ -63,12 +63,12 @@ CASES = {
         "--grid-n", "1,2", "--format", "csv"],
     # strict clicks that cut the wrong-password records at different steps
     "locker-demo-strict-n2-clicks": [
-        "locker-demo", "--shots", "512", "--otp-qubits", "2",
+        "locker-demo", "--otp-qubits", "2",
         "--message", "1011", "--policy", "strict", "--theta", "0.3",
         "--iterations", "12", "--wrong-overlap", "0.5", "--repeat", "100"],
     # wrong-password presentations spanning more than one block of rows
     "locker-demo-n5-blocks": [
-        "locker-demo", "--shots", "512", "--otp-qubits", "5",
+        "locker-demo", "--otp-qubits", "5",
         "--message", "10110", "--wrong-overlap", "0.5", "--repeat", "800"],
     # converge over several blocks of shots: six with strict clicks, and
     # thirteen of long records

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import qlocker as q
-from qlocker import CapacityError, Measurement, RandomStream
+from qlocker import CapacityError, Measurement, RandomStream, statevector
+from qlocker.gates import HADAMARD, S_MATRIX
 from conftest import random_qubit_state
 from oracles import overlap, reference_sample_shots
 
@@ -129,6 +130,31 @@ class TestMeasure:
         outcome, prob, post = q.measure_qubit(plus_i, 0, "y", RandomStream(5))
         assert outcome == 0 and prob == pytest.approx(1.0, abs=1e-12)
         assert overlap(plus_i, post) == pytest.approx(1.0, abs=1e-12)
+
+    def test_y_readout_is_decided_in_one_place(self, monkeypatch):
+        # reading y through S then H instead of S-dagger then H is one
+        # edit of _ROTATIONS: the readout flips, the rotation back follows
+        # it, and each eigenstate still comes back as it went in
+        prepared = q.new_state(2)
+        for gate in single_iteration_ops()[:2]:
+            prepared = q.apply_gate(prepared, gate)
+
+        def y_p0():
+            outcome, prob, _ = q.measure_qubit(prepared, 1, "y",
+                                               RandomStream(5))
+            return 1 - prob if outcome else prob
+
+        sin_2theta = ALPHA**2 * math.sin(0.4)
+        assert y_p0() == pytest.approx((1 - sin_2theta) / 2, abs=1e-12)
+        monkeypatch.setitem(statevector._ROTATIONS, "y", HADAMARD @ S_MATRIX)
+        for bit, amps in ((1, [1, 1j]), (0, [1, -1j])):
+            state = q.StateVector(1, np.array(amps) / math.sqrt(2))
+            outcome, prob, post = q.measure_qubit(state, 0, "y",
+                                                  RandomStream(5))
+            assert outcome == bit and prob == pytest.approx(1.0, abs=1e-12)
+            assert overlap(state, post) == pytest.approx(1.0, abs=1e-12)
+        assert y_p0() == pytest.approx((1 + sin_2theta) / 2, abs=1e-12)
+        assert y_p0() == pytest.approx(0.66619, abs=1e-5)
 
     def test_bad_basis(self):
         with pytest.raises(ValueError):

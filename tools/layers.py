@@ -10,7 +10,9 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
 - ``rng.randoms`` and ``rng.below``: 32768 draws, and 32768 draws tested
   against 0.3 on the raw words, as ``sweep`` draws one step of a cell;
 - ``statevector.apply_gate`` (Ry on qubit 0) and ``measure_qubit`` (z on
-  qubit 0), by register width;
+  qubit 0), by register width, and ``measure_qubit`` on one qubit in x
+  and in y (``1 x``, ``1 y``), each rotating into its basis by one gate
+  and back by its adjoint;
 - ``statevector._gate_rows``: one gate on S rows of n qubits, keyed
   ``{n}x{S} gate``: Rx on one row, Ry on 512 rows that broadcast one
   register, the coupling (Rx controlled on 0) on 512 rows in the layout
@@ -136,6 +138,13 @@ def layers() -> dict:
         state = random_register(n, n)
         out["statevector.measure_qubit"][str(n)] = best(
             lambda: q.measure_qubit(state, 0, "z", stream), number)
+    # a stream of its own, so that the entries after these take the inputs
+    # they took before these were added
+    basis_stream = q.RandomStream(1)
+    state = random_register(1, 1)
+    for basis in "xy":
+        out["statevector.measure_qubit"][f"1 {basis}"] = best(
+            lambda: q.measure_qubit(state, 0, basis, basis_stream), 2000)
     out["statevector._gate_rows"] = {}
     for n, shots, name, gate, layout, number in (
             (1, 1, "rx", q.rx(0.3, 0), "alone", 2000),
