@@ -14,30 +14,36 @@ row-major array, or one register broadcast to every row) and give each row
 the bits it gets alone.  A gate indexes a ``reshape`` view with one
 length-2 axis per qubit before the shot axis, qubit ``q`` on axis
 ``n - 1 - q``: the target's axis at 0 and 1, each control's at its value.
-Every sampled outcome goes through one two-outcome kernel,
+Every sampled outcome's probabilities come from one two-outcome kernel,
 ``_measure_rows(amps, qubit, kraus, uniforms)``: two Kraus operators,
-diagonal in z on one qubit's axis, and one uniform per row.  Its outcome
-probabilities are summed in the order numpy sums one contiguous row: in
-plain order for 2 and 4 amplitudes, as a reduce over the amplitude axis of
-the shot-last array does, and pairwise from 8 up, where the kernel reduces
-a row-major copy instead (a strided reduce would sum in plain order and
-move the last bit).  A projective x/y/z readout is that kernel with the
+diagonal in z on one qubit's axis, and one uniform per row.  One rule,
+``_clicks``, picks every outcome: 1 where a row's draw is at least
+``p0 / (p0 + p1)``.  The kernel's outcome probabilities are summed in the
+order numpy sums one contiguous row: in plain order for 2 and 4
+amplitudes, as a reduce over the amplitude axis of the shot-last array
+does, and pairwise from 8 up, where the kernel reduces a row-major copy
+instead (a strided reduce would sum in plain order and move the last
+bit).  A projective x/y/z readout is that kernel with the
 projectors, between basis rotations (``_basis_rows``): each basis has one
 2x2 matrix in ``_ROTATIONS`` (none for z) that rotates it into the
-computational basis, and that matrix's adjoint rotates it back.  The
-verification box (:mod:`qlocker.verification`) runs the kernel with its
-own K0 and K1.
+computational basis, and that matrix's adjoint rotates it back, one gate
+over all rows (a ``(2, 2, S)`` stack of the rows' matrices where their
+bases differ).  The verification box (:mod:`qlocker.verification`) runs
+the kernel with its own K0 and K1.
 :func:`apply_gate` and :func:`measure_qubit` are the S = 1 calls.  One
 driver, ``_shot_rows``, turns shot indices into rows: fresh copies of a
 register, block by block, one per stream and shot, shot ``i`` of stream
 ``g`` drawing its uniforms up front from that stream's sub-stream ``i``,
 every stream's in one Philox pass (:func:`qlocker.rng.shot_uniforms`).
 :func:`sample_circuits` runs circuits of one shape, gates and readouts at
-the same positions, over every row of each block, the rows circuit-major:
-an op object that every circuit holds runs once over all rows, any other
-gate over its own circuit's rows, and a readout rotates each circuit's
-rows into its basis, one gate per circuit, and measures all of them in
-one kernel call.
+the same positions.  Every copy of a circuit holds one register until the
+circuits' first readout, so the ops before it run once, on one row per
+circuit.  Where that readout ends the circuits, the kernel runs on those
+rows alone, and ``_clicks`` compares every draw of a block with its
+circuit's one ``p0 / (p0 + p1)``; otherwise each block's rows are built
+there from them, circuit-major, and the rest runs over every row: an op
+object that every circuit holds once over all rows, any other gate over
+its own circuit's rows, and each readout in one kernel call.
 :func:`sample_shots` is its one-circuit call, and ``_row_keys`` reads
 each row's outcome bits as its key.  A block holds at most
 :data:`SHOT_BLOCK_CELLS` amplitudes and uniforms, so no shot count,
@@ -329,6 +335,14 @@ class Measurement:
                 f"basis must be one of x, y, z; got {self.basis!r}")
 
 
+def _clicks(uniforms: np.ndarray, p0: np.ndarray,
+            total: np.ndarray) -> np.ndarray:
+    """The outcome rule of every sampled readout: outcome 1 (as True) where
+    a draw is at least ``p0 / total``, ``total`` being ``p0 + p1``.  The
+    arrays broadcast, so one row's probabilities may decide many draws."""
+    return uniforms >= p0 / total
+
+
 def _measure_rows(amps: np.ndarray, qubit: int, kraus: np.ndarray,
                   uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                  np.ndarray]:
@@ -337,11 +351,10 @@ def _measure_rows(amps: np.ndarray, qubit: int, kraus: np.ndarray,
 
     Row ``b`` of ``kraus`` (shape ``(2, 2)``) holds ``K_b``'s diagonal
     entries for the qubit's values 0 and 1.  Each outcome ``b`` applies
-    ``K_b`` with ``p_b = |K_b a|^2``; outcome 1 is picked when
-    ``uniforms[i] >= p0 / (p0 + p1)``, and the picked branch is
-    renormalized.  Returns per row the outcome (as bool), ``(p0, p1)``
-    (shape ``(2, S)``) and the new row, the rows as the ``.T`` view of a
-    shot-last array.
+    ``K_b`` with ``p_b = |K_b a|^2``; :func:`_clicks` picks the outcome
+    from ``uniforms[i]``, and the picked branch is renormalized.  Returns
+    per row the outcome (as bool), ``(p0, p1)`` (shape ``(2, S)``) and the
+    new row, the rows as the ``.T`` view of a shot-last array.
     """
     if not 0 <= qubit < _n_qubits(amps):
         raise IndexError(f"qubit {qubit} out of range")
@@ -367,7 +380,7 @@ def _measure_rows(amps: np.ndarray, qubit: int, kraus: np.ndarray,
         raise FloatingPointError(
             f"both outcome probabilities underflow ({p0[i]:.3e}, {p1[i]:.3e})"
         )
-    click = uniforms >= p0 / total
+    click = _clicks(uniforms, p0, total)
     out = np.where(click, branches[1], branches[0])
     out /= np.sqrt(np.where(click, p1, p0) / total * total)
     return click, probs, out.T
@@ -391,11 +404,20 @@ def _basis_rows(amps: np.ndarray, ops: Sequence[Measurement],
                 side: int) -> np.ndarray:
     """Each circuit's rows rotated into the basis of its readout in ``ops``
     by that basis's matrix in ``_ROTATIONS`` (``side`` 0), or back from it
-    by the matrix's adjoint (``side`` 1), one gate per circuit; the gate is
-    built once per basis, so circuits that read in one basis share it."""
-    gates = {op.basis: GateOp(op.qubit, m.conj().T if side else m)
-             for op in ops if (m := _ROTATIONS[op.basis]) is not None}
-    return _circuit_rows(amps, [gates.get(op.basis) for op in ops])
+    by the matrix's adjoint (``side`` 1), in one gate over all rows: the
+    readouts' one matrix when they share a basis (no gate for z), and
+    otherwise a ``(2, 2, S)`` stack of each circuit's matrix over its rows,
+    the identity for z."""
+    mats = [_ROTATIONS[op.basis] for op in ops]
+    m = mats[0]
+    if any(other is not m for other in mats):
+        m = np.repeat(np.stack([np.eye(2) if other is None else other
+                                for other in mats], -1),
+                      len(amps) // len(ops), -1)
+    elif m is None:
+        return amps
+    return _gate_rows(amps, GateOp(ops[0].qubit,
+                                   m.conj().swapaxes(0, 1) if side else m))
 
 
 def measure_qubit(state: StateVector, qubit: int, basis: str,
@@ -446,8 +468,11 @@ def sample_shots(n_qubits: int, ops: Sequence[CircuitOp], shots: int,
     each readout adding its outcome bit to the shot's key.  Shot ``i`` draws
     its uniforms, one per readout, up front from sub-stream ``(seed, i)``,
     so the histogram is identical however the shots are ordered or grouped.
-    The circuit runs once per block of shots, over all of the block's rows:
-    it is :func:`sample_circuits` of one circuit.
+    It is :func:`sample_circuits` of one circuit: the ops before the first
+    readout run once, on one row; a readout that ends the circuit is
+    decided from that row's ``p0`` and ``p1`` for every shot, and
+    otherwise the rest of the circuit runs once per block of shots, over
+    all of the block's rows.
     """
     return sample_circuits(n_qubits, [(ops, seed)], shots)[0]
 
@@ -471,12 +496,19 @@ def sample_circuits(n_qubits: int,
     The circuits must have one shape, the same number of ops with a readout
     at the same positions on the same qubits (each in its own basis);
     anything else is a ``ValueError``.  Each block of shots holds every
-    circuit's rows, circuit-major, and draws them in one pass.  An op object
-    that every circuit holds at a position runs once over all rows, and any
-    other gate over its own circuit's rows.  A readout rotates each
-    circuit's rows into its basis by that basis's one matrix, measures all
-    rows in one kernel call, and rotates them back by the matrix's adjoint,
-    except at the end of the circuits, where no later op reads them.
+    circuit's rows, circuit-major, and draws them in one pass.  Until the
+    circuits' first readout every copy of a circuit holds one register, so
+    the ops before it run once, before the blocks, on one row per circuit.
+    If that readout ends the circuits, the kernel runs once, on those
+    rows, and each row's draw is compared with its circuit's ``p0 / (p0 +
+    p1)`` by ``_clicks``, the kernel's own outcome rule.  Otherwise each
+    block's rows are built from them at that readout, and the rest of the
+    circuits runs over all of the block's rows.  An op object that every
+    circuit holds at a position runs once over all rows, and any other
+    gate over its own circuit's rows.  A readout rotates the rows into
+    their bases in one gate, measures all rows in one kernel call, and
+    rotates them back, except at the end of the circuits, where no later op
+    reads them.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -488,22 +520,44 @@ def sample_circuits(n_qubits: int,
     columns = list(zip(*(ops for ops, _ in circuits)))
     streams = [RandomStream(seed) for _, seed in circuits]
     counts: list[Counter[str]] = [Counter() for _ in circuits]
-    for amps, uniforms in _shot_rows(new_state(n_qubits).amplitudes, streams,
-                                     range(shots), k):
-        bits = np.empty((len(amps), k), dtype=np.uint8)
-        j = 0
-        for position, (qubit, ops) in enumerate(zip(shape, columns)):
-            if qubit is None:
-                amps = _circuit_rows(amps, ops)
-                continue
-            amps = _basis_rows(amps, ops, 0)
-            bits[:, j], _, amps = _measure_rows(amps, qubit, _PROJECTORS,
-                                                uniforms[:, j])
-            j += 1
-            if position < len(columns) - 1:
-                amps = _basis_rows(amps, ops, 1)
+    # every copy of a circuit holds one register until its first readout:
+    # the ops before it run once, on one row per circuit
+    first = next((i for i, qubit in enumerate(shape) if qubit is not None),
+                 len(shape))
+    start = new_state(n_qubits).amplitudes
+    heads = np.broadcast_to(start, (len(circuits), len(start)))
+    for ops in columns[:first]:
+        heads = _circuit_rows(heads, ops)
+    ends = first == len(shape) - 1
+    if ends:
+        # the first readout ends the circuits: each circuit's one row gives
+        # the p0 and p1 that decide all of its draws (the zeros drawn here
+        # pick branches that nothing reads)
+        _, (p0, p1), _ = _measure_rows(
+            _basis_rows(heads, columns[first], 0), shape[first],
+            _PROJECTORS, np.zeros(len(circuits)))
+        p0, total = p0[:, None], (p0 + p1)[:, None]
+    for _, uniforms in _shot_rows(start, streams, range(shots), k):
+        size = len(uniforms) // len(circuits)
+        if ends:
+            bits = _clicks(uniforms.reshape(len(circuits), size), p0,
+                           total).reshape(-1, 1)
+        else:
+            bits = np.empty((len(uniforms), k), dtype=np.uint8)
+            amps = np.repeat(heads, size, 0)
+            j = 0
+            for position in range(first, len(shape)):
+                qubit, ops = shape[position], columns[position]
+                if qubit is None:
+                    amps = _circuit_rows(amps, ops)
+                    continue
+                amps = _basis_rows(amps, ops, 0)
+                bits[:, j], _, amps = _measure_rows(
+                    amps, qubit, _PROJECTORS, uniforms[:, j])
+                j += 1
+                if position < len(shape) - 1:
+                    amps = _basis_rows(amps, ops, 1)
         keys = _row_keys(bits)
-        size = len(bits) // len(circuits)
         for g, tally in enumerate(counts):
             tally.update(keys[g * size:(g + 1) * size])
     return [CountsHistogram(shots=shots, counts=dict(tally))

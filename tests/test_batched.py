@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlocker as q
@@ -151,23 +151,44 @@ def circuit_batches(draw):
                for g in range(count)]
 
 
+# the only readout ends the circuits: z of |0> (p1 = 0), z of X|0> (p0 = 0)
+# and x of |0>, each decided from its circuit's one row
+ONE_ENDING_READOUT = (1, [([q.z(0), Measurement(0, "z")], 11),
+                          ([q.x(0), Measurement(0, "z")], 12),
+                          ([q.z(0), Measurement(0, "x")], 13)])
+# a gate of each circuit's own before the first readout, so that the rows
+# built at that readout differ by circuit, then gates of their own again and
+# a second readout
+SHARED_CNOT = q.cnot(0, 1)
+ROWS_BUILT_AT_THE_FIRST_READOUT = (2, [
+    ([q.ry(0.4, 0), SHARED_CNOT, Measurement(0, "x"), q.rx(0.7, 1),
+      Measurement(1, "z")], 21),
+    ([q.ry(1.1, 0), SHARED_CNOT, Measurement(0, "y"), q.h(1),
+      Measurement(1, "x")], 22),
+    ([q.h(0), SHARED_CNOT, Measurement(0, "z"), q.s(1),
+      Measurement(1, "y")], 23)])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(batch=circuit_batches(), shots=st.integers(1, 30))
+@example(batch=ONE_ENDING_READOUT, shots=30)
+@example(batch=ROWS_BUILT_AT_THE_FIRST_READOUT, shots=30)
 def test_circuits_sampled_as_one_batch_are_each_sampled_alone(batch, shots):
     n, circuits = batch
+    want = [reference_sample_shots(n, ops, shots, seed)
+            for ops, seed in circuits]
     alone = [q.sample_shots(n, ops, shots, seed) for ops, seed in circuits]
     got = q.sample_circuits(n, circuits, shots)
     # the same outcomes, tallied in the same first-appearance order
     assert [list(h.counts.items()) for h in got] == [
         list(h.counts.items()) for h in alone]
-    for hist, (ops, seed) in zip(got, circuits):
-        assert hist.shots == shots
-        assert hist.counts == reference_sample_shots(n, ops, shots, seed)
+    assert [h.shots for h in got] == [shots] * len(circuits)
+    assert [h.counts for h in got] == want
     for cells, reverse in SPLITS:
         with pytest.MonkeyPatch.context() as mp:
             split(mp, cells, reverse)
-            assert [h.counts for h in q.sample_circuits(n, circuits, shots)
-                    ] == [h.counts for h in alone]
+            counts = [h.counts for h in q.sample_circuits(n, circuits, shots)]
+            assert counts == [h.counts for h in alone] and counts == want
 
 
 def test_circuits_of_different_shapes_are_refused():

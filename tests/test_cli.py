@@ -94,8 +94,22 @@ class TestVerifyDemo:
                                                       capsys):
         # at the tomography workload's argv the three bases are the rows of
         # one block: one Philox pass draws their uniforms, and one kernel
-        # call reads all of them out
+        # call reads all of them out.  Every copy of a basis's circuit holds
+        # one register until the readout that ends it, so each gate and the
+        # readout kernel see one row per basis, not one per shot
         calls = {"draw": 0, "readout": 0}
+        rows = {"_gate_rows": [], "_measure_rows": []}
+
+        def recording(name):
+            kernel = getattr(statevector, name)
+
+            def call(amps, *args):
+                rows[name].append(len(amps))
+                return kernel(amps, *args)
+            return call
+
+        for name in rows:
+            monkeypatch.setattr(statevector, name, recording(name))
         monkeypatch.setattr(statevector, "shot_uniforms", counting(
             calls, "draw", statevector.shot_uniforms))
         monkeypatch.setattr(statevector, "_measure_rows", counting(
@@ -104,6 +118,8 @@ class TestVerifyDemo:
                      repr(math.pi / 4), "--shots", "512"])
         assert code == 0 and json.loads(capsys.readouterr().out)["ok"]
         assert calls == {"draw": 1, "readout": 1}
+        # the preparation, the coupling and the x and y rotations
+        assert rows == {"_gate_rows": [3, 3, 3], "_measure_rows": [3]}
 
     def test_csv_format(self, tmp_path):
         code, out = run_to_file(

@@ -23,7 +23,11 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
   count, the rows in the layout the kernel itself returns;
 - ``statevector.sample_circuits``: the tomography workload's three
   circuits (Ry(pi/4), the coupling at theta 0.2, and an x, y or z readout
-  of the ancilla) at 512 shots, sampled as one batch;
+  of the ancilla) at 512 shots, sampled as one batch (``3x512``), where the
+  readout that ends the circuits is decided from one row per circuit; and
+  the same circuits with a z readout of the system before the ancilla's
+  (``3x512 mid``), where each block's rows are built at that first readout
+  and both readouts run over every row;
 - ``verification._box_rows``: one 38-step box on |+> rows, by row count,
   at theta 0.1 under the paper policy, and on 1598 rows at theta 0.3 under
   the strict policy (``1598 strict``), where about half the rows click
@@ -167,10 +171,12 @@ def layers() -> dict:
             lambda: statevector._measure_rows(rows, 0, kraus, uniforms),
             max(20, 40000 // (shots + 20)))
     prepare = [q.ry(np.pi / 4, 0), q.build_controlled0_rx(0.2)]
-    circuits = [(prepare + [q.Measurement(1, basis)], seed)
-                for seed, basis in enumerate("xyz")]
-    out["statevector.sample_circuits"] = best(
-        lambda: q.sample_circuits(2, circuits, 512), 200)
+    out["statevector.sample_circuits"] = {}
+    for name, mid in (("3x512", []), ("3x512 mid", [q.Measurement(0)])):
+        circuits = [(prepare + mid + [q.Measurement(1, basis)], seed)
+                    for seed, basis in enumerate("xyz")]
+        out["statevector.sample_circuits"][name] = best(
+            lambda: q.sample_circuits(2, circuits, 512), 200)
     plus = q.apply_gate(q.new_state(1), q.h(0)).amplitudes
     out["verification._box_rows"] = {}
     for name, shots, params, number in (
