@@ -4,7 +4,9 @@ Every sampled quantity in this package draws from a RandomStream.  A stream
 is fully determined by its 64-bit seed plus a path of sub-stream indices, so
 any shot, trajectory, or experiment can be replayed bit-for-bit, and derived
 sub-streams may be consumed in any order (or in parallel) without changing
-results.
+results.  A stream builds its numpy ``SeedSequence`` at once and its Philox
+generator on its first draw, so a stream that only hands out sub-streams,
+or its pool to :func:`shot_uniforms`, never builds one.
 
 A batch of shots keeps that contract by drawing each shot's uniforms up
 front: :func:`shot_uniforms` gives shot ``i`` of stream ``g`` the first
@@ -14,23 +16,28 @@ once (:meth:`RandomStream.shot_uniforms` is its one-stream call).  It
 builds no per-shot generator.  It stacks each stream's own ``SeedSequence``
 pool and hash constants on a stream axis, runs the spawn's last entropy
 word, the shot index, and ``generate_state`` as one ``(4, G, S)`` uint32
-pass, then Philox4x64-10 (Salmon et al., SC 2011) on stacked lane pairs:
-counter words ``(c0, c2)`` in one ``(2, blocks, G * S)`` uint64 array and
-``(c1, c3)`` in another, the stream and shot axes last, so that each of
-its ufunc calls (18 a round) loops over every stream's shots and G streams
-pay its fixed cost once.  The doubles keep those axes last too: the result
-is a ``(G, S, k)`` view of a ``(k, G, S)`` array whose row ``c`` holds
-every shot's draw ``c``, so a kernel step reads its draws as one
-contiguous row, of one stream or of all of them.  Only its bit-equality
-tests against numpy's own generators tie that arithmetic to numpy's
-algorithms, so those tests pin it to the numpy version they run with.
+pass, then Philox4x64-10 (Salmon et al., SC 2011) on lane pairs, each a
+``(2, blocks, G * S)`` uint64 array with the stream and shot axes last, so
+that each ufunc call loops over every stream's shots and G streams pay its
+fixed cost once.  Every Philox call takes numpy's trivial loop: each
+operand is a whole pair, one lane of a pair, or a read-only 0-d uint64
+constant, never a broadcast column or a Python int, which cost numpy's
+iterator or a conversion on every call.  A product by a word's own
+multiplier is one call per lane, and instead of crossing, the two words of
+each pair trade places every round.  Round 1 is computed in closed form
+from counter ``(j + 1, 0, 0, 0)``.  The doubles keep the stream and shot
+axes last too: the result is a ``(G, S, k)`` view of a ``(k, G, S)`` array
+whose row ``c`` holds every shot's draw ``c``, so a kernel step reads its
+draws as one contiguous row, of one stream or of all of them.  Only its
+bit-equality tests against numpy's own generators tie that arithmetic to
+numpy's algorithms, so those tests pin it to the numpy version they run
+with.
 
 :meth:`RandomStream.below` is ``randoms(size) < p`` without the doubles: a
 Philox double is its 64-bit word's top 53 bits times ``2**-53``, an exact
 function of the word, so the test runs on the raw words against one
 integer threshold.  ``sweep``'s sampler draws through it.
 """
-
 from __future__ import annotations
 
 import functools
@@ -45,14 +52,25 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# Philox4x64-10: the multipliers of the lane pair (c0, c2), their 32-bit
-# halves, the Weyl increments of the key pair, and the rounds
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
-                     dtype=np.uint64)[:, None, None]
-_M_LO, _M_HI = _PHILOX_M & _M32, _PHILOX_M >> 32
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
-                     dtype=np.uint64)[:, None, None]
+# Philox4x64-10: the multipliers of words c0 and c2, the Weyl increments
+# of key words k0 and k1, and the rounds
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _ROUNDS = 10
+
+
+def _u64(value: int) -> np.ndarray:
+    """``value`` as a read-only 0-d uint64 array, an operand that keeps a
+    ufunc call on numpy's trivial loop."""
+    const = np.array(value, dtype=np.uint64)
+    const.flags.writeable = False
+    return const
+
+
+_LOW, _HALF, _MANTISSA_SHIFT = _u64(_M32), _u64(32), _u64(11)
+# each multiplier with its low and high 32-bit halves, and each increment
+_MULTS = tuple(tuple(map(_u64, (m, m & _M32, m >> 32))) for m in _PHILOX_M)
+_WEYLS = tuple(map(_u64, _PHILOX_W))
 
 
 def _n_words(value: int) -> int:
@@ -78,15 +96,28 @@ _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0)[:, None, None]
 
 
 class RandomStream:
-    """A Philox counter-based generator keyed by (seed, sub-stream path)."""
+    """A Philox counter-based generator keyed by (seed, sub-stream path).
 
-    __slots__ = ("seed", "path", "_gen")
+    Its ``SeedSequence`` is built with it: that checks the seed and path,
+    and holds the pool that :func:`shot_uniforms` reads.  The Philox bit
+    generator and ``Generator`` are built on its first draw, so a stream
+    that only hands out sub-streams or its pool never builds them; when
+    they are built changes no draw."""
+
+    __slots__ = ("seed", "path", "_seq", "_generator")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
-        seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
-        self._gen = np.random.Generator(np.random.Philox(seq))
+        self._seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
+        self._generator = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        """The stream's numpy generator, built on the first call."""
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.Philox(self._seq))
+        return self._generator
 
     def substream(self, index: int) -> RandomStream:
         """Child stream at ``index``; independent of the parent and siblings."""
@@ -165,8 +196,7 @@ def shot_uniforms(streams: Sequence[RandomStream], shots: range,
         _INIT_A, _MULT_A,
         4 * (max(_n_words(s.seed), _POOL) + sum(map(_n_words, s.path))))
         for s in streams]).T[:, :, None]
-    pool = np.array([s._gen.bit_generator.seed_seq.pool
-                     for s in streams]).T[:, :, None]
+    pool = np.array([s._seq.pool for s in streams]).T[:, :, None]
     h, t = np.empty((2, _POOL, len(streams), len(shots)), np.uint32)
     np.bitwise_xor(index, consts[:-1], out=h)
     h *= consts[1:]
@@ -178,45 +208,90 @@ def shot_uniforms(streams: Sequence[RandomStream], shots: range,
     h *= _STATE_CONSTS[1:]
     h ^= np.right_shift(h, 16, out=t)
     keys = (np.left_shift(h[1::2], 32, dtype=np.uint64)
-            | h[0::2]).reshape(2, 1, size)
-
-    # Philox4x64-10 on lane pairs, the stream and shot axes last as one:
-    # a holds (c0, c2) and b holds (c1, c3), each (2, blocks, G * S).
-    # numpy bumps the counter before its first block, so block b of a shot
-    # starts at (b + 1, 0, 0, 0).  A round multiplies a by (M0, M1); the
-    # next (c0, c2) is hi(M1 c2, M0 c0) ^ (c1, c3) ^ key and the next
-    # (c1, c3) is lo(M1 c2, M0 c0), so each product crosses the pair
-    # through a [::-1] view, and lo is written straight into the next b.
+            | h[0::2]).reshape(2, size)
     blocks = -(-k // 4)
-    a, b, lo, t1, t2, t3 = np.zeros((6, 2, blocks, size), np.uint64)
-    a[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
-    for _ in range(_ROUNDS):
-        np.multiply(a, _PHILOX_M, out=lo[::-1])
-        # mulhi from 32-bit halves: t = hl + (ll >> 32),
-        # w = (t & M32) + lh, hi = hh + (t >> 32) + (w >> 32)
-        np.bitwise_and(a, _M32, out=t1)
-        a >>= 32
-        np.multiply(t1, _M_HI, out=t2)
-        t1 *= _M_LO
-        t1 >>= 32
-        t2 += t1
-        np.multiply(a, _M_LO, out=t1)
-        a *= _M_HI
-        np.bitwise_and(t2, _M32, out=t3)
-        t3 += t1
-        t2 >>= 32
-        t3 >>= 32
-        a += t2
-        a += t3
-        b ^= a[::-1]
-        b ^= keys
-        keys += _PHILOX_W
-        a, b, lo = b, lo, a
-    # each block's words c0, c1, c2, c3 go straight into rows 4b to
-    # 4b + 3 of the doubles, the stream and shot axes last in both
+    return _philox_doubles(keys, blocks).reshape(
+        4 * blocks, len(streams), len(shots))[:k].transpose(1, 2, 0)
+
+
+def _philox_doubles(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """The doubles of Philox4x64-10's first ``blocks`` blocks under each of
+    the R keys ``keys``, a ``(2, R)`` uint64 array of words ``(k0, k1)``:
+    a ``(blocks, 4, R)`` array whose ``[j, c, r]`` is word ``c`` of block
+    ``j`` under key ``r`` as numpy's double, ``(word >> 11) * 2**-53``.
+
+    numpy bumps the counter before its first block, so block ``j`` starts
+    at ``(j + 1, 0, 0, 0)``.  A round maps ``(c0, c1, c2, c3)`` to
+    ``(hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))``
+    and then adds the Weyl increments to the key.  Round 1 is closed form:
+    ``(k0, 0, hi(M0 (j + 1)) ^ k1, lo(M0 (j + 1)))``.  The rounds after it
+    run on six ``(2, blocks, R)`` lane pairs: ``x`` holds ``(c0, c2)``,
+    ``y`` the words that each of ``x``'s highs is xored into, ``(c3, c1)``,
+    and ``key`` the key word each then takes, ``(k1, k0)``; ``lo`` and two
+    temporaries are free.  A round writes ``x``'s low products crossed into
+    ``lo``, so ``lo`` holds ``(c1', c3')`` and is the next ``y``; it xors
+    ``x``'s highs and ``key`` into ``y``, which then holds ``(c2', c0')``
+    and is the next ``x``; and it writes the next key crossed into a
+    temporary, ``(k0', k1')``.  So every pair's two words trade places each
+    round, and no call reads a crossed view.  Every call's operands are
+    whole pairs, lanes of one, or 0-d constants, each lane view built
+    once.
+    """
+    size = keys.shape[1]
+    x, y, lo, t1, t2, key = (
+        (pair, pair[0], pair[1])
+        for pair in np.empty((6, 2, blocks, size), np.uint64))
+    high, low = np.array([divmod(j * _PHILOX_M[0], 1 << 64)
+                          for j in range(1, blocks + 1)],
+                         dtype=np.uint64).reshape(blocks, 2).T[:, :, None]
+    np.copyto(x[1], keys[0])
+    np.bitwise_xor(keys[1], high, x[2])
+    np.copyto(y[1], low)
+    y[2].fill(0)
+    np.add(keys[1], _WEYLS[1], key[1])
+    np.add(keys[0], _WEYLS[0], key[2])
+    # the multipliers of x's words and the increments of key's, by place
+    mults, weyls = _MULTS, _WEYLS[::-1]
+    for r in range(1, _ROUNDS):
+        (xs, x0, x1), (_, l0, l1), (us, u0, u1), (vs, v0, v1) = x, lo, t1, t2
+        (m0, m0_lo, m0_hi), (m1, m1_lo, m1_hi) = mults
+        np.multiply(x0, m0, l1)
+        np.multiply(x1, m1, l0)
+        # hi from the 32-bit halves' products ll, lh, hl and hh of x and
+        # M: t = lh + (ll >> 32) and s = t + (hl & M32) are below 2**64,
+        # and hi = hh + (hl >> 32) + (s >> 32), where s is summed mod
+        # 2**64 as t + hl - ((hl >> 32) << 32)
+        np.bitwise_and(xs, _LOW, us)
+        xs >>= _HALF
+        np.multiply(u0, m0_lo, v0)
+        np.multiply(u1, m1_lo, v1)
+        vs >>= _HALF
+        u0 *= m0_hi
+        u1 *= m1_hi
+        us += vs
+        np.multiply(x0, m0_lo, v0)
+        np.multiply(x1, m1_lo, v1)
+        x0 *= m0_hi
+        x1 *= m1_hi
+        us += vs
+        vs >>= _HALF
+        xs += vs
+        vs <<= _HALF
+        us -= vs
+        us >>= _HALF
+        xs += us
+        ys = y[0]
+        ys ^= xs
+        ys ^= key[0]
+        if r < _ROUNDS - 1:
+            np.add(key[1], weyls[0], v1)
+            np.add(key[2], weyls[1], v0)
+            key, t2 = t2, key
+        x, y, lo = y, lo, x
+        mults, weyls = mults[::-1], weyls[::-1]
+    # after an odd number of swaps x holds (c2, c0) and y (c1, c3)
     out = np.empty((blocks, 4, size))
-    for lanes, words in ((a, out[:, 0::2]), (b, out[:, 1::2])):
-        lanes >>= 11
-        np.multiply(lanes.transpose(1, 0, 2), 2.0 ** -53, out=words)
-    return out.reshape(4 * blocks, len(streams),
-                       len(shots))[:k].transpose(1, 2, 0)
+    for (pair, _, _), words in ((x, out[:, 2::-2]), (y, out[:, 1::2])):
+        pair >>= _MANTISSA_SHIFT
+        np.multiply(pair.transpose(1, 0, 2), 2.0 ** -53, words)
+    return out

@@ -39,13 +39,14 @@ every stream's in one Philox pass (:func:`qlocker.rng.shot_uniforms`).
 the same positions.  Every copy of a circuit holds one register until the
 circuits' first readout, so the ops before it run once, on one row per
 circuit.  Where that readout ends the circuits, the kernel runs on those
-rows alone, and ``_clicks`` compares every draw of a block with its
-circuit's one ``p0 / (p0 + p1)``; otherwise each block's rows are built
-there from them, circuit-major, and the rest runs over every row: an op
-object that every circuit holds once over all rows, any other gate over
-its own circuit's rows, and each readout in one kernel call.
-:func:`sample_shots` is its one-circuit call, and ``_row_keys`` reads
-each row's outcome bits as its key.  A block holds at most
+rows alone, ``_clicks`` compares every draw of a block with its
+circuit's one ``p0 / (p0 + p1)``, and one ``np.count_nonzero`` per
+circuit tallies them; otherwise each block's rows are built there from
+them, circuit-major, and the rest runs over every row: an op object that
+every circuit holds once over all rows, any other gate over its own
+circuit's rows, and each readout in one kernel call, and ``_row_keys``
+reads each row's outcome bits as its key.  :func:`sample_shots` is its
+one-circuit call.  A block holds at most
 :data:`SHOT_BLOCK_CELLS` amplitudes and uniforms, so no shot count,
 circuit count or register width allocates ``S * 2**n`` at once.  A
 :class:`ProductState` is held as its ``(n, 2)`` one-qubit factors; it
@@ -501,14 +502,17 @@ def sample_circuits(n_qubits: int,
     the ops before it run once, before the blocks, on one row per circuit.
     If that readout ends the circuits, the kernel runs once, on those
     rows, and each row's draw is compared with its circuit's ``p0 / (p0 +
-    p1)`` by ``_clicks``, the kernel's own outcome rule.  Otherwise each
-    block's rows are built from them at that readout, and the rest of the
-    circuits runs over all of the block's rows.  An op object that every
-    circuit holds at a position runs once over all rows, and any other
-    gate over its own circuit's rows.  A readout rotates the rows into
-    their bases in one gate, measures all rows in one kernel call, and
-    rotates them back, except at the end of the circuits, where no later op
-    reads them.
+    p1)`` by ``_clicks``, the kernel's own outcome rule; each circuit's
+    outcomes in a block are tallied by one ``np.count_nonzero``, its keys
+    ``"0"`` and ``"1"`` in first-appearance order (the first shot's outcome
+    first).  Otherwise each block's rows are built from them at that
+    readout, and the rest of the circuits runs over all of the block's
+    rows.  An op object that every circuit holds at a position runs once
+    over all rows, and any other gate over its own circuit's rows.  A
+    readout rotates the rows into their bases in one gate, measures all
+    rows in one kernel call, and rotates them back, except at the end of
+    the circuits, where no later op reads them; ``_row_keys`` reads each
+    row's outcome bits as its key.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -540,8 +544,14 @@ def sample_circuits(n_qubits: int,
     for _, uniforms in _shot_rows(start, streams, range(shots), k):
         size = len(uniforms) // len(circuits)
         if ends:
-            bits = _clicks(uniforms.reshape(len(circuits), size), p0,
-                           total).reshape(-1, 1)
+            clicks = _clicks(uniforms.reshape(len(circuits), size), p0,
+                             total)
+            for tally, row in zip(counts, clicks):
+                if not tally:  # the first shot's outcome is the first key
+                    tally.update(dict.fromkeys("10" if row[0] else "01", 0))
+                ones = np.count_nonzero(row)
+                tally["1"] += ones
+                tally["0"] += size - ones
         else:
             bits = np.empty((len(uniforms), k), dtype=np.uint8)
             amps = np.repeat(heads, size, 0)
@@ -557,8 +567,9 @@ def sample_circuits(n_qubits: int,
                 j += 1
                 if position < len(shape) - 1:
                     amps = _basis_rows(amps, ops, 1)
-        keys = _row_keys(bits)
-        for g, tally in enumerate(counts):
-            tally.update(keys[g * size:(g + 1) * size])
-    return [CountsHistogram(shots=shots, counts=dict(tally))
+            keys = _row_keys(bits)
+            for g, tally in enumerate(counts):
+                tally.update(keys[g * size:(g + 1) * size])
+    # + drops the keys that no shot gave
+    return [CountsHistogram(shots=shots, counts=dict(+tally))
             for tally in counts]

@@ -8,7 +8,9 @@ pinned literals fail loudly if a numpy upgrade changes either algorithm.
 ``rng.shot_uniforms`` draws several streams in one pass, and each stream's
 draws must be the ones it draws alone.  ``RandomStream.below`` tests draws
 against a threshold on the raw words, and must give what ``randoms`` and
-``<`` give, from the same stream position to the same one.
+``<`` give, from the same stream position to the same one.  A stream
+builds its generator on its first draw, and must then draw what numpy's
+generator of its seed and path draws, whatever it handed out before.
 """
 
 import tracemalloc
@@ -169,6 +171,24 @@ def test_no_draws_and_no_shots_keep_their_shapes():
 def test_shot_indices_outside_one_word_are_refused(shots):
     with pytest.raises(ValueError):
         RandomStream(5).shot_uniforms(shots, 3)
+
+
+def test_a_stream_builds_its_generator_on_its_first_draw():
+    seed, path = 2**63 - 25, (3,)
+    stream = RandomStream(seed, path)
+    # neither a sub-stream nor a shot's draws advance the stream
+    stream.substream(4).randoms(2)
+    stream.shot_uniforms(range(5), 6)
+    rng.shot_uniforms([RandomStream(1), stream], range(3), 2)
+    assert stream._generator is None
+    want = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        seed, spawn_key=path)))
+    assert_bits_equal(stream.randoms(5), want.random(5))
+    assert stream._generator is not None
+    assert np.array_equal(stream.below(0.3, 7), want.random(7) < 0.3)
+    assert stream.uniform(-1.0, 2.0).hex() == want.uniform(-1.0, 2.0).hex()
+    assert stream.spawn_seed() == int(want.integers(0, 1 << 63))
+    assert stream.random().hex() == float(want.random()).hex()
 
 
 def assert_below_is_randoms_below(seed, path, p, size):

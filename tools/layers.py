@@ -4,9 +4,13 @@ Every entry is the best of five timings of a batch of calls, in
 microseconds per call, on fixed inputs drawn from fixed seeds:
 
 - ``rng.substream``: one child stream;
+- ``rng.RandomStream``: one stream built and never drawn from, as
+  ``verify-demo``'s circuit streams and the commands' root streams are;
 - ``rng.shot_uniforms``: shots x draws per shot, as the commands draw them,
-  and ``3x512x1``: three streams of 512 shots of one draw in one pass, as
-  ``verify-demo`` draws its three bases;
+  among them ``65x1001``, a block of a 1000-step ``converge``; and
+  ``3x512x1`` and ``3x4369x1``: three streams of 512 and of 4369 shots of
+  one draw in one pass, as ``verify-demo`` draws its three bases at its
+  default shots and in each block of ``--shots 1048576``;
 - ``rng.randoms`` and ``rng.below``: 32768 draws, and 32768 draws tested
   against 0.3 on the raw words, as ``sweep`` draws one step of a cell;
 - ``statevector.apply_gate`` (Ry on qubit 0) and ``measure_qubit`` (z on
@@ -119,14 +123,17 @@ def layers() -> dict:
     stream = q.RandomStream(9001)
     out: dict = {"unit": f"us per call, best of {REPEATS}"}
     out["rng.substream"] = best(lambda: stream.substream(7), 2000)
+    out["rng.RandomStream"] = best(lambda: q.RandomStream(9001, (7,)), 2000)
     out["rng.shot_uniforms"] = {
         f"{shots}x{k}": best(lambda: stream.shot_uniforms(range(shots), k),
                              number)
         for shots, k, number in ((512, 1, 200), (128, 39, 200),
-                                 (5, 78, 200), (1598, 39, 20))}
+                                 (5, 78, 200), (1598, 39, 20),
+                                 (65, 1001, 20))}
     streams = [q.RandomStream(seed) for seed in (1, 2, 3)]
-    out["rng.shot_uniforms"]["3x512x1"] = best(
-        lambda: shot_uniforms(streams, range(512), 1), 200)
+    for shots, number in ((512, 200), (4369, 20)):
+        out["rng.shot_uniforms"][f"3x{shots}x1"] = best(
+            lambda: shot_uniforms(streams, range(shots), 1), number)
     # a stream of its own for sweep's draws, so that the entries after
     # these take the inputs they took before these were added
     sweep_stream = q.RandomStream(32768)
