@@ -14,24 +14,31 @@ front: :func:`shot_uniforms` gives shot ``i`` of stream ``g`` the first
 of :meth:`RandomStream.random` on that sub-stream return, for G streams at
 once (:meth:`RandomStream.shot_uniforms` is its one-stream call).  It
 builds no per-shot generator.  It stacks each stream's own ``SeedSequence``
-pool and hash constants on a stream axis, runs the spawn's last entropy
+pool and hash constants on a stream axis, and runs the spawn's last entropy
 word, the shot index, and ``generate_state`` as one ``(4, G, S)`` uint32
-pass, then Philox4x64-10 (Salmon et al., SC 2011) on lane pairs, each a
-``(2, blocks, G * S)`` uint64 array with the stream and shot axes last, so
-that each ufunc call loops over every stream's shots and G streams pay its
-fixed cost once.  Every Philox call takes numpy's trivial loop: each
-operand is a whole pair, one lane of a pair, or a read-only 0-d uint64
-constant, never a broadcast column or a Python int, which cost numpy's
-iterator or a conversion on every call.  A product by a word's own
+pass, which gives each of the G * S shots its Philox4x64-10 key (Salmon et
+al., SC 2011).  The doubles then come from one of two Philox paths, chosen
+by the call's number of keys alone.  A call of at most 64 keys runs
+``_keyed_doubles``: one numpy ``Philox`` per call, set to each key in turn
+through its ``state``, each key's draws one call, so a key costs a few
+microseconds.  A call of more keys runs ``_philox_doubles``, the
+vectorized pass, whose fixed cost of about 200 microseconds is paid once
+for all keys: Philox on lane pairs, each a ``(2, blocks, G * S)`` uint64
+array with the stream and shot axes last, so that each ufunc call loops
+over every stream's shots and G streams pay its fixed cost once.  Every
+Philox call takes numpy's trivial loop: each operand is a whole pair, one
+lane of a pair, or a read-only 0-d uint64 constant, never a broadcast
+column or a Python int, which cost numpy's iterator or a conversion on
+every call.  A product by a word's own
 multiplier is one call per lane, and instead of crossing, the two words of
 each pair trade places every round.  Round 1 is computed in closed form
 from counter ``(j + 1, 0, 0, 0)``.  The doubles keep the stream and shot
-axes last too: the result is a ``(G, S, k)`` view of a ``(k, G, S)`` array
-whose row ``c`` holds every shot's draw ``c``, so a kernel step reads its
-draws as one contiguous row, of one stream or of all of them.  Only its
-bit-equality tests against numpy's own generators tie that arithmetic to
-numpy's algorithms, so those tests pin it to the numpy version they run
-with.
+axes last too: on either path the result is a ``(G, S, k)`` view of a
+``(k, G, S)`` array whose row ``c`` holds every shot's draw ``c``, so a
+kernel step reads its draws as one contiguous row, of one stream or of all
+of them.  Only its bit-equality tests against numpy's own generators tie
+the key pass and the vectorized pass to numpy's algorithms, so those tests
+pin them to the numpy version they run with.
 
 :meth:`RandomStream.below` is ``randoms(size) < p`` without the doubles: a
 Philox double is its 64-bit word's top 53 bits times ``2**-53``, an exact
@@ -57,6 +64,12 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _ROUNDS = 10
+# a call with at most this many keys draws key by key from numpy's own
+# Philox (_keyed_doubles); a call of more keys runs the vectorized pass
+# (_philox_doubles).  Fitted from timings of both paths, on whose sides
+# tools/layers.py's rng.shot_uniforms sizes lie: the vectorized pass costs
+# about 200 us a call, and a key by key call about 3.5 us a key
+_FEW_KEYS = 64
 
 
 def _u64(value: int) -> np.ndarray:
@@ -176,7 +189,9 @@ def shot_uniforms(streams: Sequence[RandomStream], shots: range,
     whole Philox blocks, each lane written straight into its rows: column
     ``c`` of each ``[g]`` is a contiguous row of draws, and so is column
     ``c`` of its ``(G * S, k)`` reshape, stream-major.  A call's peak
-    memory is about four and a half times the result.
+    memory is about four and a half times the result on the vectorized
+    pass, and about twice the result key by key (see the module
+    docstring for the choice).
     """
     ends = (shots[0], shots[-1]) if shots else (0,)
     if min(ends) < 0 or max(ends) > _M32:
@@ -210,8 +225,36 @@ def shot_uniforms(streams: Sequence[RandomStream], shots: range,
     keys = (np.left_shift(h[1::2], 32, dtype=np.uint64)
             | h[0::2]).reshape(2, size)
     blocks = -(-k // 4)
-    return _philox_doubles(keys, blocks).reshape(
+    draw = _keyed_doubles if size <= _FEW_KEYS else _philox_doubles
+    return draw(keys, blocks).reshape(
         4 * blocks, len(streams), len(shots))[:k].transpose(1, 2, 0)
+
+
+def _keyed_doubles(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """:func:`_philox_doubles`' doubles, drawn key by key from numpy's own
+    Philox4x64-10, as a C-contiguous ``(4 * blocks, R)`` array whose row
+    ``c`` holds every key's word ``c`` as a double.
+
+    One bit generator serves the call.  For each key its state is set as a
+    ``SeedSequence`` keys it, counter 0 and an empty buffer, and its
+    ``Generator`` writes the key's ``4 * blocks`` doubles into one row of an
+    ``(R, 4 * blocks)`` buffer, which is transposed once at the end.  A key
+    costs a state set and a draw call, a few microseconds, and each double
+    a few nanoseconds.
+    """
+    rows = np.empty((keys.shape[1], 4 * blocks))
+    # seeded with 0, since every key replaces the seed's; built here, since
+    # importing numpy.random at import would add 10-20 ms to every
+    # command's start-up
+    gen = np.random.Generator(np.random.Philox(0))
+    inner = {"counter": [0] * 4, "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": [0] * 4,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key, row in zip(keys.T.tolist(), rows):
+        inner["key"] = key
+        gen.bit_generator.state = state
+        gen.random(out=row)
+    return np.ascontiguousarray(rows.T)
 
 
 def _philox_doubles(keys: np.ndarray, blocks: int) -> np.ndarray:

@@ -11,6 +11,10 @@ against a threshold on the raw words, and must give what ``randoms`` and
 ``<`` give, from the same stream position to the same one.  A stream
 builds its generator on its first draw, and must then draw what numpy's
 generator of its seed and path draws, whatever it handed out before.
+A call of few keys draws key by key from numpy's own Philox and a call of
+more keys by the vectorized pass, so the bit-equality tests take sizes on
+each side of that choice, and both private paths must give the same bits
+on the same keys.
 """
 
 import tracemalloc
@@ -85,12 +89,20 @@ def test_every_block_split_gives_the_same_rows(seed, path, shots, k, cells):
     assert_bits_equal(got, want)
 
 
+# a call of at most FEW keys is drawn key by key; a call of more keys by
+# the vectorized pass
+FEW = rng._FEW_KEYS
+
+
 # the blocks the commands draw: tomography's 512 shots of 1 readout,
 # converge's 39 draws, a two-qubit locker password's 78 (in blocks of 5 and
-# of 1), the largest 39-draw block and a 1000-step box; 40 gives k one of
-# each residue mod 4
-@pytest.mark.parametrize("shots, k", [(512, 1), (128, 39), (5, 78), (1, 78),
-                                      (1598, 39), (65, 1001), (33, 40)])
+# of 1), two shots of two draws, the largest 39-draw block and a
+# 1000-step box; 40 gives k one of each residue mod 4.  Then keys just
+# below and just above FEW, with k not a multiple of 4 and with no draws,
+# and no shots
+@pytest.mark.parametrize("shots, k", [
+    (512, 1), (128, 39), (5, 78), (1, 78), (2, 2), (1598, 39), (65, 1001),
+    (33, 40), (FEW, 39), (FEW + 1, 39), (FEW, 0), (FEW + 1, 0), (0, 39)])
 def test_command_sized_blocks_are_numpys_doubles(shots, k):
     seed, path, start = 2**63 - 25, (3,), 1000
     got = RandomStream(seed, path).shot_uniforms(range(start, start + shots),
@@ -121,14 +133,32 @@ def test_many_streams_in_one_pass_are_each_streams_own(keys, shots, k):
 def test_many_streams_are_numpys_doubles():
     streams = [RandomStream(2**200 + 3, (7, 2**33)), RandomStream(42),
                RandomStream(2**63 - 25, (3,))]
-    shots = range(2**32 - 7, 2**32, 3)
-    got = rng.shot_uniforms(streams, shots, 6)
-    for g, stream in enumerate(streams):
-        assert_bits_equal(got[g], numpy_rows(stream.seed, stream.path,
-                                             shots, 6))
+    # three streams of 3 shots, then of FEW // 3 and FEW // 3 + 1 shots
+    # (keys just below and just above FEW), no draws and no shots
+    for shots, k in ((range(2**32 - 7, 2**32, 3), 6), (range(FEW // 3), 6),
+                     (range(FEW // 3 + 1), 6), (range(FEW // 3 + 1), 0),
+                     (range(0), 5)):
+        got = rng.shot_uniforms(streams, shots, k)
+        for g, stream in enumerate(streams):
+            assert_bits_equal(got[g], numpy_rows(stream.seed, stream.path,
+                                                 shots, k))
 
 
-@pytest.mark.parametrize("shots, k", [(1598, 39), (65, 1001)])
+@pytest.mark.parametrize("size", [0, 1, 2, 5, FEW, FEW + 1, 130])
+@pytest.mark.parametrize("blocks", [0, 1, 2, 10, 70])
+def test_both_philox_paths_give_the_same_bits(size, blocks):
+    keys = np.random.default_rng(1000 * size + blocks).integers(
+        0, 2**64, (2, size), dtype=np.uint64)
+    # the extreme key words too
+    keys[:, :2] = np.array([[0, 2**64 - 1], [2**64 - 1, 0]],
+                           np.uint64)[:, :size]
+    keyed = rng._keyed_doubles(keys, blocks)
+    assert keyed.shape == (4 * blocks, size) and keyed.flags.c_contiguous
+    assert_bits_equal(keyed, rng._philox_doubles(keys, blocks).reshape(
+        4 * blocks, size))
+
+
+@pytest.mark.parametrize("shots, k", [(1598, 39), (65, 1001), (6, 10001)])
 def test_peak_memory_is_a_few_outputs(shots, k):
     stream = RandomStream(9001, (3,))
     tracemalloc.start()

@@ -90,8 +90,13 @@ def test_branch_uniformity_sampled():
 def test_channel_is_single_use():
     channel = q.open_channel()
     q.teleport(q.new_state(1), channel, RandomStream(5))
+    # a second use raises before it draws, so the stream's next doubles
+    # are still its first
+    stream = RandomStream(6)
     with pytest.raises(ChannelConsumedError):
-        q.teleport(q.new_state(1), channel, RandomStream(6))
+        q.teleport(q.new_state(1), channel, stream)
+    assert stream.randoms(2).tobytes() == \
+        RandomStream(6).randoms(2).tobytes()
 
 
 def test_source_state_is_destroyed(np_rng):

@@ -7,10 +7,16 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
 - ``rng.RandomStream``: one stream built and never drawn from, as
   ``verify-demo``'s circuit streams and the commands' root streams are;
 - ``rng.shot_uniforms``: shots x draws per shot, as the commands draw them,
-  among them ``65x1001``, a block of a 1000-step ``converge``; and
-  ``3x512x1`` and ``3x4369x1``: three streams of 512 and of 4369 shots of
-  one draw in one pass, as ``verify-demo`` draws its three bases at its
-  default shots and in each block of ``--shots 1048576``;
+  among them ``65x1001``, a block of a 1000-step ``converge``,
+  ``6x10001``, a block of a 10000-step one at ``--shots 64``, and ``1x2``
+  and ``2x2``, the smallest calls; and ``3x512x1`` and ``3x4369x1``: three
+  streams of 512 and of 4369 shots of one draw in one pass, as
+  ``verify-demo`` draws its three bases at its default shots and in each
+  block of ``--shots 1048576``.  The sizes lie on each side of the choice
+  between the two Philox paths: a call of at most 64 keys (``1x2``,
+  ``2x2``, ``5x78``, ``32x39``, ``64x39``, ``6x10001``) draws key by key
+  from numpy's own Philox, and ``512x1``, ``128x39``, ``1598x39``,
+  ``65x1001``, ``3x512x1`` and ``3x4369x1`` run the vectorized pass;
 - ``rng.randoms`` and ``rng.below``: 32768 draws, and 32768 draws tested
   against 0.3 on the raw words, as ``sweep`` draws one step of a cell;
 - ``statevector.apply_gate`` (Ry on qubit 0) and ``measure_qubit`` (z on
@@ -129,7 +135,9 @@ def layers() -> dict:
                              number)
         for shots, k, number in ((512, 1, 200), (128, 39, 200),
                                  (5, 78, 200), (1598, 39, 20),
-                                 (65, 1001, 20))}
+                                 (65, 1001, 20), (1, 2, 500), (2, 2, 500),
+                                 (32, 39, 200), (64, 39, 200),
+                                 (6, 10001, 20))}
     streams = [q.RandomStream(seed) for seed in (1, 2, 3)]
     for shots, number in ((512, 200), (4369, 20)):
         out["rng.shot_uniforms"][f"3x{shots}x1"] = best(
