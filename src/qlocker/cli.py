@@ -70,6 +70,8 @@ from .tomography import (
 )
 from .verification import (
     CLICK_POLICIES,
+    DEFAULT_ITERATIONS,
+    DEFAULT_THETA,
     PAPER_DEFAULT,
     VerificationParams,
     acceptance_probability,
@@ -150,9 +152,10 @@ _finite = _in_range(float, -sys.float_info.max, sys.float_info.max)
 # sin(2 theta): both need 2 theta finite too
 _coupling_angle = _in_range(float, -sys.float_info.max / 2,
                             sys.float_info.max / 2)
-# sweep check j seeds password qubit k from sub-stream 8*j + k, so more than
-# 8 qubits would share sub-streams between checks
-_sweep_n = _in_range(int, 1, 8)
+# sweep check j seeds password qubit k from sub-stream
+# SWEEP_STRIDE * j + k, so more qubits would share sub-streams between checks
+SWEEP_STRIDE = 8
+_sweep_n = _in_range(int, 1, SWEEP_STRIDE)
 
 
 def _out_path(text: str) -> str:
@@ -437,8 +440,8 @@ def cmd_sweep(args) -> dict:
                         accept = np.ones(args.shots, dtype=bool)
                         for k in range(n):
                             accept &= sample_acceptance_runs(
-                                overlap, params, args.shots,
-                                master.substream(len(checks) * 8 + k))
+                                overlap, params, args.shots, master.substream(
+                                    len(checks) * SWEEP_STRIDE + k))
                         mc = float(accept.mean())
                         cell[policy] = {"analytic": analytic, "monte_carlo": mc}
                         checks.append(_band_check(
@@ -517,8 +520,9 @@ def _add_box_flags(p: argparse.ArgumentParser) -> None:
     More than ``MAX_ITERATIONS`` iterations is a protocol error (exit 3),
     which :class:`VerificationParams` reports.
     """
-    p.add_argument("--theta", type=_finite, default=0.1)
-    p.add_argument("--iterations", type=_in_range(int, 0), default=38)
+    p.add_argument("--theta", type=_finite, default=DEFAULT_THETA)
+    p.add_argument("--iterations", type=_in_range(int, 0),
+                   default=DEFAULT_ITERATIONS)
     p.add_argument("--policy", choices=CLICK_POLICIES, default=PAPER_DEFAULT)
 
 

@@ -287,7 +287,7 @@ def attempt_unlock(locker: LockerState, password: Password,
     overwritten with the retrieved bits.  The boxes are
     :func:`~qlocker.verification.run_box` on each qubit in turn, each box
     reading the next ``N + 1`` uniforms of ``rng``, so ``rng`` advances by
-    ``n * (N + 1)`` even when strict clicks leave some of them unread.
+    ``n * (N + 1)`` even when strict clicks leave some of them unused.
     The password runs as its parts (``statevector._parts``), so a
     :class:`~qlocker.statevector.ProductState` runs its n boxes at once,
     one one-qubit row per factor, and never builds its ``2**n`` register.

@@ -549,7 +549,7 @@ def sample_circuits(n_qubits: int,
             for tally, row in zip(counts, clicks):
                 if not tally:  # the first shot's outcome is the first key
                     tally.update(dict.fromkeys("10" if row[0] else "01", 0))
-                ones = np.count_nonzero(row)
+                ones = int(np.count_nonzero(row))
                 tally["1"] += ones
                 tally["0"] += size - ones
         else:

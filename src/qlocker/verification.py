@@ -33,16 +33,17 @@ ancilla circuit is kept where the ancilla itself is measured
 
 :func:`_box_rows` is the one sampled box: the box on qubit ``k`` of every
 row of an ``(R, 2**n)`` array, each row reading its own uniforms, drawn up
-front.  Each step writes its rows' outcomes at that step (a strict step
-only its clicks, into zeroed outcomes); under the strict policy a row that
-clicks is written as it clicks, its register once into the box's collapsed
-rows, and leaves the steps.  The draw layout is fixed:
-box ``k`` reads its weak steps from columns ``k(N+1)`` to ``k(N+1) + N - 1``
-and its closing readout from column ``k(N+1) + N``, whatever earlier boxes
-did (a strict row that clicked leaves the rest of its box's window unread).
-So the boxes of separate parts of a password are independent, and a shot
-of an n-qubit password reads ``n(N + 1)`` uniforms, a count written once,
-in :func:`_shot_draws`, which :func:`box_shots` and the locker read.
+front.  Every row stays in every step, and each step writes every row's
+outcome.  Under the strict policy a row that clicks sits in |0>; it steps
+on draws of 0 from then on, which never click there, so its record ends at
+the click, and the steps stop once every row has clicked.  The draw layout
+is fixed: box ``k`` reads its weak steps from columns ``k(N+1)`` to
+``k(N+1) + N - 1`` and its closing readout from column ``k(N+1) + N``,
+whatever earlier boxes did (a strict row that clicked ignores the rest of
+its steps' draws).  So the boxes of separate parts of a password are
+independent, and a shot of an n-qubit password reads ``n(N + 1)``
+uniforms, a count written once, in :func:`_shot_draws`, which
+:func:`box_shots` and the locker read.
 :func:`_boxes` takes every password, a register or a
 :class:`~qlocker.statevector.ProductState`, in one layout: P parts of w
 qubits (``statevector._parts``), one part of n qubits for a register, n
@@ -174,54 +175,37 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     """The box on qubit ``k`` of every row of ``amps`` (shape ``(R, 2**n)``),
     row ``r`` reading its window ``uniforms[r]`` of ``N + 1`` draws.
 
-    Weak step ``j`` reads column ``j`` and the closing z readout, which runs
-    on every row, reads the last column.  Each step is one kernel call over
-    the rows still in the weak steps, and it reads their draws from column
-    ``j``, a contiguous row when ``uniforms`` is the ``.T`` view of a
-    shot-last array.  Under the paper policy it writes every row's outcome
-    at step ``j``; under the strict policy only the clicks, which write a 1
-    into the zeroed outcomes.  A strict row that clicks leaves the weak
-    steps: its register is written once, as the click left it, into the
-    shot-last array of collapsed rows, the later steps run on the other
-    rows only, the rest of its steps' columns go unread, and its record
-    ends at the click; its entries of ``outcomes`` after the click stay 0.
-    Returns the records, arrays with one entry per row, and the collapsed
-    rows.
+    Weak step ``j`` reads column ``j`` and the closing z readout reads the
+    last column.  Each step is one kernel call over every row, and it reads
+    their draws from column ``j``, a contiguous row when ``uniforms`` is the
+    ``.T`` view of a shot-last array, and writes every row's outcome at
+    step ``j``.  Under the strict policy the box steps on a copy of its
+    step draws, and a row that clicks gets 0 for each later draw: it sits
+    in |0>, where a draw of 0 never clicks (p0 = cos^2(theta) > 0) and K0
+    changes it only by rounding (cos(theta) > 0 adds no phase), so its
+    record ends at the click and its entries of ``outcomes`` after the
+    click stay 0.  The steps stop once every row has clicked.  Returns the
+    records, arrays with one entry per row, and the collapsed rows.
     """
     strict = params.click_policy == STRICT_ABORT
     kraus = _weak_step(params.theta)
     # one contiguous row per step, transposed to one row per shot at the end
     outcomes = np.zeros((params.iterations, len(amps)), dtype=np.int8)
     steps = np.full(len(amps), params.iterations)
-    # the rows in the weak steps: all of them, or the strict box's indices.
-    # Dropping clicked rows pays on long boxes: a 1000-step strict box on
-    # 8192 |+> rows at theta 0.1 takes 151-213 ms, against 234-332 ms when
-    # the clicked rows stay in the kernel on a draw of 0, a variant only
-    # about 10% faster at 128 rows x 38 steps (shared 2-core Xeon)
-    live = np.arange(len(amps)) if strict else slice(None)
-    # the strict box's collapsed rows, shot axis last: each row written as
-    # it clicks, the rows that never click after the steps
-    held = np.empty((amps.shape[1], len(amps) if strict else 0), complex)
+    clicked = np.zeros(len(amps), dtype=bool)
+    draws = uniforms[:, :-1].T.copy() if strict else uniforms.T
     for j in range(params.iterations):
-        click, _, amps = _measure_rows(amps, k, kraus, uniforms[:, j][live])
-        if not strict:
-            outcomes[j] = click
-        elif np.count_nonzero(click):
-            hit, keep = np.flatnonzero(click), np.flatnonzero(~click)
-            outcomes[j, live[hit]] = 1
-            steps[live[hit]] = j + 1
-            held[:, live[hit]] = amps.T[:, hit]
-            live, amps = live[keep], np.take(amps.T, keep, axis=1).T
-            if not len(live):
+        click, _, amps = _measure_rows(amps, k, kraus, draws[j])
+        outcomes[j] = click
+        if strict and np.count_nonzero(click):
+            steps[click] = j + 1
+            draws[j + 1:, click] = 0
+            clicked |= click
+            if clicked.all():
                 break
-    if strict:
-        held[:, live] = amps.T
-        amps = held.T
     final, _, amps = _measure_rows(amps, k, _PROJECTORS, uniforms[:, -1])
     # a strict row that clicked is rejected
-    accepted = np.zeros(len(steps), dtype=bool)
-    accepted[live] = ~final[live]
-    return BoxRows(outcomes.T, steps, final, accepted), amps
+    return BoxRows(outcomes.T, steps, final, ~final & ~clicked), amps
 
 
 def _boxes(amps: np.ndarray, params: VerificationParams,
@@ -291,9 +275,9 @@ def run_box(state: StateVector, k: int, params: VerificationParams,
 
     The one-row :func:`_box_rows`.  It draws ``N + 1`` uniforms from ``rng``
     up front: step ``j`` reads the ``j``-th and the closing measurement the
-    last, so ``rng`` advances by ``N + 1`` even when a strict click stops
-    the iterations early; the closing measurement still executes (the
-    clicked qubit sits in |0>) but the run is rejected.  Returns the
+    last, so ``rng`` advances by ``N + 1`` even when a strict click ends
+    the record early; the closing measurement still executes (the clicked
+    qubit sits in |0>) but the run is rejected.  Returns the
     trajectory and the collapsed register; ``state`` is left untouched.
     """
     box, amps = _box_rows(state.amplitudes[None], k, params,

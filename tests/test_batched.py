@@ -275,6 +275,63 @@ def test_strict_records_end_at_the_first_click():
     assert {len(r) for r in converge_records(paper, 200, 8)} == {6 + 1}
 
 
+def ghz_like(n):
+    """Ry(1.2) on qubit 0, then a CNOT chain: every box's qubit is
+    entangled with the others."""
+    reg = q.apply_gate(q.new_state(n), q.ry(1.2, 0))
+    for k in range(n - 1):
+        reg = q.apply_gate(reg, q.cnot(k, k + 1))
+    return reg
+
+
+@pytest.mark.parametrize("state", [
+    q.apply_gate(q.new_state(1), q.ry(1.2, 0)),
+    ghz_like(3),
+    q.ProductState([[0.6, 0.8], [1.0, 0.0], [0.8, 0.6j]]),
+], ids=["1-qubit", "3-qubit", "product"])
+@pytest.mark.parametrize("theta", [0.3, np.nextafter(np.pi / 2, 0)])
+@pytest.mark.parametrize("iterations", [0, 1, 8])
+def test_strict_box_is_the_paper_box_cut_at_the_first_click(
+        state, theta, iterations):
+    # the same rows and draws under both policies: a strict record is the
+    # paper record up to its first click, the readouts agree, and a row
+    # that clicked is all strict rejects beyond the paper's
+    shots = range(40)
+    paper, strict = (
+        [box for boxes in q.box_shots(state, VerificationParams(
+            theta, iterations, policy), RandomStream(5), shots)
+         for box in boxes]
+        for policy in verification.CLICK_POLICIES)
+    for want, got in zip(paper, strict, strict=True):
+        clicked = want.outcomes.any(1)
+        first = [row.index(1) + 1 if 1 in row else iterations
+                 for row in want.outcomes.tolist()]
+        assert got.steps.tolist() == first
+        for row, steps in enumerate(first):
+            assert got.outcomes[row, :steps].tolist() == \
+                want.outcomes[row, :steps].tolist()
+            assert not got.outcomes[row, steps:].any()
+        assert got.final.tolist() == want.final.tolist()
+        assert got.accepted.tolist() == (want.accepted & ~clicked).tolist()
+
+
+def test_a_strict_box_stops_once_every_row_has_clicked(monkeypatch):
+    # |0> rows click at each step with sin^2(1.5) = 0.995: all 32, one
+    # block, have clicked within a few of the 2000 steps
+    calls = []
+    kernel = verification._measure_rows
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(verification, "_measure_rows", counting)
+    params = VerificationParams(1.5, 2000, q.STRICT_ABORT)
+    (box,), = q.box_shots(q.new_state(1), params, RandomStream(3), range(32))
+    assert (box.steps < 10).all() and not box.accepted.any()
+    assert calls == [32] * len(calls) and len(calls) < 10
+
+
 def unlock_rows(locker, probe, stream, shots):
     """What ``attempt_unlocks`` gives, ``(accepted, last)``, and each row's
     trajectories, one per password qubit, read from ``box_shots`` on the
@@ -363,7 +420,7 @@ def test_strict_rows_clicking_at_different_steps_match_one_attempt_per_copy():
 def test_unlock_is_run_box_on_each_qubit_in_turn(prep, theta, iterations,
                                                  policy, seed):
     # box k reads the next N + 1 draws of the stream, whatever the boxes
-    # before it did: a strict click leaves the rest of its window unread
+    # before it did: a strict click ignores the rest of its window's steps
     n, ops = prep
     params = OtpParams.random(n, RandomStream(seed, (0,)))
     locker = q.store_message("101", params,

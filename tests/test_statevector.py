@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -247,6 +248,16 @@ class TestSampleShots:
         ops = [q.h(0), Measurement(0), q.cnot(0, 1), Measurement(1)]
         hist = q.sample_shots(2, ops, 600, seed=3)
         assert set(hist.counts) <= {"00", "11"}
+
+    @pytest.mark.parametrize("ops", [
+        [q.h(0), Measurement(0)],  # the first readout ends the circuit
+        [q.h(0), Measurement(0), q.x(0), Measurement(0)],
+    ])
+    def test_counts_are_ints_on_either_path(self, ops):
+        hist = q.sample_shots(1, ops, 100, seed=7)
+        assert all(type(c) is int for c in hist.counts.values())
+        assert type(hist.probability(next(iter(hist.counts)))) is float
+        assert json.loads(json.dumps(hist.counts)) == hist.counts
 
     def test_rejects_bad_ops(self):
         with pytest.raises(TypeError):

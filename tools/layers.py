@@ -41,10 +41,11 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
 - ``verification._box_rows``: one 38-step box on |+> rows, by row count,
   at theta 0.1 under the paper policy, and on 1598 rows at theta 0.3 under
   the strict policy (``1598 strict``), where about half the rows click
-  and leave the box early; and a 500-step box on 4096 |+> rows at theta
-  0.1 under each policy (``4096x500 paper`` and ``4096x500 strict``),
-  where the strict box's rows that click leave the kernel, so the two
-  differ by what that compaction saves;
+  and step on draws of 0 from then on; and a 500-step box on 4096 |+>
+  rows at theta 0.1 under each policy (``4096x500 paper`` and ``4096x500
+  strict``), where every row stays in every kernel call under both, so
+  the two differ by the strict box's zeroing of its clicked rows' later
+  draws;
 - ``verification.sample_acceptance_runs``: 32768 runs of a 38-step box at
   theta 0.2 on P(|0>) = 0.5, under each policy, as ``sweep`` samples a
   cell;
