@@ -26,10 +26,11 @@ instead (a strided reduce would sum in plain order and move the last
 bit).  A projective x/y/z readout is that kernel with the
 projectors, between basis rotations (``_basis_rows``): each basis has one
 2x2 matrix in ``_ROTATIONS`` (none for z) that rotates it into the
-computational basis, and that matrix's adjoint rotates it back, one gate
-over all rows (a ``(2, 2, S)`` stack of the rows' matrices where their
-bases differ).  The verification box (:mod:`qlocker.verification`) runs
-the kernel with its own K0 and K1.
+computational basis, and that matrix's adjoint rotates it back.  Unless
+every readout is in z, the rotation is one gate over all rows whose
+matrix is a ``(2, 2, S)`` stack of each row's matrix, the identity for
+z.  The verification box (:mod:`qlocker.verification`) runs the kernel
+with its own K0 and K1.
 :func:`apply_gate` and :func:`measure_qubit` are the S = 1 calls.  One
 driver, ``_shot_rows``, turns shot indices into rows: fresh copies of a
 register, block by block, one per stream and shot, shot ``i`` of stream
@@ -387,36 +388,30 @@ def _measure_rows(amps: np.ndarray, qubit: int, kraus: np.ndarray,
     return click, probs, out.T
 
 
-def _circuit_rows(amps: np.ndarray, gates: Sequence[GateOp | None]
-                  ) -> np.ndarray:
+def _circuit_rows(amps: np.ndarray, gates: Sequence[GateOp]) -> np.ndarray:
     """Each of the G equal row blocks of ``amps`` (circuit-major, as
-    :func:`_shot_rows` gives them) through its own entry of ``gates``, left
-    as it is where that is None; a gate that every block holds runs once
-    over all rows.  Returns the ``.T`` view of a shot-last array."""
+    :func:`_shot_rows` gives them) through its own gate in ``gates``; a
+    gate that every block holds runs once over all rows.  Returns the
+    ``.T`` view of a shot-last array."""
     if all(gate is gates[0] for gate in gates):
-        return amps if gates[0] is None else _gate_rows(amps, gates[0])
+        return _gate_rows(amps, gates[0])
     size = len(amps) // len(gates)
-    parts = (amps[g * size:(g + 1) * size] for g in range(len(gates)))
-    return np.concatenate([(rows if gate is None else _gate_rows(rows, gate)).T
-                           for gate, rows in zip(gates, parts)], 1).T
+    return np.concatenate([_gate_rows(amps[g * size:(g + 1) * size], gate).T
+                           for g, gate in enumerate(gates)], 1).T
 
 
 def _basis_rows(amps: np.ndarray, ops: Sequence[Measurement],
                 side: int) -> np.ndarray:
     """Each circuit's rows rotated into the basis of its readout in ``ops``
     by that basis's matrix in ``_ROTATIONS`` (``side`` 0), or back from it
-    by the matrix's adjoint (``side`` 1), in one gate over all rows: the
-    readouts' one matrix when they share a basis (no gate for z), and
-    otherwise a ``(2, 2, S)`` stack of each circuit's matrix over its rows,
-    the identity for z."""
+    by the matrix's adjoint (``side`` 1): no gate when every readout is in
+    z, and otherwise one gate over all rows whose matrix is a ``(2, 2, S)``
+    stack of each circuit's matrix over its rows, the identity for z."""
     mats = [_ROTATIONS[op.basis] for op in ops]
-    m = mats[0]
-    if any(other is not m for other in mats):
-        m = np.repeat(np.stack([np.eye(2) if other is None else other
-                                for other in mats], -1),
-                      len(amps) // len(ops), -1)
-    elif m is None:
+    if all(m is None for m in mats):
         return amps
+    m = np.repeat(np.stack([np.eye(2) if mat is None else mat
+                            for mat in mats], -1), len(amps) // len(ops), -1)
     return _gate_rows(amps, GateOp(ops[0].qubit,
                                    m.conj().swapaxes(0, 1) if side else m))
 

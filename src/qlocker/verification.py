@@ -110,9 +110,9 @@ MAX_ITERATIONS = 10_000
 class VerificationParams:
     """Coupling strength, iteration count, and click policy of one box.
 
-    ``iterations`` may be 0, in which case a run degenerates to the closing
-    z-measurement alone (used for edge-case reporting), and at most
-    :data:`MAX_ITERATIONS`.
+    ``iterations`` is an integer, not a bool; it may be 0, in which case a
+    run degenerates to the closing z-measurement alone (used for edge-case
+    reporting), and at most :data:`MAX_ITERATIONS`.
     """
 
     theta: float = DEFAULT_THETA
@@ -122,6 +122,11 @@ class VerificationParams:
     def __post_init__(self):
         if not (0.0 < self.theta < math.pi / 2):
             raise ValueError(f"theta must be in (0, pi/2), got {self.theta}")
+        # a bool is an int, and a float such as 38.0 would pass the range
+        # check and fail far away, in the box's array shapes
+        n = self.iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"iterations must be an integer, got {n!r}")
         if not 0 <= self.iterations <= MAX_ITERATIONS:
             raise ValueError(f"iterations must be in [0, {MAX_ITERATIONS}], "
                              f"got {self.iterations}")

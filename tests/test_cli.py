@@ -323,6 +323,14 @@ class TestSweep:
         assert all(check["ok"] for check in json.loads(captured.out)["checks"])
 
 
+def test_empty_grid_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--grid-n", ","])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "qlocker sweep: error: argument --grid-n: empty grid ','")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args(["verify-demo", "--format", "yaml"])

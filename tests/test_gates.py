@@ -80,6 +80,10 @@ class TestGateOpValidation:
         with pytest.raises(IndexError):
             q.h(-1)
 
+    def test_negative_control(self):
+        with pytest.raises(IndexError, match="negative control index -1"):
+            q.x(0, controls=((-1, 1),))
+
     def test_overlapping_control_and_target(self):
         with pytest.raises(IndexError):
             q.x(0, controls=((0, 1),))

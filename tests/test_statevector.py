@@ -45,6 +45,16 @@ class TestNewState:
             q.StateVector(0, np.zeros(1))
 
 
+def test_malformed_states_are_rejected():
+    with pytest.raises(ValueError, match=r"length \(2,\) does not match 2 "):
+        q.StateVector(2, np.zeros(2))
+    with pytest.raises(ValueError, match="bits must be 0/1, got '012'"):
+        q.basis_state("012")
+    with pytest.raises(ValueError,
+                       match=r"factors of shape \(2, 3\) are not \(n, 2\)"):
+        q.ProductState(np.zeros((2, 3)))
+
+
 def test_basis_state_is_little_endian():
     state = q.basis_state("101")  # qubit0=1, qubit1=0, qubit2=1 -> index 5
     assert state.amplitudes[5] == 1.0

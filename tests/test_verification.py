@@ -142,6 +142,18 @@ class TestParams:
         with pytest.raises(ValueError, match="10000"):
             VerificationParams(iterations=10_001)
 
+    @pytest.mark.parametrize("iterations", [38.0, True, np.float64(38)],
+                             ids=["float", "bool", "numpy-float"])
+    def test_iterations_must_be_an_integer(self, iterations):
+        with pytest.raises(TypeError, match="iterations must be an integer"):
+            VerificationParams(0.1, iterations)
+
+    def test_numpy_integer_iterations_run_a_box(self):
+        params = VerificationParams(0.1, np.int64(3))
+        assert params == VerificationParams(0.1, 3)
+        traj, _ = q.run_box(q.basis_state("0"), 0, params, RandomStream(7))
+        assert len(traj.ancilla_outcomes) == 3
+
     def test_policy_names(self):
         with pytest.raises(ValueError):
             VerificationParams(click_policy="lenient")
@@ -684,6 +696,11 @@ class TestSampler:
         finally:
             tracemalloc.stop()
         assert peak <= bytes_per_run * runs
+
+    def test_no_runs_is_an_error(self):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            sample_acceptance_runs(0.5, VerificationParams(), 0,
+                                   RandomStream(3))
 
 
 def test_trajectory_record_format():

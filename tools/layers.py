@@ -22,7 +22,7 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
 - ``statevector.apply_gate`` (Ry on qubit 0) and ``measure_qubit`` (z on
   qubit 0), by register width, and ``measure_qubit`` on one qubit in x
   and in y (``1 x``, ``1 y``), each rotating into its basis by one gate
-  and back by its adjoint;
+  whose matrix is a one-row ``(2, 2, 1)`` stack, and back by its adjoint;
 - ``statevector._gate_rows``: one gate on S rows of n qubits, keyed
   ``{n}x{S} gate``: Rx on one row, Ry on 512 rows that broadcast one
   register, the coupling (Rx controlled on 0) on 512 rows in the layout
