@@ -7,9 +7,12 @@ value, so ``(q, 0)`` is a control-on-zero and ``(q, 1)`` the usual
 control-on-one.  Multi-controlled NOTs are plain ``x`` gates with several
 controls.  The constructors (``x``, ``h``, ``s``, ``sdg``, ``z``, ``rx``,
 ``ry``, ``rz``) build the matrix once; the kernels read it back through
-:meth:`GateOp.base_matrix`.  A gate on S rows at once may carry one matrix
-per row, a ``(2, 2, S)`` stack of constructor matrices, row ``r`` getting
-``[:, :, r]`` (see ``statevector._gate_rows``).
+:meth:`GateOp.base_matrix`.  Each rotation's entries are written once, in
+a private matrix helper (``_rx``, ``_ry``, ``_rz``) that takes an angle and
+returns the nested list, which ``rx``, ``ry`` and ``rz`` and the locker's
+rotation array (``locker._per_qubit``) turn into matrices.  A gate on S
+rows at once may carry one matrix per row, a ``(2, 2, S)`` stack of
+matrices, row ``r`` getting ``[:, :, r]`` (see ``statevector._gate_rows``).
 
 Rotation conventions (angle ``a``):
 
@@ -100,22 +103,32 @@ def _finite(angle: float) -> float:
     return angle
 
 
-def rx(angle: float, target: int, controls=()) -> GateOp:
-    angle = _finite(angle)
+def _rx(angle: float) -> list:
     c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return GateOp(target, _const([[c, -1j * s], [-1j * s, c]]), controls)
+    return [[c, -1j * s], [-1j * s, c]]
+
+
+def _ry(angle: float) -> list:
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return [[c, -s], [s, c]]
+
+
+def _rz(angle: float) -> list:
+    # np.exp of one Python complex at a time: an array of angles may take
+    # another exp loop, whose last bit can differ
+    return [[np.exp(-1j * angle / 2), 0], [0, np.exp(1j * angle / 2)]]
+
+
+def rx(angle: float, target: int, controls=()) -> GateOp:
+    return GateOp(target, _const(_rx(_finite(angle))), controls)
 
 
 def ry(angle: float, target: int, controls=()) -> GateOp:
-    angle = _finite(angle)
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return GateOp(target, _const([[c, -s], [s, c]]), controls)
+    return GateOp(target, _const(_ry(_finite(angle))), controls)
 
 
 def rz(angle: float, target: int, controls=()) -> GateOp:
-    angle = _finite(angle)
-    return GateOp(target, _const([[np.exp(-1j * angle / 2), 0],
-                                  [0, np.exp(1j * angle / 2)]]), controls)
+    return GateOp(target, _const(_rz(_finite(angle))), controls)
 
 
 def cnot(control: int, target: int) -> GateOp:

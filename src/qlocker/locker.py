@@ -9,11 +9,14 @@ qubit, and :func:`generate_otp` holds it as such: a
 either form, and the locker sees both through one layout: P parts of w
 qubits (``statevector._parts``), one part of n qubits for a register, n
 parts of one qubit for a product.  R is written once, as each qubit's
-gate list (Rx(theta1), Ry(theta2), Rz(theta3)), and R^-1 is that list
-reversed, each angle negated (``_per_qubit``).  Both run each of their
-three gates as one kernel call over all of a product's factors, with one
-matrix per factor, and a register's gates one after another: three kernel
-calls for a product, three per qubit for a register.  An unlock attempt
+matrix list (Rx(theta1), Ry(theta2), Rz(theta3)), and R^-1 is that list
+reversed, each angle negated (``_per_qubit``): every qubit's list is one
+``(n, 3, 2, 2)`` array of the entries of ``gates._rx``, ``_ry`` and
+``_rz``, with no gate object per qubit.  Both run each of their three
+gates as one kernel call over all of a product's factors, its matrix that
+gate's ``(2, 2, n)`` slice of the array, and a register's gates one after
+another: three kernel calls for a product, three per qubit for a
+register.  An unlock attempt
 undoes the rotation and runs the verification box on each password qubit,
 ending in a z-measurement of that qubit.  The message is released only if
 every run accepts.  Box ``k`` runs on qubit ``k`` of every part at once
@@ -41,14 +44,13 @@ angles, never their values.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import GateOp, rx, ry, rz
+from .gates import GateOp, _rx, _ry, _rz
 from .rng import RandomStream
 from .statevector import (
     ProductState,
@@ -175,37 +177,39 @@ def store_message(bits: str, params: OtpParams,
 
 def _per_qubit(state: Password, params: OtpParams, direction: int) -> Password:
     """A copy of ``state`` with R (``direction`` 1) or R^-1 (``direction``
-    -1) applied to each password qubit.  Qubit ``q``'s R is the gate list
+    -1) applied to each password qubit.  Qubit ``q``'s R is the matrix list
     (Rx(theta1), Ry(theta2), Rz(theta3)) on qubit ``k``, its index in its
     part (see ``statevector._parts``), and R^-1 is that list reversed, each
-    angle negated.
+    angle negated.  Every qubit's three matrices are one ``(n, 3, 2, 2)``
+    array, built by one ``np.array`` call from the entries of
+    ``gates._rx``, ``_ry`` and ``_rz``, so no gate object is built per
+    qubit.
 
     Parts of one qubit (a product, or a one-qubit register) take each of
-    the three gates as one kernel call over all P parts, its matrix a
-    ``(2, 2, P)`` stack of the parts' own gate matrices, so a product is
-    rotated in 3 kernel calls whatever n is.  A register of w > 1 qubits,
-    the only form with wider parts, takes its ``3w`` gates one after
-    another."""
+    the three gates as one kernel call over all P parts, its matrix that
+    gate's ``(2, 2, P)`` slice of the array, so a product is rotated in 3
+    kernel calls whatever n is.  A register of w > 1 qubits, the only form
+    with wider parts, takes its ``3w`` gates one after another."""
     if state.n_qubits != params.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, params cover {params.n_qubits}"
         )
     width = _n_qubits(_parts(state))
-    per_qubit = [[gate(direction * angle, q % width)
-                  for gate, angle in zip((rx, ry, rz), triple)][::direction]
-                 for q, triple in enumerate(params.triples)]
+    matrices = np.array([[entries(direction * angle) for entries, angle
+                          in zip((_rx, _ry, _rz), triple)][::direction]
+                         for triple in params.triples], dtype=complex)
     if width > 1:
         # one gate at a time through apply_gate: perfbench's
         # test_every_patched_binding_is_put_back reads this module's
         # apply_gate, which one stacked path for both forms would not use
-        for gate in itertools.chain.from_iterable(per_qubit):
-            state = apply_gate(state, gate)
+        for q, qubit in enumerate(matrices):
+            for matrix in qubit:
+                state = apply_gate(state, GateOp(q % width, matrix))
         return state
     state = state.copy()
     parts = _parts(state)
-    for column in zip(*per_qubit):
-        parts[:] = _gate_rows(parts, GateOp(0, np.stack(
-            [gate.matrix for gate in column], axis=-1)))
+    for column in matrices.transpose(1, 2, 3, 0):
+        parts[:] = _gate_rows(parts, GateOp(0, column))
     return state
 
 

@@ -456,6 +456,14 @@ class CountsHistogram:
         return self.counts.get(key, 0) / self.shots
 
 
+def _require_int(name: str, value) -> None:
+    """A :class:`TypeError` naming ``name`` unless ``value`` is an integer:
+    a bool is an int to Python, and a float such as 10.0 would pass a range
+    check and fail far away, without the argument's name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def sample_shots(n_qubits: int, ops: Sequence[CircuitOp], shots: int,
                  seed: int) -> CountsHistogram:
     """Run ``shots`` independent trajectories of a circuit and tally outcomes.
@@ -509,6 +517,7 @@ def sample_circuits(n_qubits: int,
     the circuits, where no later op reads them; ``_row_keys`` reads each
     row's outcome bits as its key.
     """
+    _require_int("shots", shots)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     shapes = {tuple(_readout_qubits(ops)) for ops, _ in circuits}

@@ -7,6 +7,8 @@ then Z (keyed by ``m1``, the sign-side bit).  Channels are strictly
 single-use: teleporting measures the source qubit, destroying its state.
 Every channel holds the same read-only pair, built once at import; the
 sender's circuit combines it into a new register and never writes it.
+The circuits' fixed gates (the CNOT, H and the X and Z corrections) are
+module constants, also built once at import.
 """
 
 from __future__ import annotations
@@ -23,11 +25,17 @@ class ChannelConsumedError(RuntimeError):
     """A teleportation channel was used a second time."""
 
 
+_CNOT = cnot(0, 1)
+_H = h(0)
+_X = x(0)
+_Z = z(0)
+
+
 def make_bell_pair() -> StateVector:
     """The shared pair (|00> + |11>)/sqrt(2), a fresh writable state."""
     state = new_state(2)
-    state = apply_gate(state, h(0))
-    return apply_gate(state, cnot(0, 1))
+    state = apply_gate(state, _H)
+    return apply_gate(state, _CNOT)
 
 
 # every channel's pair: built once and read-only, since teleporting only
@@ -73,8 +81,8 @@ def _sender_circuit(psi: StateVector, pair: StateVector) -> StateVector:
     if psi.n_qubits != 1:
         raise ValueError("teleport carries exactly one qubit")
     joint = combine(psi, pair)
-    joint = apply_gate(joint, cnot(0, 1))
-    return apply_gate(joint, h(0))
+    joint = apply_gate(joint, _CNOT)
+    return apply_gate(joint, _H)
 
 
 def teleport(psi: StateVector, channel: TeleportChannel,
@@ -98,9 +106,9 @@ def teleport(psi: StateVector, channel: TeleportChannel,
     base = m1 + (m2 << 1)
     received = StateVector(1, joint.amplitudes[[base, base + 4]])
     if m2:
-        received = apply_gate(received, x(0))
+        received = apply_gate(received, _X)
     if m1:
-        received = apply_gate(received, z(0))
+        received = apply_gate(received, _Z)
     # the measured source is left as a z eigenstate
     psi.amplitudes[:] = 0.0
     psi.amplitudes[m1] = 1.0

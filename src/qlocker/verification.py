@@ -75,6 +75,7 @@ iteration count; under strict-abort it is |alpha|^2 cos(theta)^(2N).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator
@@ -90,6 +91,7 @@ from .statevector import (
     _clamp_p0,
     _measure_rows,
     _parts,
+    _require_int,
     _row_keys,
     _shot_rows,
 )
@@ -110,9 +112,10 @@ MAX_ITERATIONS = 10_000
 class VerificationParams:
     """Coupling strength, iteration count, and click policy of one box.
 
-    ``iterations`` is an integer, not a bool; it may be 0, in which case a
-    run degenerates to the closing z-measurement alone (used for edge-case
-    reporting), and at most :data:`MAX_ITERATIONS`.
+    ``theta`` is a real number and ``iterations`` an integer, neither of
+    them a bool (a :class:`TypeError` otherwise).  ``iterations`` may be 0,
+    in which case a run degenerates to the closing z-measurement alone
+    (used for edge-case reporting), and at most :data:`MAX_ITERATIONS`.
     """
 
     theta: float = DEFAULT_THETA
@@ -120,13 +123,12 @@ class VerificationParams:
     click_policy: str = PAPER_DEFAULT
 
     def __post_init__(self):
-        if not (0.0 < self.theta < math.pi / 2):
-            raise ValueError(f"theta must be in (0, pi/2), got {self.theta}")
-        # a bool is an int, and a float such as 38.0 would pass the range
-        # check and fail far away, in the box's array shapes
-        n = self.iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise TypeError(f"iterations must be an integer, got {n!r}")
+        theta = self.theta
+        if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
+            raise TypeError(f"theta must be a real number, got {theta!r}")
+        if not (0.0 < theta < math.pi / 2):
+            raise ValueError(f"theta must be in (0, pi/2), got {theta}")
+        _require_int("iterations", self.iterations)
         if not 0 <= self.iterations <= MAX_ITERATIONS:
             raise ValueError(f"iterations must be in [0, {MAX_ITERATIONS}], "
                              f"got {self.iterations}")
@@ -365,6 +367,7 @@ def sample_acceptance_runs(alpha_sq: float, params: VerificationParams,
     sub-stream with ``shot_uniforms`` takes about ten times as long.
     """
     a2 = _clamp_p0(alpha_sq)
+    _require_int("runs", runs)
     if runs < 1:
         raise ValueError("runs must be >= 1")
     sin_sq = math.sin(params.theta) ** 2

@@ -208,6 +208,15 @@ def test_circuits_of_different_shapes_are_refused():
         q.sample_circuits(1, [([Measurement(0)], 1), (["measure"], 2)], 10)
 
 
+@pytest.mark.parametrize("shots", [10.0, True, np.float64(10)],
+                         ids=["float", "bool", "numpy-float"])
+def test_circuit_shots_must_be_an_integer(shots):
+    circuits = [([q.h(0), Measurement(0, basis)], seed)
+                for seed, basis in enumerate("xz")]
+    with pytest.raises(TypeError, match="shots must be an integer"):
+        q.sample_circuits(1, circuits, shots)
+
+
 @st.composite
 def one_qubit_preps(draw):
     """A one-qubit state: a random Ry, then random gates."""

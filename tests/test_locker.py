@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 from pathlib import Path
@@ -154,6 +155,120 @@ class TestInverseRotation:
             assert _parts(got).tobytes() == _parts(
                 reference_rotation(state, params, inverse)).tobytes()
         assert _parts(state).tobytes() == before
+
+
+# every (theta1, theta2, theta3) of the edge angles, -0.0 among them for
+# its signed zeros
+EDGE_TRIPLES = list(itertools.product((0.0, -0.0, math.pi, -math.pi),
+                                      repeat=3))
+
+
+def rotation_params(n: int, angles: str) -> OtpParams:
+    """n triples of edge angles spread over ``EDGE_TRIPLES``, or random."""
+    if angles == "random":
+        return OtpParams.random(n, RandomStream(4000 + n))
+    return OtpParams(tuple(EDGE_TRIPLES[(q * 29) % len(EDGE_TRIPLES)]
+                           for q in range(n)))
+
+
+def random_password(form: str, n: int):
+    rng = np.random.default_rng(5000 + n)
+    if form == "product":
+        factors = rng.normal(size=(n, 2, 2)) @ [1, 1j]
+        return q.ProductState(factors / np.linalg.norm(factors, axis=1)[
+            :, None])
+    amps = rng.normal(size=(1 << n, 2)) @ [1, 1j]
+    return q.StateVector(n, amps / np.linalg.norm(amps))
+
+
+def constructor_matrices(triple, direction: int) -> list[bytes]:
+    """Qubit's R (``direction`` 1) or R^-1 (-1) as the bytes of the gate
+    constructors' own matrices, in the order they are applied."""
+    return [gate(direction * angle, 0).matrix.tobytes() for gate, angle
+            in zip((q.rx, q.ry, q.rz), triple)][::direction]
+
+
+class TestRotationArray:
+    """R and R^-1 read each qubit's matrices off one array: each entry is
+    the matching constructor's matrix, bit for bit, a product runs three
+    kernel calls and builds three gate objects, and a register one
+    ``apply_gate`` per qubit and gate."""
+
+    @staticmethod
+    def spied_pass(state, params, direction, spied):
+        """``direction``'s pass on ``state``, with every call of
+        ``qlocker.locker``'s ``spied`` kernel recorded as ``(target,
+        matrix, controls)``, and the number of gate objects built."""
+        calls, built = [], []
+        kernel = getattr(q.locker, spied)
+        post_init = q.GateOp.__post_init__
+
+        def spy(amps, gate):
+            calls.append((gate.target, np.array(gate.matrix),
+                          gate.controls))
+            return kernel(amps, gate)
+
+        def counting(gate):
+            built.append(gate)
+            post_init(gate)
+
+        rotate = {1: q.apply_rotation, -1: q.apply_inverse_rotation}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(q.locker, spied, spy)
+            mp.setattr(q.GateOp, "__post_init__", counting)
+            got = rotate[direction](state, params)
+        return got, calls, len(built)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("angles", ["edge", "random"])
+    @pytest.mark.parametrize("n", [1, 2, 24])
+    def test_product_gates_are_the_constructor_matrices(self, n, angles,
+                                                        direction):
+        params = rotation_params(n, angles)
+        state = random_password("product", n)
+        got, calls, built = self.spied_pass(state, params, direction,
+                                            "_gate_rows")
+        # three kernel calls and three gate objects, whatever n is
+        assert len(calls) == 3 and built == 3
+        want = [constructor_matrices(t, direction) for t in params.triples]
+        for g, (target, matrix, controls) in enumerate(calls):
+            assert (target, controls, matrix.shape) == (0, (), (2, 2, n))
+            assert matrix.dtype == np.complex128
+            assert [matrix[:, :, part].tobytes() for part in range(n)] == \
+                [qubit[g] for qubit in want]
+        assert type(got) is q.ProductState
+        assert _parts(got).tobytes() == _parts(
+            reference_rotation(state, params, direction == -1)).tobytes()
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("angles", ["edge", "random"])
+    def test_register_gates_are_the_constructor_matrices(self, angles,
+                                                         direction):
+        params = rotation_params(3, angles)
+        state = random_password("register", 3)
+        got, calls, built = self.spied_pass(state, params, direction,
+                                            "apply_gate")
+        # one apply_gate per qubit and gate, on qubit q of the one part
+        assert built == len(calls) == 9
+        want = [(k, matrix, ()) for k, triple in enumerate(params.triples)
+                for matrix in constructor_matrices(triple, direction)]
+        assert [(target, matrix.tobytes(), controls)
+                for target, matrix, controls in calls] == want
+        assert type(got) is q.StateVector
+        assert got.amplitudes.tobytes() == reference_rotation(
+            state, params, direction == -1).amplitudes.tobytes()
+
+    def test_edge_triples_hold_signed_zeros(self):
+        # the byte checks above see the sign of a zero entry: R^-1 at
+        # angle 0 and R at angle -0.0 give Rx a -0.0 sine, which R at 0
+        # does not
+        plus, minus = (q.rx(a, 0).matrix.tobytes() for a in (0.0, -0.0))
+        assert plus != minus
+        params = rotation_params(24, "edge")
+        assert {0.0, math.pi, -math.pi} <= {
+            a for t in params.triples for a in t}
+        assert any(math.copysign(1, a) < 0 for t in params.triples
+                   for a in t if a == 0)
 
 
 class TestUnlock:

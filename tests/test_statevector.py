@@ -269,6 +269,17 @@ class TestSampleShots:
         assert type(hist.probability(next(iter(hist.counts)))) is float
         assert json.loads(json.dumps(hist.counts)) == hist.counts
 
+    @pytest.mark.parametrize("shots", [10.0, True, np.float64(10), "10"],
+                             ids=["float", "bool", "numpy-float", "str"])
+    def test_shots_must_be_an_integer(self, shots):
+        with pytest.raises(TypeError, match="shots must be an integer"):
+            q.sample_shots(1, [q.h(0), Measurement(0)], shots, seed=7)
+
+    def test_numpy_integer_shots_sample(self):
+        ops = [q.h(0), Measurement(0)]
+        assert q.sample_shots(1, ops, np.int64(10), seed=7).counts == \
+            q.sample_shots(1, ops, 10, seed=7).counts
+
     def test_rejects_bad_ops(self):
         with pytest.raises(TypeError):
             q.sample_shots(1, ["measure"], 10, seed=0)

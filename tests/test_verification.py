@@ -148,6 +148,15 @@ class TestParams:
         with pytest.raises(TypeError, match="iterations must be an integer"):
             VerificationParams(0.1, iterations)
 
+    @pytest.mark.parametrize("theta", [True, "0.1", None],
+                             ids=["bool", "str", "none"])
+    def test_theta_must_be_a_real_number(self, theta):
+        with pytest.raises(TypeError, match="theta must be a real number"):
+            VerificationParams(theta)
+
+    def test_numpy_theta_is_a_real_number(self):
+        assert VerificationParams(np.float64(0.25)) == VerificationParams(0.25)
+
     def test_numpy_integer_iterations_run_a_box(self):
         params = VerificationParams(0.1, np.int64(3))
         assert params == VerificationParams(0.1, 3)
@@ -701,6 +710,19 @@ class TestSampler:
         with pytest.raises(ValueError, match="runs must be >= 1"):
             sample_acceptance_runs(0.5, VerificationParams(), 0,
                                    RandomStream(3))
+
+    @pytest.mark.parametrize("runs", [2.0, True, np.float64(2)],
+                             ids=["float", "bool", "numpy-float"])
+    def test_runs_must_be_an_integer(self, runs):
+        with pytest.raises(TypeError, match="runs must be an integer"):
+            sample_acceptance_runs(0.5, VerificationParams(), runs,
+                                   RandomStream(3))
+
+    def test_numpy_integer_runs_are_runs(self):
+        params = VerificationParams(0.2, 6)
+        assert sample_acceptance_runs(
+            0.5, params, np.int64(50), RandomStream(3)).tolist() == \
+            sample_acceptance_runs(0.5, params, 50, RandomStream(3)).tolist()
 
 
 def test_trajectory_record_format():
