@@ -22,8 +22,9 @@ ending in a z-measurement of that qubit.  The message is released only if
 every run accepts.  Box ``k`` runs on qubit ``k`` of every part at once
 (:func:`~qlocker.verification._boxes`): a register's boxes run one after
 another, a product's as one box over its factors.  :func:`attempt_unlocks`
-presents many fresh copies of one probe as the rows of blocks
-(``statevector._shot_rows``) and keeps one accept bit per copy, with a full
+presents many fresh copies of one probe as the rows of blocks, through
+the box's one block loop (``verification._box_blocks``, which
+``box_shots`` also runs), and keeps one accept bit per copy, with a full
 result for the last copy only; it may present one more password first, as
 row 0 of the first block, so that ``locker-demo`` runs the correct and the
 wrong passwords through one box.  :func:`attempt_unlock` runs the same
@@ -51,14 +52,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import GateOp, _rx, _ry, _rz
-from .rng import RandomStream
+from .rng import RandomStream, _check_shots
 from .statevector import (
     ProductState,
     StateVector,
     _gate_rows,
     _n_qubits,
     _parts,
-    _shot_rows,
     _write_basis,
     apply_gate,
 )
@@ -66,6 +66,7 @@ from .verification import (
     BoxRows,
     Trajectory,
     VerificationParams,
+    _box_blocks,
     _boxes,
     _shot_draws,
     _trajectory,
@@ -314,7 +315,8 @@ def attempt_unlocks(locker: LockerState, probe: Password,
     """Present a fresh copy of ``probe`` once per shot index ``i`` in
     ``shots``, in order, copy ``i`` unlocking as ``attempt_unlock(locker,
     probe.copy(), stream.substream(i))`` does, run as one row of the
-    blocks of ``statevector._shot_rows``.
+    blocks of ``verification._box_blocks``, the loop that
+    :func:`~qlocker.verification.box_shots` runs.
 
     ``first``, if given, is a ``(password, rng)`` presented before the
     copies, as ``attempt_unlock(locker, password, rng)`` presents it: it is
@@ -333,10 +335,13 @@ def attempt_unlocks(locker: LockerState, probe: Password,
     boxes as one box over ``(B * n, 2)`` one-qubit rows, a register's one
     after another.  The probe is inversely rotated once for all its
     copies, and ``probe`` itself is neither collapsed nor registered as
-    consumed.  An empty ``shots`` is a :class:`ValueError`.
+    consumed.  An empty ``shots``, or one with an index outside ``[0,
+    2**32)``, is a :class:`ValueError`, raised before ``first`` is
+    presented.
     """
     if not shots:
         raise ValueError("need at least one shot")
+    _check_shots(shots)
     _check_password(locker, probe)
     phi = apply_inverse_rotation(probe, locker.params)
     lead = None
@@ -348,11 +353,9 @@ def attempt_unlocks(locker: LockerState, probe: Password,
                 f"laid out as the probe's {_parts(phi).shape}")
         password_phi, password_draws = _present(locker, password, rng)
         lead = (_parts(password_phi), password_draws)
-    draws = _shot_draws(locker.n_password_qubits, locker.verification)
     accepted, presented = [], None
-    for rows, uniforms in _shot_rows(_parts(phi), [stream], shots, draws,
-                                     lead):
-        boxes = _boxes(rows, locker.verification, uniforms)
+    for boxes in _box_blocks(_parts(phi), locker.verification, stream,
+                             shots, lead):
         if lead is not None and presented is None:
             presented = _result(locker, password_phi, boxes, 0)
         accepted.append(np.all([box.accepted for box in boxes], axis=0))

@@ -175,6 +175,15 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, path={self.path})"
 
 
+def _check_shots(shots: range) -> None:
+    """A :class:`ValueError` unless every index of ``shots`` is in ``[0,
+    2**32)``, one spawn-key word each: the bound of :func:`shot_uniforms`,
+    which a caller that consumes anything before drawing checks first."""
+    ends = (shots[0], shots[-1]) if shots else (0,)
+    if min(ends) < 0 or max(ends) > _M32:
+        raise ValueError(f"shot indices of {shots} are not in [0, 2**32)")
+
+
 def shot_uniforms(streams: Sequence[RandomStream], shots: range,
                   k: int) -> np.ndarray:
     """``[g]``: ``streams[g].shot_uniforms(shots, k)``, for every stream in
@@ -193,9 +202,7 @@ def shot_uniforms(streams: Sequence[RandomStream], shots: range,
     pass, and about twice the result key by key (see the module
     docstring for the choice).
     """
-    ends = (shots[0], shots[-1]) if shots else (0,)
-    if min(ends) < 0 or max(ends) > _M32:
-        raise ValueError(f"shot indices of {shots} are not in [0, 2**32)")
+    _check_shots(shots)
     index = np.arange(shots.start, shots.stop, shots.step,
                       dtype=np.int64).astype(np.uint32)
     size = len(streams) * len(shots)

@@ -32,30 +32,32 @@ matrix is a ``(2, 2, S)`` stack of each row's matrix, the identity for
 z.  The verification box (:mod:`qlocker.verification`) runs the kernel
 with its own K0 and K1.
 :func:`apply_gate` and :func:`measure_qubit` are the S = 1 calls.  One
-driver, ``_shot_rows``, turns shot indices into rows: fresh copies of a
-register, block by block, one per stream and shot, shot ``i`` of stream
-``g`` drawing its uniforms up front from that stream's sub-stream ``i``,
-every stream's in one Philox pass (:func:`qlocker.rng.shot_uniforms`).
+rule, ``_shot_blocks``, cuts shot indices into blocks, and each sampler
+reads it through this module: :func:`sample_circuits` here, and the
+verification box's one block loop, ``verification._box_blocks``.
 :func:`sample_circuits` runs circuits of one shape, gates and readouts at
-the same positions.  Every copy of a circuit holds one register until the
-circuits' first readout, so the ops before it run once, on one row per
-circuit.  Where that readout ends the circuits, the kernel runs on those
-rows alone, ``_clicks`` compares every draw of a block with its
-circuit's one ``p0 / (p0 + p1)``, and one ``np.count_nonzero`` per
-circuit tallies them; otherwise each block's rows are built there from
-them, circuit-major, and the rest runs over every row: an op object that
-every circuit holds once over all rows, any other gate over its own
-circuit's rows, and each readout in one kernel call, and ``_row_keys``
-reads each row's outcome bits as its key.  :func:`sample_shots` is its
-one-circuit call.  A block holds at most
-:data:`SHOT_BLOCK_CELLS` amplitudes and uniforms, so no shot count,
+the same positions, G circuits in blocks cut at ``G * (2**n + k)`` cells
+per shot of k readouts; shot ``i`` of circuit ``g`` draws its uniforms
+up front from that circuit's sub-stream ``i``, every circuit's in one
+Philox pass per block (:func:`qlocker.rng.shot_uniforms`).  Every copy
+of a circuit holds one register until the circuits' first readout, so
+the ops before it run once, on one row per circuit.  Where that readout
+ends the circuits, the kernel runs on those rows alone, ``_clicks``
+compares every draw of a block with its circuit's one ``p0 / (p0 +
+p1)``, and one ``np.count_nonzero`` per circuit tallies them; otherwise
+each block's rows are built there from them, circuit-major, and the rest
+runs over every row: an op object that every circuit holds once over all
+rows, any other gate over its own circuit's rows, and each readout in
+one kernel call, and ``_row_keys`` reads each row's outcome bits as its
+key.  :func:`sample_shots` is its one-circuit call.  A block holds at
+most :data:`SHOT_BLOCK_CELLS` amplitudes and uniforms, so no shot count,
 circuit count or register width allocates ``S * 2**n`` at once.  A
 :class:`ProductState` is held as its ``(n, 2)`` one-qubit factors; it
-builds its ``2**n`` register only when one is asked for.  :func:`_parts` is the one place that tells the two forms apart: it
-views any n-qubit state as P parts of w qubits, a writable ``(P, 2**w)``
-array, one part of n qubits for a register and n parts of one qubit for a
-product.  The locker rotates, verifies and collapses passwords through
-that view alone.
+builds its ``2**n`` register only when one is asked for.  :func:`_parts`
+is the one place that tells the two forms apart: it views any n-qubit
+state as P parts of w qubits, a writable ``(P, 2**w)`` array, one part
+of n qubits for a register and n parts of one qubit for a product.  The
+locker rotates, verifies and collapses passwords through that view alone.
 
 A probability of |0> computed from amplitudes may land a rounding error
 outside [0, 1].  Every law that takes one (``acceptance_probability``,
@@ -70,7 +72,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -232,37 +234,6 @@ def _shot_blocks(shots: int, row_cells: int) -> list[range]:
     return [range(i, min(i + rows, shots)) for i in range(0, shots, rows)]
 
 
-def _shot_rows(amps: np.ndarray, streams: Sequence[RandomStream],
-               shots: range, k: int,
-               lead: tuple[np.ndarray, np.ndarray] | None = None
-               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """A fresh copy of the register ``amps`` per stream in ``streams`` and
-    shot index in ``shots``, with its uniforms: yields ``(rows, uniforms)``
-    per block, in shot order.  ``rows`` is a read-only ``(G * B,
-    *amps.shape)`` view, stream-major: row ``g * B + j`` is stream ``g``'s
-    copy for the block's ``j``-th shot, and that row of ``uniforms`` holds
-    the first ``k`` draws of ``streams[g].substream(shots[j])``, each
-    column contiguous.  The blocks are cut at ``G * (amps.size + k)`` cells
-    per shot, so that a block stays within :data:`SHOT_BLOCK_CELLS`.
-
-    ``lead``, if given, is one more row, a register of ``amps``'s shape and
-    its ``k`` uniforms, put as row 0 of the first block, before its shots.
-    The blocks are cut as if it were one more shot before ``shots[0]``;
-    its uniforms stay the ``.T`` view of a shot-last array."""
-    extra = lead is not None
-    for block in _shot_blocks(extra + len(shots),
-                              len(streams) * (amps.size + k)):
-        some = shots[max(block.start - extra, 0):block.stop - extra]
-        uniforms = shot_uniforms(streams, some, k).reshape(
-            len(streams) * len(some), k)
-        rows = np.broadcast_to(amps, (len(uniforms), *amps.shape))
-        if lead is not None:
-            rows = np.concatenate([lead[0][None], rows])
-            uniforms = np.concatenate([lead[1][:, None], uniforms.T], 1).T
-            lead = None
-        yield rows, uniforms
-
-
 def _row_keys(bits: np.ndarray, lengths=None) -> list[str]:
     """Row ``r`` of the uint8 outcome bits ``bits`` as a string of its
     first ``lengths[r]`` bits (of all of them without ``lengths``), the
@@ -279,6 +250,14 @@ def _n_qubits(amps: np.ndarray) -> int:
     return amps.shape[1].bit_length() - 1
 
 
+def _check_qubit(qubit: int, n_qubits: int) -> None:
+    """An :class:`IndexError` unless ``qubit`` is a qubit of an
+    ``n_qubits``-qubit register; callers that draw check before drawing."""
+    if not 0 <= qubit < n_qubits:
+        raise IndexError(
+            f"qubit {qubit} out of range for {n_qubits}-qubit state")
+
+
 def _gate_rows(amps: np.ndarray, gate: GateOp) -> np.ndarray:
     """``gate`` applied to every row of ``amps`` (shape ``(S, 2**n)``), as
     the ``.T`` view of a shot-last array.  A matrix of shape ``(2, 2, S)``
@@ -286,8 +265,7 @@ def _gate_rows(amps: np.ndarray, gate: GateOp) -> np.ndarray:
     array that broadcasts over the shot axis as a scalar entry does."""
     n = _n_qubits(amps)
     for q in gate.qubits():
-        if q >= n:
-            raise IndexError(f"qubit {q} out of range for {n}-qubit state")
+        _check_qubit(q, n)
     # one length-2 axis per qubit, then the shot axis; qubit q is bit q of
     # the basis index, so it is axis n - 1 - q
     shape = (2,) * n + (len(amps),)
@@ -358,8 +336,7 @@ def _measure_rows(amps: np.ndarray, qubit: int, kraus: np.ndarray,
     per row the outcome (as bool), ``(p0, p1)`` (shape ``(2, S)``) and the
     new row, the rows as the ``.T`` view of a shot-last array.
     """
-    if not 0 <= qubit < _n_qubits(amps):
-        raise IndexError(f"qubit {qubit} out of range")
+    _check_qubit(qubit, _n_qubits(amps))
     branches = np.multiply(kraus.reshape(2, 1, 2, 1, 1),
                            amps.T.reshape(-1, 2, 1 << qubit, len(amps)),
                            order="C").reshape(2, -1, len(amps))
@@ -390,7 +367,7 @@ def _measure_rows(amps: np.ndarray, qubit: int, kraus: np.ndarray,
 
 def _circuit_rows(amps: np.ndarray, gates: Sequence[GateOp]) -> np.ndarray:
     """Each of the G equal row blocks of ``amps`` (circuit-major, as
-    :func:`_shot_rows` gives them) through its own gate in ``gates``; a
+    :func:`sample_circuits` builds them) through its own gate in ``gates``; a
     gate that every block holds runs once over all rows.  Returns the
     ``.T`` view of a shot-last array."""
     if all(gate is gates[0] for gate in gates):
@@ -425,9 +402,11 @@ def measure_qubit(state: StateVector, qubit: int, basis: str,
     first, for y), sampling a z outcome with the Born probability, and
     rotating back by that matrix's adjoint after the collapse.  Draws one
     uniform.  Returns (outcome, probability of that outcome, renormalized
-    post-measurement state).
+    post-measurement state).  A qubit outside the register is an
+    :class:`IndexError` before ``rng`` draws.
     """
     op = Measurement(qubit, basis)
+    _check_qubit(qubit, state.n_qubits)
     amps = _basis_rows(state.amplitudes[None], [op], 0)
     click, probs, amps = _measure_rows(amps, qubit, _PROJECTORS,
                                        rng.randoms(1))
@@ -545,8 +524,10 @@ def sample_circuits(n_qubits: int,
             _basis_rows(heads, columns[first], 0), shape[first],
             _PROJECTORS, np.zeros(len(circuits)))
         p0, total = p0[:, None], (p0 + p1)[:, None]
-    for _, uniforms in _shot_rows(start, streams, range(shots), k):
-        size = len(uniforms) // len(circuits)
+    for block in _shot_blocks(shots, len(circuits) * (len(start) + k)):
+        size = len(block)
+        uniforms = shot_uniforms(streams, block, k).reshape(
+            len(circuits) * size, k)
         if ends:
             clicks = _clicks(uniforms.reshape(len(circuits), size), p0,
                              total)

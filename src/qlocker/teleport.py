@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .gates import cnot, h, x, z
 from .rng import RandomStream
-from .statevector import StateVector, apply_gate, combine, measure_qubit, new_state
+from .statevector import (StateVector, _parts, _write_basis, apply_gate,
+                          combine, measure_qubit, new_state)
 
 
 class ChannelConsumedError(RuntimeError):
@@ -109,9 +110,9 @@ def teleport(psi: StateVector, channel: TeleportChannel,
         received = apply_gate(received, _X)
     if m1:
         received = apply_gate(received, _Z)
-    # the measured source is left as a z eigenstate
-    psi.amplitudes[:] = 0.0
-    psi.amplitudes[m1] = 1.0
+    # the measured source is left as a z eigenstate, written as every
+    # collapse is (into a product's shared factor, for one of its qubits)
+    _write_basis(_parts(psi), [m1])
     record = TeleportRecord(channel.channel_id, (m1, m2))
     return record, received
 

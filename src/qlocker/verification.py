@@ -43,18 +43,21 @@ whatever earlier boxes did (a strict row that clicked ignores the rest of
 its steps' draws).  So the boxes of separate parts of a password are
 independent, and a shot of an n-qubit password reads ``n(N + 1)``
 uniforms, a count written once, in :func:`_shot_draws`, which
-:func:`box_shots` and the locker read.
+:func:`_box_blocks` and the locker read.
 :func:`_boxes` takes every password, a register or a
 :class:`~qlocker.statevector.ProductState`, in one layout: P parts of w
 qubits (``statevector._parts``), one part of n qubits for a register, n
 parts of one qubit for a product.  Box ``k`` runs on qubit ``k`` of all the
 part rows at once, so a register's n boxes run one after another and a
 product's as one :func:`_box_rows` call over one-qubit rows.
-:func:`box_shots` runs :func:`_boxes` on the rows that
-``statevector._shot_rows`` gives, a fresh copy of a password per shot, for
-``converge`` (:func:`box_records`); the locker runs :func:`_boxes` on the
-same rows, with a presented password as row 0 of the first block
-(``locker.attempt_unlocks``), and :func:`run_box` is the one-row call.
+:func:`_box_blocks` is the one loop over blocks of sampled boxes: it
+runs :func:`_boxes` on a fresh copy of a password per shot, block by
+block (``statevector._shot_blocks``), each block's draws from one
+``shot_uniforms`` call, and may run one more password, with its own
+draws, as row 0 of the first block.  :func:`box_shots` is that loop for
+``converge`` (:func:`box_records`), the locker runs it with a presented
+password as that row (``locker.attempt_unlocks``), and :func:`run_box`
+is the one-row call.
 The results stay arrays, one entry per row (``BoxRows``), up to the
 report: a :class:`Trajectory` is built only for a row read out on its own
 (:func:`run_box`, and the attempts a locker report prints).
@@ -82,18 +85,19 @@ from typing import Iterator
 
 import numpy as np
 
+from . import statevector
 from .gates import build_controlled0_rx
 from .rng import RandomStream
 from .statevector import (
     _PROJECTORS,
     ProductState,
     StateVector,
+    _check_qubit,
     _clamp_p0,
     _measure_rows,
     _parts,
     _require_int,
     _row_keys,
-    _shot_rows,
 )
 
 PAPER_DEFAULT = "paper"
@@ -250,16 +254,47 @@ def _shot_draws(n_qubits: int, params: VerificationParams) -> int:
     return n_qubits * (params.iterations + 1)
 
 
+def _box_blocks(parts: np.ndarray, params: VerificationParams,
+                stream: RandomStream, shots: range,
+                lead: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> Iterator[list[BoxRows]]:
+    """The boxes on a fresh copy of the password ``parts`` (a
+    ``statevector._parts`` view) per shot ``i`` in ``shots``, copy ``i``
+    reading the first ``n * (N + 1)`` draws of ``stream.substream(i)``
+    (:func:`_shot_draws`): yields each block's :func:`_boxes`, in shot
+    order.  A block's rows are ``parts`` broadcast to each of its shots,
+    and its draws one :meth:`~qlocker.rng.RandomStream.shot_uniforms`
+    call, cut by ``statevector._shot_blocks`` at ``parts.size + n(N + 1)``
+    cells per shot so that a block stays within
+    ``statevector.SHOT_BLOCK_CELLS``.
+
+    ``lead``, if given, is one more password, parts of ``parts``' shape
+    and its ``n(N + 1)`` draws, run as row 0 of the first block, before
+    its shots; the blocks are cut as if it were one more shot before
+    ``shots[0]``."""
+    k = _shot_draws(len(parts) * statevector._n_qubits(parts), params)
+    extra = lead is not None
+    for block in statevector._shot_blocks(extra + len(shots),
+                                          parts.size + k):
+        some = shots[max(block.start - extra, 0):block.stop - extra]
+        uniforms = stream.shot_uniforms(some, k)
+        rows = np.broadcast_to(parts, (len(some), *parts.shape))
+        if lead is not None:
+            rows = np.concatenate([lead[0][None], rows])
+            # still the .T view of a shot-last array
+            uniforms = np.concatenate([lead[1][:, None], uniforms.T], 1).T
+            lead = None
+        yield _boxes(rows, params, uniforms)
+
+
 def box_shots(state: StateVector | ProductState, params: VerificationParams,
               stream: RandomStream, shots: range) -> Iterator[list[BoxRows]]:
     """The boxes on each qubit of a fresh copy of ``state`` per shot ``i``
     in ``shots``, copy ``i`` reading ``stream.substream(i)`` as
     :func:`run_box` on each qubit in turn does.  The copies are the rows of
     one array, each held as its parts (see :func:`_boxes`); each block of
-    rows' boxes is yielded in shot order."""
-    for rows, uniforms in _shot_rows(_parts(state), [stream], shots,
-                                     _shot_draws(state.n_qubits, params)):
-        yield _boxes(rows, params, uniforms)
+    rows' boxes is yielded in shot order (:func:`_box_blocks`)."""
+    yield from _box_blocks(_parts(state), params, stream, shots)
 
 
 def box_records(box: BoxRows) -> list[str]:
@@ -286,7 +321,10 @@ def run_box(state: StateVector, k: int, params: VerificationParams,
     the record early; the closing measurement still executes (the clicked
     qubit sits in |0>) but the run is rejected.  Returns the
     trajectory and the collapsed register; ``state`` is left untouched.
+    A ``k`` outside the register is an :class:`IndexError` before ``rng``
+    draws.
     """
+    _check_qubit(k, state.n_qubits)
     box, amps = _box_rows(state.amplitudes[None], k, params,
                           rng.randoms(params.iterations + 1)[None])
     return _trajectory(box, 0), StateVector(state.n_qubits, amps[0])

@@ -11,11 +11,12 @@ sub-stream, however the rows are split into blocks and in whatever order
 the blocks run.  ``attempt_unlocks`` runs many presentations of one probe
 as rows, and each row's boxes and acceptance, and the last row's result,
 must be the ``attempt_unlock`` of a fresh copy on its own sub-stream, in
-the same way.  All four take their blocks from
-``statevector._shot_rows``, so one patch of ``statevector`` splits them.  A
-product password's copies run every box at once over one-qubit rows, and
-must unlock, and collapse, as the same password combined into one register
-does.
+the same way.  ``box_shots`` and ``attempt_unlocks`` run one block loop,
+``verification._box_blocks``; it and ``sample_circuits`` cut their blocks
+with ``statevector._shot_blocks``, read through the module, so one patch
+of ``statevector`` splits all four.  A product password's copies run
+every box at once over one-qubit rows, and must unlock, and collapse, as
+the same password combined into one register does.
 """
 
 from collections import Counter
@@ -511,6 +512,42 @@ def test_shot_blocks_cover_every_shot_in_order(shots, row_cells):
     assert all(len(b) * row_cells <= budget or len(b) == 1 for b in blocks)
 
 
+@pytest.mark.parametrize("cells", [1, 40, 200])
+@pytest.mark.parametrize("readouts", [
+    # the first readout ends the circuits
+    lambda basis: [q.h(0), q.ry(0.4, 1), Measurement(0, basis)],
+    # a readout mid-circuit, then a gate and a second readout
+    lambda basis: [q.h(0), Measurement(0, basis), q.cnot(0, 1),
+                   Measurement(1, "z")],
+], ids=["one-readout", "mid-circuit"])
+def test_sample_circuits_blocks_stay_within_the_budget(readouts, cells):
+    # sample_circuits cuts its own blocks, at G * (2**n + k) cells per shot
+    # of G circuits of k readouts on n qubits, and draws each block in one
+    # shot_uniforms call
+    n, shots = 2, 23
+    circuits = [(readouts(basis), 60 + g) for g, basis in enumerate("xyz")]
+    k = sum(isinstance(op, Measurement) for op in circuits[0][0])
+    want = q.sample_circuits(n, circuits, shots)
+    calls = []
+    draw = statevector.shot_uniforms
+
+    def counting(streams, block, count):
+        calls.append((len(streams), block, count))
+        return draw(streams, block, count)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "SHOT_BLOCK_CELLS", cells)
+        mp.setattr(statevector, "shot_uniforms", counting)
+        got = q.sample_circuits(n, circuits, shots)
+    assert [h.counts for h in got] == [h.counts for h in want]
+    assert [i for _, block, _ in calls for i in block] == list(range(shots))
+    row_cells = len(circuits) * (2**n + k)
+    for streams, block, count in calls:
+        assert (streams, count) == (len(circuits), k)
+        assert len(block) * row_cells <= cells or len(block) == 1
+    assert len(calls) == -(-shots // max(1, cells // row_cells))
+
+
 def row_layouts(regs):
     """The registers ``regs`` (shape ``(S, 2**n)``) as the kernels may get
     them, each with the registers its rows hold: C-contiguous rows, the
@@ -635,13 +672,13 @@ def test_a_presented_password_is_row_0_of_the_first_block(form, policy):
         with pytest.MonkeyPatch.context() as mp:
             order = (split(mp, cells, reverse) if cells
                      else list(range(len(shots) + 1)))
-            boxes = q.locker._boxes
+            boxes = verification._boxes
 
             def counting(amps, *args):
                 rows.append(len(amps))
                 return boxes(amps, *args)
 
-            mp.setattr(q.locker, "_boxes", counting)
+            mp.setattr(verification, "_boxes", counting)
             accepted, last, got = q.attempt_unlocks(
                 locker, probe, RandomStream(92), shots, first=(mine, rng))
         assert got == want and rng.random() == after

@@ -357,6 +357,25 @@ class TestUnlock:
             q.attempt_unlocks(locker, q.generate_otp(params),
                               RandomStream(75), range(4, 4))
 
+    @pytest.mark.parametrize("shots", [range(-1, 2),
+                                       range(2**32, 2**32 + 1)])
+    def test_bad_shots_leave_the_presented_password_alone(self, shots):
+        # the shot range is checked before the password is presented: it
+        # is not registered, its rng does not draw and it is not collapsed
+        params = OtpParams.random(2, RandomStream(78))
+        locker = q.store_message("1", params, SMALL)
+        password = q.generate_otp(params)
+        before = _parts(password).tobytes()
+        rng = RandomStream(79)
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            q.attempt_unlocks(locker, q.generate_otp(params),
+                              RandomStream(80), shots,
+                              first=(password, rng))
+        assert len(locker.consumed_passwords) == 0
+        assert rng.random() == RandomStream(79).random()
+        assert _parts(password).tobytes() == before
+        q.attempt_unlock(locker, password, RandomStream(81))
+
     @pytest.mark.parametrize("copies", [1, 500])
     def test_many_copies_build_one_result(self, copies):
         # only the last copy's result is built: n trajectories whatever the

@@ -172,6 +172,14 @@ class TestMeasure:
             q.measure_qubit(q.new_state(1), 0, "w", RandomStream(0))
 
     @pytest.mark.parametrize("basis", "xyz")
+    def test_qubit_out_of_range_draws_nothing(self, basis):
+        # the index is checked before the uniform is drawn, in every basis
+        rng = RandomStream(6)
+        with pytest.raises(IndexError, match="qubit 3 out of range"):
+            q.measure_qubit(q.new_state(1), 3, basis, rng)
+        assert rng.random() == RandomStream(6).random()
+
+    @pytest.mark.parametrize("basis", "xyz")
     def test_all_zero_register_underflows(self, basis):
         empty = q.StateVector(2, np.zeros(4))
         with pytest.raises(FloatingPointError):

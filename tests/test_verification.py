@@ -807,5 +807,8 @@ class TestRunBox:
         assert rng.random() == reference.random()
 
     def test_qubit_index_checked(self):
-        with pytest.raises(IndexError):
-            q.run_box(q.new_state(2), 2, VerificationParams(), RandomStream(0))
+        # before the box draws
+        rng = RandomStream(0)
+        with pytest.raises(IndexError, match="qubit 2 out of range"):
+            q.run_box(q.new_state(2), 2, VerificationParams(), rng)
+        assert rng.random() == RandomStream(0).random()
