@@ -302,8 +302,8 @@ def attempt_unlock(locker: LockerState, password: Password,
     per password qubit: its outcomes, closing readout and acceptance.
     """
     phi, draws = _present(locker, password, rng, blanks)
-    result = _result(locker, phi, _boxes(_parts(phi)[None],
-                                         locker.verification, draws[None]), 0)
+    boxes = _boxes(_parts(phi)[None], locker.verification, draws[:, None])
+    result = _result(locker, phi, boxes, 0)
     _collapse(password, result, blanks)
     return result
 

@@ -108,11 +108,22 @@ def _hash_consts(init: int, mult: int, step: int) -> np.ndarray:
 _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0)[:, None, None]
 
 
+def _require_int(name: str, value) -> None:
+    """A :class:`TypeError` naming ``name`` unless ``value`` is an integer:
+    a bool is an int to Python, and a float such as 10.0 would pass a range
+    check and fail far away, without the argument's name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 class RandomStream:
     """A Philox counter-based generator keyed by (seed, sub-stream path).
 
-    Its ``SeedSequence`` is built with it: that checks the seed and path,
-    and holds the pool that :func:`shot_uniforms` reads.  The Philox bit
+    The seed and every path entry are integers (numpy integers too), never
+    a bool, a float or a string (a :class:`TypeError` that names the value,
+    rather than a silent truncation to another stream).  Its
+    ``SeedSequence`` is built with it: that checks their ranges, and holds
+    the pool that :func:`shot_uniforms` reads.  The Philox bit
     generator and ``Generator`` are built on its first draw, so a stream
     that only hands out sub-streams or its pool never builds them; when
     they are built changes no draw."""
@@ -120,6 +131,9 @@ class RandomStream:
     __slots__ = ("seed", "path", "_seq", "_generator")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
+        _require_int("seed", seed)
+        for index in path:
+            _require_int("a sub-stream index", index)
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
         self._seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
@@ -134,7 +148,7 @@ class RandomStream:
 
     def substream(self, index: int) -> RandomStream:
         """Child stream at ``index``; independent of the parent and siblings."""
-        return RandomStream(self.seed, self.path + (int(index),))
+        return RandomStream(self.seed, self.path + (index,))
 
     def shot_uniforms(self, shots: range, k: int) -> np.ndarray:
         """Row ``j``: the first ``k`` uniforms of sub-stream ``shots[j]``,

@@ -77,7 +77,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .gates import HADAMARD, S_DAGGER_MATRIX, GateOp
-from .rng import RandomStream, shot_uniforms
+from .rng import RandomStream, _require_int, shot_uniforms
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -433,14 +433,6 @@ class CountsHistogram:
 
     def probability(self, key: str) -> float:
         return self.counts.get(key, 0) / self.shots
-
-
-def _require_int(name: str, value) -> None:
-    """A :class:`TypeError` naming ``name`` unless ``value`` is an integer:
-    a bool is an int to Python, and a float such as 10.0 would pass a range
-    check and fail far away, without the argument's name."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def sample_shots(n_qubits: int, ops: Sequence[CircuitOp], shots: int,

@@ -33,17 +33,19 @@ ancilla circuit is kept where the ancilla itself is measured
 
 :func:`_box_rows` is the one sampled box: the box on qubit ``k`` of every
 row of an ``(R, 2**n)`` array, each row reading its own uniforms, drawn up
-front.  Every row stays in every step, and each step writes every row's
-outcome.  Under the strict policy a row that clicks sits in |0>; it steps
-on draws of 0 from then on, which never click there, so its record ends at
-the click, and the steps stop once every row has clicked.  The draw layout
-is fixed: box ``k`` reads its weak steps from columns ``k(N+1)`` to
-``k(N+1) + N - 1`` and its closing readout from column ``k(N+1) + N``,
-whatever earlier boxes did (a strict row that clicked ignores the rest of
-its steps' draws).  So the boxes of separate parts of a password are
-independent, and a shot of an n-qubit password reads ``n(N + 1)``
-uniforms, a count written once, in :func:`_shot_draws`, which
-:func:`_box_blocks` and the locker read.
+front and laid out step-major, as ``shot_uniforms`` writes them: row ``j``
+of the draws holds every row's draw for step ``j``.  Every row stays in
+every step, and each step writes every row's outcome.  Under the strict
+policy a row that clicks sits in |0>; its ``clicked`` mask gives it draws
+of 0 from then on, which never click there, so its record ends at the
+click, and the steps stop once every row has clicked.  The box reads its
+draws in place and never writes them.  The draw layout is fixed: box
+``k`` reads its weak steps from rows ``k(N+1)`` to ``k(N+1) + N - 1`` and
+its closing readout from row ``k(N+1) + N``, whatever earlier boxes did (a
+strict row that clicked ignores the rest of its steps' draws).  So the
+boxes of separate parts of a password are independent, and a shot of an
+n-qubit password reads ``n(N + 1)`` uniforms, a count written once, in
+:func:`_shot_draws`, which :func:`_box_blocks` and the locker read.
 :func:`_boxes` takes every password, a register or a
 :class:`~qlocker.statevector.ProductState`, in one layout: P parts of w
 qubits (``statevector._parts``), one part of n qubits for a register, n
@@ -87,7 +89,7 @@ import numpy as np
 
 from . import statevector
 from .gates import build_controlled0_rx
-from .rng import RandomStream
+from .rng import RandomStream, _require_int
 from .statevector import (
     _PROJECTORS,
     ProductState,
@@ -96,7 +98,6 @@ from .statevector import (
     _clamp_p0,
     _measure_rows,
     _parts,
-    _require_int,
     _row_keys,
 )
 
@@ -182,21 +183,22 @@ BoxRows = namedtuple("BoxRows", "outcomes steps final accepted")
 
 
 def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
-              uniforms: np.ndarray) -> tuple[BoxRows, np.ndarray]:
+              draws: np.ndarray) -> tuple[BoxRows, np.ndarray]:
     """The box on qubit ``k`` of every row of ``amps`` (shape ``(R, 2**n)``),
-    row ``r`` reading its window ``uniforms[r]`` of ``N + 1`` draws.
+    row ``r`` reading its window ``draws[:, r]`` of ``N + 1`` draws.
 
-    Weak step ``j`` reads column ``j`` and the closing z readout reads the
-    last column.  Each step is one kernel call over every row, and it reads
-    their draws from column ``j``, a contiguous row when ``uniforms`` is the
-    ``.T`` view of a shot-last array, and writes every row's outcome at
-    step ``j``.  Under the strict policy the box steps on a copy of its
-    step draws, and a row that clicks gets 0 for each later draw: it sits
-    in |0>, where a draw of 0 never clicks (p0 = cos^2(theta) > 0) and K0
-    changes it only by rounding (cos(theta) > 0 adds no phase), so its
-    record ends at the click and its entries of ``outcomes`` after the
-    click stay 0.  The steps stop once every row has clicked.  Returns the
-    records, arrays with one entry per row, and the collapsed rows.
+    ``draws`` is step-major, shape ``(N + 1, R)``: weak step ``j`` reads
+    row ``j``, a contiguous row when ``draws`` is C-contiguous, and the
+    closing z readout the last row.  Each step is one kernel call over
+    every row, and it writes every row's outcome at step ``j``.  Under the
+    strict policy a row that has clicked reads 0 for each later draw,
+    through the ``clicked`` mask: it sits in |0>, where a draw of 0 never
+    clicks (p0 = cos^2(theta) > 0) and K0 changes it only by rounding
+    (cos(theta) > 0 adds no phase), so its record ends at the click and its
+    entries of ``outcomes`` after the click stay 0.  The steps stop once
+    every row has clicked.  ``draws`` is read in place, never copied or
+    written.  Returns the records, arrays with one entry per row, and the
+    collapsed rows.
     """
     strict = params.click_policy == STRICT_ABORT
     kraus = _weak_step(params.theta)
@@ -204,45 +206,46 @@ def _box_rows(amps: np.ndarray, k: int, params: VerificationParams,
     outcomes = np.zeros((params.iterations, len(amps)), dtype=np.int8)
     steps = np.full(len(amps), params.iterations)
     clicked = np.zeros(len(amps), dtype=bool)
-    draws = uniforms[:, :-1].T.copy() if strict else uniforms.T
     for j in range(params.iterations):
-        click, _, amps = _measure_rows(amps, k, kraus, draws[j])
+        step = np.where(clicked, 0.0, draws[j]) if strict else draws[j]
+        click, _, amps = _measure_rows(amps, k, kraus, step)
         outcomes[j] = click
         if strict and np.count_nonzero(click):
             steps[click] = j + 1
-            draws[j + 1:, click] = 0
             clicked |= click
             if clicked.all():
                 break
-    final, _, amps = _measure_rows(amps, k, _PROJECTORS, uniforms[:, -1])
+    final, _, amps = _measure_rows(amps, k, _PROJECTORS, draws[-1])
     # a strict row that clicked is rejected
     return BoxRows(outcomes.T, steps, final, ~final & ~clicked), amps
 
 
 def _boxes(amps: np.ndarray, params: VerificationParams,
-           uniforms: np.ndarray) -> list[BoxRows]:
+           draws: np.ndarray) -> list[BoxRows]:
     """The box on each password qubit ``q``, row ``r`` of box ``q`` reading
-    columns ``q(N+1)`` to ``q(N+1) + N`` of ``uniforms[r]``, whatever the
+    rows ``q(N+1)`` to ``q(N+1) + N`` of ``draws[:, r]``, whatever the
     other boxes did.
 
     ``amps`` (shape ``(R, P, 2**w)``) holds R passwords as P parts of w
     qubits, qubit ``q`` being qubit ``q % w`` of part ``q // w``
-    (``statevector._parts``).  Box ``k`` runs on qubit ``k`` of all
-    ``R * P`` part rows at once, one box after another: n boxes on a
-    register's one part, one box on a product's n one-qubit parts.  Part
-    row ``(r, p)`` reads window ``p * w + k`` of ``uniforms[r]``, and box
-    ``(p, k)`` is its rows ``[p::P]``.  Each box's windows are gathered
-    into one shot-last ``(N + 1, R * P)`` array, a view of ``uniforms.T``
-    for a register, so that every step reads one contiguous row of draws.
+    (``statevector._parts``), and ``draws`` (shape ``(n(N + 1), R)``)
+    their draws, step-major.  Box ``k`` runs on qubit ``k`` of all ``R *
+    P`` part rows at once, one box after another: n boxes on a register's
+    one part, one box on a product's n one-qubit parts.  Part row ``(r,
+    p)`` reads window ``p * w + k`` of ``draws[:, r]``, and box ``(p, k)``
+    is its rows ``[p::P]``.  Each box's windows are one step-major ``(N +
+    1, R * P)`` array: for a register a view of ``draws``, for a product
+    its P windows gathered by one reshape.
     """
     count, parts, _ = amps.shape
     amps = amps.reshape(count * parts, -1)
-    # window (p, k) of shot r, column j to row j, column r * P + p of box k
-    windows = uniforms.T.reshape(parts, -1, params.iterations + 1, count)
+    # draw j of window (p, k) of shot r is row j, column r * P + p, of box
+    # k's draws
+    windows = draws.reshape(parts, -1, params.iterations + 1, count)
     boxes = []
     for k, window in enumerate(windows.transpose(1, 2, 3, 0)):
         box, amps = _box_rows(amps, k, params, window.reshape(
-            params.iterations + 1, -1).T)
+            params.iterations + 1, -1))
         boxes.append(box)
     return [BoxRows(*(rows[p::parts] for rows in box))
             for p in range(parts) for box in boxes]
@@ -264,27 +267,26 @@ def _box_blocks(parts: np.ndarray, params: VerificationParams,
     (:func:`_shot_draws`): yields each block's :func:`_boxes`, in shot
     order.  A block's rows are ``parts`` broadcast to each of its shots,
     and its draws one :meth:`~qlocker.rng.RandomStream.shot_uniforms`
-    call, cut by ``statevector._shot_blocks`` at ``parts.size + n(N + 1)``
-    cells per shot so that a block stays within
-    ``statevector.SHOT_BLOCK_CELLS``.
+    call, transposed once to the step-major rows :func:`_boxes` reads,
+    cut by ``statevector._shot_blocks`` at ``parts.size + n(N + 1)`` cells
+    per shot so that a block stays within ``statevector.SHOT_BLOCK_CELLS``.
 
     ``lead``, if given, is one more password, parts of ``parts``' shape
     and its ``n(N + 1)`` draws, run as row 0 of the first block, before
-    its shots; the blocks are cut as if it were one more shot before
-    ``shots[0]``."""
+    its shots, its draws column 0 of the block's; the blocks are cut as if
+    it were one more shot before ``shots[0]``."""
     k = _shot_draws(len(parts) * statevector._n_qubits(parts), params)
     extra = lead is not None
     for block in statevector._shot_blocks(extra + len(shots),
                                           parts.size + k):
         some = shots[max(block.start - extra, 0):block.stop - extra]
-        uniforms = stream.shot_uniforms(some, k)
+        draws = stream.shot_uniforms(some, k).T
         rows = np.broadcast_to(parts, (len(some), *parts.shape))
         if lead is not None:
             rows = np.concatenate([lead[0][None], rows])
-            # still the .T view of a shot-last array
-            uniforms = np.concatenate([lead[1][:, None], uniforms.T], 1).T
+            draws = np.concatenate([lead[1][:, None], draws], 1)
             lead = None
-        yield _boxes(rows, params, uniforms)
+        yield _boxes(rows, params, draws)
 
 
 def box_shots(state: StateVector | ProductState, params: VerificationParams,
@@ -326,7 +328,7 @@ def run_box(state: StateVector, k: int, params: VerificationParams,
     """
     _check_qubit(k, state.n_qubits)
     box, amps = _box_rows(state.amplitudes[None], k, params,
-                          rng.randoms(params.iterations + 1)[None])
+                          rng.randoms(params.iterations + 1)[:, None])
     return _trajectory(box, 0), StateVector(state.n_qubits, amps[0])
 
 

@@ -19,6 +19,7 @@ every box at once over one-qubit rows, and must unlock, and collapse, as
 the same password combined into one register does.
 """
 
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -340,6 +341,30 @@ def test_a_strict_box_stops_once_every_row_has_clicked(monkeypatch):
     (box,), = q.box_shots(q.new_state(1), params, RandomStream(3), range(32))
     assert (box.steps < 10).all() and not box.accepted.any()
     assert calls == [32] * len(calls) and len(calls) < 10
+
+
+def test_the_strict_box_holds_no_copy_of_its_draws():
+    # a strict row that clicked reads 0 through its click mask, so the box
+    # reads its step-major draws where shot_uniforms wrote them: its peak
+    # stays below one copy of the step draws (15.6 MiB) and within 10% of
+    # the paper box's, and read-only draws serve both policies
+    rows, steps = 4096, 500
+    plus = q.apply_gate(q.new_state(1), q.h(0)).amplitudes
+    amps = np.broadcast_to(plus, (rows, 2))
+    draws = RandomStream(4096).shot_uniforms(range(rows), steps + 1).T
+    draws.flags.writeable = False
+    peaks = {}
+    for policy in verification.CLICK_POLICIES:
+        params = VerificationParams(0.1, steps, policy)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            verification._box_rows(amps, 0, params, draws)
+            peaks[policy] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peaks[q.STRICT_ABORT] < draws[:-1].nbytes
+    assert peaks[q.STRICT_ABORT] <= 1.1 * peaks[q.PAPER_DEFAULT]
 
 
 def unlock_rows(locker, probe, stream, shots):

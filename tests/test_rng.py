@@ -17,6 +17,7 @@ each side of that choice, and both private paths must give the same bits
 on the same keys.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -201,6 +202,34 @@ def test_no_draws_and_no_shots_keep_their_shapes():
 def test_shot_indices_outside_one_word_are_refused(shots):
     with pytest.raises(ValueError):
         RandomStream(5).shot_uniforms(shots, 3)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.7, True, "7", np.float64(3)],
+                         ids=["float", "float-up", "bool", "str",
+                              "numpy-float"])
+def test_a_seed_must_be_an_integer(seed):
+    # truncated, 1.5, 1.7 and True would each draw seed 1's numbers
+    with pytest.raises(TypeError, match=re.escape(
+            f"seed must be an integer, got {seed!r}")):
+        RandomStream(seed)
+
+
+@pytest.mark.parametrize("index", [1.5, True, np.float64(1), "1"],
+                         ids=["float", "bool", "numpy-float", "str"])
+def test_a_substream_index_must_be_an_integer(index):
+    for make in (lambda: RandomStream(5).substream(index),
+                 lambda: RandomStream(5, (0, index))):
+        with pytest.raises(TypeError, match=re.escape(
+                f"a sub-stream index must be an integer, got {index!r}")):
+            make()
+
+
+def test_numpy_integer_seeds_and_indices_are_their_ints():
+    stream = RandomStream(np.uint64(7), (np.int64(2),)).substream(np.int32(3))
+    assert (stream.seed, stream.path) == (7, (2, 3))
+    assert {type(v) for v in (stream.seed, *stream.path)} == {int}
+    assert_bits_equal(stream.randoms(4),
+                      RandomStream(7, (2, 3)).randoms(4))
 
 
 def test_a_stream_builds_its_generator_on_its_first_draw():

@@ -283,6 +283,13 @@ class TestSampleShots:
         with pytest.raises(TypeError, match="shots must be an integer"):
             q.sample_shots(1, [q.h(0), Measurement(0)], shots, seed=7)
 
+    @pytest.mark.parametrize("seed", [3.2, True, np.float64(3)],
+                             ids=["float", "bool", "numpy-float"])
+    def test_seed_must_be_an_integer(self, seed):
+        # a truncated seed would sample seed 3's (or 1's) shots unasked
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            q.sample_shots(1, [q.h(0), Measurement(0)], 100, seed)
+
     def test_numpy_integer_shots_sample(self):
         ops = [q.h(0), Measurement(0)]
         assert q.sample_shots(1, ops, np.int64(10), seed=7).counts == \

@@ -44,8 +44,10 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
   and step on draws of 0 from then on; and a 500-step box on 4096 |+>
   rows at theta 0.1 under each policy (``4096x500 paper`` and ``4096x500
   strict``), where every row stays in every kernel call under both, so
-  the two differ by the strict box's zeroing of its clicked rows' later
-  draws;
+  the two differ by the strict box's ``np.where`` of its click mask over
+  each step's draws and by its early stop once every row has clicked;
+  each box reads its draws step-major, as ``shot_uniforms`` lays them
+  out;
 - ``verification.sample_acceptance_runs``: 32768 runs of a 38-step box at
   theta 0.2 on P(|0>) = 0.5, under each policy, as ``sweep`` samples a
   cell;
@@ -201,18 +203,17 @@ def layers() -> dict:
             ("1598 strict", 1598,
              q.VerificationParams(0.3, 38, q.STRICT_ABORT), 10)):
         rows = np.broadcast_to(plus, (shots, 2))
-        uniforms = stream.shot_uniforms(range(shots), 39)
+        draws = stream.shot_uniforms(range(shots), 39).T
         out["verification._box_rows"][name] = best(
-            lambda: verification._box_rows(rows, 0, params, uniforms),
-            number)
+            lambda: verification._box_rows(rows, 0, params, draws), number)
     # a stream of its own, so that the entries after these take the
     # inputs they took before these were added
-    uniforms = q.RandomStream(4096).shot_uniforms(range(4096), 501)
+    draws = q.RandomStream(4096).shot_uniforms(range(4096), 501).T
     rows = np.broadcast_to(plus, (4096, 2))
     for policy in verification.CLICK_POLICIES:
         params = q.VerificationParams(0.1, 500, policy)
         out["verification._box_rows"][f"4096x500 {policy}"] = best(
-            lambda: verification._box_rows(rows, 0, params, uniforms), 2)
+            lambda: verification._box_rows(rows, 0, params, draws), 2)
     out["verification.sample_acceptance_runs"] = {
         policy: best(lambda: verification.sample_acceptance_runs(
             0.5, q.VerificationParams(0.2, 38, policy), 32768,
