@@ -25,12 +25,18 @@ builds the argparse tree once; :func:`build_parser` returns a fresh parser
 on every call.  The parser binds no function: :func:`main` runs
 ``cmd_<subcommand>`` (dashes become underscores), looked up on this module
 at each call, so a caller that rebinds ``cli.cmd_*`` is the one called.
+
+Importing this module loads only what the parser and every command read.
+``tomography``, ``locker`` and ``csv`` are imported inside the functions
+that run them (``cmd_verify_demo``; ``cmd_locker_demo`` and
+``_wrong_password``; ``report_to_csv``), so ``converge`` and ``sweep``
+never load them.  ``cmd_locker_demo`` imports the ``teleport`` names too,
+though the package has loaded that module already.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -38,18 +44,11 @@ import math
 import os
 import sys
 from collections import Counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .gates import build_controlled0_rx, h, ry
-from .locker import (
-    OtpParams,
-    apply_rotation,
-    attempt_unlocks,
-    generate_otp,
-    session_log,
-    store_message,
-)
 from .rng import RandomStream
 from .statevector import (
     DEFAULT_MAX_QUBITS,
@@ -58,15 +57,6 @@ from .statevector import (
     apply_gate,
     new_state,
     sample_circuits,
-)
-from .teleport import open_channel, teleport
-from .tomography import (
-    FULL_REDUCED,
-    PAPER_DIAGONAL,
-    fidelity,
-    reconstruct_density,
-    stokes_from_counts,
-    theoretical_ancilla_density,
 )
 from .verification import (
     CLICK_POLICIES,
@@ -81,6 +71,9 @@ from .verification import (
     sample_acceptance_runs,
     trajectory_record,
 )
+
+if TYPE_CHECKING:  # imported by the commands that run it
+    from .locker import OtpParams
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
@@ -181,6 +174,15 @@ def _parse_grid(text: str, cast) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_demo(args) -> dict:
+    from .tomography import (
+        FULL_REDUCED,
+        PAPER_DIAGONAL,
+        fidelity,
+        reconstruct_density,
+        stokes_from_counts,
+        theoretical_ancilla_density,
+    )
+
     theta = args.theta
     prep = args.prep_angle
     alpha = math.cos(prep / 2)
@@ -324,6 +326,8 @@ def _wrong_password(params: OtpParams, overlap: float | None,
     """A wrong password, as a product state; with ``overlap`` set, each
     qubit lands on sqrt(o)|0> + sqrt(1-o)|1> after the locker's inverse
     rotation."""
+    from .locker import OtpParams, apply_rotation, generate_otp
+
     n = params.n_qubits
     if overlap is None:
         return generate_otp(OtpParams.random(n, rng))
@@ -334,6 +338,15 @@ def _wrong_password(params: OtpParams, overlap: float | None,
 
 
 def cmd_locker_demo(args) -> dict:
+    from .locker import (
+        OtpParams,
+        attempt_unlocks,
+        generate_otp,
+        session_log,
+        store_message,
+    )
+    from .teleport import open_channel, teleport
+
     verification = VerificationParams(theta=args.theta,
                                       iterations=args.iterations,
                                       click_policy=args.policy)
@@ -465,6 +478,8 @@ def cmd_sweep(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def report_to_csv(report: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     command = report["command"]

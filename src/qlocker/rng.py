@@ -264,10 +264,10 @@ def _keyed_doubles(keys: np.ndarray, blocks: int) -> np.ndarray:
     a few nanoseconds.
     """
     rows = np.empty((keys.shape[1], 4 * blocks))
-    # seeded with 0, since every key replaces the seed's; built here, since
-    # importing numpy.random at import would add 10-20 ms to every
-    # command's start-up
-    gen = np.random.Generator(np.random.Philox(0))
+    # keyed, not seeded, since every key replaces it: a seed would also run
+    # a SeedSequence pass; built here, since importing numpy.random at
+    # import would add 10-20 ms to every command's start-up
+    gen = np.random.Generator(np.random.Philox(key=0))
     inner = {"counter": [0] * 4, "key": None}
     state = {"bit_generator": "Philox", "state": inner, "buffer": [0] * 4,
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}

@@ -159,6 +159,24 @@ DIGESTS = {
     "digest-locker-demo-n8-strict": [
         "locker-demo", "--otp-qubits", "8", "--repeat", "1000", "--policy",
         "strict"],
+    # one shot below, at and above a block cut (statevector._shot_blocks at
+    # SHOT_BLOCK_CELLS): a converge block is 1598 rows of 41 cells, so 1599
+    # shots are a full block and a block of one
+    "digest-converge-cut-below": ["converge", "--shots", "1597"],
+    "digest-converge-cut-at": ["converge", "--shots", "1598"],
+    "digest-converge-cut-above": ["converge", "--shots", "1599"],
+    # a verify-demo block is 4369 shots of three circuits of 5 cells
+    "digest-verify-demo-cut-below": ["verify-demo", "--shots", "4368"],
+    "digest-verify-demo-cut-at": ["verify-demo", "--shots", "4369"],
+    "digest-verify-demo-cut-above": ["verify-demo", "--shots", "4370"],
+    # a two-factor locker block is 799 rows of 82 cells, and the correct
+    # password is row 0 of the first, so 799 wrong copies spill one row
+    "digest-locker-demo-cut-below": [
+        "locker-demo", "--otp-qubits", "2", "--repeat", "797"],
+    "digest-locker-demo-cut-at": [
+        "locker-demo", "--otp-qubits", "2", "--repeat", "798"],
+    "digest-locker-demo-cut-above": [
+        "locker-demo", "--otp-qubits", "2", "--repeat", "799"],
 }
 # digests that take seconds in process, which only --check-digests runs
 SLOW_DIGESTS = {"digest-converge-long-box", "digest-converge-strict-long-box",

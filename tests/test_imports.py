@@ -4,7 +4,8 @@ and every name the package re-exports is run by it or documented.
 No linter ships with the test extras, so these are small ``ast`` and
 ``symtable`` checks.  ``from __future__`` imports are directives, and the
 package's ``__init__.py`` imports its submodules' names only to re-export
-them.
+them: the ``teleport`` names by a ``from . import`` line, every other name
+through its lazy table ``_LAZY`` (public name -> submodule).
 """
 
 import ast
@@ -59,9 +60,10 @@ def test_no_unused_imports(path):
 
 def module_reads(source: str) -> set[str]:
     """Names that ``source`` loads where the load resolves to its own
-    module-level binding: an import, or a definition or assignment at top
-    level.  A parameter or local of the same name is another binding, so
-    its loads do not count."""
+    module-level binding (an import, or a definition or assignment at top
+    level) or to an import in the function that loads it.  Any other
+    parameter or local of the same name is another binding, so its loads
+    do not count."""
     top = symtable.symtable(source, "<module>", "exec")
     bound = {sym.get_name() for sym in top.get_symbols()
              if sym.is_imported() or sym.is_assigned()}
@@ -69,21 +71,38 @@ def module_reads(source: str) -> set[str]:
     tables = [top]
     while tables:
         table = tables.pop()
-        read.update(sym.get_name() for sym in table.get_symbols()
-                    if sym.is_referenced()
-                    and (table is top or sym.is_global()))
+        for sym in table.get_symbols():
+            if not sym.is_referenced():
+                continue
+            # a global load reads a module-level binding; a local one
+            # reads an export only through an import in its function
+            if (sym.get_name() in bound if table is top or sym.is_global()
+                    else sym.is_imported()):
+                read.add(sym.get_name())
         tables.extend(table.get_children())
-    return read & bound
+    return read
+
+
+def exports(init: str) -> list[str]:
+    """The names that ``init`` re-exports: those of its relative ``from .
+    import`` lines, and the keys of its lazy table ``_LAZY``."""
+    tree = ast.parse(init)
+    names = [alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names]
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "_LAZY"
+                for target in node.targets):
+            names += ast.literal_eval(node.value)
+    return names
 
 
 def unreached_exports(init: str, modules: list[str], readme: str) -> list[str]:
-    """Names that ``init`` re-exports (relative ``from . import``) which no
-    source in ``modules`` reads (:func:`module_reads`) and no inline code
-    span of ``readme`` holds."""
-    exported = [alias.asname or alias.name
-                for node in ast.walk(ast.parse(init))
-                if isinstance(node, ast.ImportFrom) and node.level
-                for alias in node.names]
+    """Names that ``init`` re-exports (:func:`exports`) which no source in
+    ``modules`` reads (:func:`module_reads`) and no inline code span of
+    ``readme`` holds."""
+    exported = exports(init)
     read = set().union(*map(module_reads, modules))
     documented = set(re.findall(r"`([^`\n]+)`", readme))
     return sorted(name for name in exported
@@ -104,6 +123,18 @@ def test_the_check_finds_an_unreached_export():
     assert unreached_exports(init, modules, "call `shown`") == ["spare"]
     # a load of the imported name inside a function reads it
     modules += ["from .a import spare\ndef use():\n    return spare()\n"]
+    assert unreached_exports(init, modules, "call `shown`") == []
+
+    # the lazy table's keys are exports too; an import inside a function
+    # reads its name where that function loads it, and not otherwise
+    init = ('from .a import run\n'
+            '_LAZY = {"shown": "b", "spare": "b", "used": "b"}\n')
+    modules = ["def run():\n    pass\n"
+               "def idle():\n    from .b import spare\n"
+               "def go():\n    from .b import used\n    return used(run())\n"]
+    assert exports(init) == ["run", "shown", "spare", "used"]
+    assert unreached_exports(init, modules, "call `shown`") == ["spare"]
+    modules += ["def keep():\n    from .b import spare\n    spare()\n"]
     assert unreached_exports(init, modules, "call `shown`") == []
 
 

@@ -67,6 +67,15 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
   reports (``--grid-theta 0.2``), at ``--seed 9001``, with standard output
   sent to ``os.devnull``.
 
+``cli.import`` is start-up, not a call: the median wall time of ``import
+qlocker.cli``, after ``import numpy``, over five fresh interpreters, in
+microseconds, and the ``qlocker`` modules that import loaded.  Each
+interpreter inherits this one's environment, so under
+``PYTHONDONTWRITEBYTECODE=1`` with no cached bytecode the time includes
+compiling every module it loads.  The other entries call the package's
+public names bound once, so they pay no lookup in the package's lazy
+table.
+
 ``src_lines`` is the total of ``tools/src_lines.py``.  On a shared host the
 best of five in one process still moves by up to 2x between runs of the same
 tree, so one run per tree cannot tell apart changes smaller than about 2x:
@@ -81,22 +90,36 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import qlocker as q  # noqa: E402
+import qlocker  # noqa: E402
 from qlocker import cli, statevector, verification  # noqa: E402
 from qlocker.rng import shot_uniforms  # noqa: E402
 from src_lines import counts  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 REPEATS = 5
+# every public name, bound once, not looked up in the package per call
+q = SimpleNamespace(**{name: getattr(qlocker, name)
+                       for name in qlocker.__all__})
+IMPORT_CLI = """
+import sys, time
+import numpy
+start = time.perf_counter()
+import qlocker.cli
+took = time.perf_counter() - start
+print(took, *sorted(m for m in sys.modules if m.startswith("qlocker.")))
+"""
 
 
 def best(call, number: int) -> float:
@@ -109,6 +132,18 @@ def best(call, number: int) -> float:
             call()
         times.append((time.perf_counter() - start) / number)
     return round(min(times) * 1e6, 2)
+
+
+def cli_import() -> dict:
+    """``import qlocker.cli`` in :data:`REPEATS` fresh interpreters: the
+    median wall time in microseconds, and the qlocker modules it loaded."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [subprocess.run([sys.executable, "-c", IMPORT_CLI], env=env,
+                           capture_output=True, text=True,
+                           check=True).stdout.split()
+            for _ in range(REPEATS)]
+    return {"median_us": round(statistics.median(
+        float(run[0]) for run in runs) * 1e6, 1), "loaded": runs[0][1:]}
 
 
 def random_register(n: int, seed: int) -> q.StateVector:
@@ -255,6 +290,7 @@ def layers() -> dict:
         argv = [*WORKLOADS["sweep"].argv, "--grid-theta", "0.2",
                 "--seed", "9001"]
         out["cli.main"]["sweep"] = best(lambda: cli.main(argv), 1)
+    out["cli.import"] = cli_import()
     out["src_lines"] = sum(counts().values())
     return out
 
