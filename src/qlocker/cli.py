@@ -145,10 +145,7 @@ _finite = _in_range(float, -sys.float_info.max, sys.float_info.max)
 # sin(2 theta): both need 2 theta finite too
 _coupling_angle = _in_range(float, -sys.float_info.max / 2,
                             sys.float_info.max / 2)
-# sweep check j seeds password qubit k from sub-stream
-# SWEEP_STRIDE * j + k, so more qubits would share sub-streams between checks
-SWEEP_STRIDE = 8
-_sweep_n = _in_range(int, 1, SWEEP_STRIDE)
+_qubit_count = _in_range(int, 1, DEFAULT_MAX_QUBITS)
 
 
 def _out_path(text: str) -> str:
@@ -430,6 +427,15 @@ def cmd_locker_demo(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> dict:
+    """The false-accept table, one cell per grid point.
+
+    A cell makes one pass of draws per password qubit ``k``, from
+    sub-stream ``(c, k)`` of the seed, where ``c`` is the cell's index in
+    ``cells`` (degenerate cells count).  Each pass is judged under both
+    click policies at once (:func:`sample_acceptance_runs`), and each
+    policy's accepts are ANDed over the n qubits: a click policy is a rule
+    on a run's record, not a different run.  This is the one exception to
+    the per-shot draw contract."""
     master = RandomStream(args.seed)
     cells = []
     checks = []
@@ -445,17 +451,22 @@ def cmd_sweep(args) -> dict:
                                     "verification is inert",
                         })
                         continue
+                    cell_stream = master.substream(len(cells))
+                    params = VerificationParams(theta, iterations)
+                    # row i: every shot's accept under CLICK_POLICIES[i]
+                    accept = np.ones((len(CLICK_POLICIES), args.shots),
+                                     dtype=bool)
+                    for k in range(n):
+                        accept &= sample_acceptance_runs(
+                            overlap, params, args.shots,
+                            cell_stream.substream(k))
                     cell = {"theta": theta, "iterations": iterations,
                             "n": n, "overlap": overlap, "degenerate": False}
-                    for policy in CLICK_POLICIES:
-                        params = VerificationParams(theta, iterations, policy)
-                        analytic = acceptance_probability(overlap, params) ** n
-                        accept = np.ones(args.shots, dtype=bool)
-                        for k in range(n):
-                            accept &= sample_acceptance_runs(
-                                overlap, params, args.shots, master.substream(
-                                    len(checks) * SWEEP_STRIDE + k))
-                        mc = float(accept.mean())
+                    for policy, row in zip(CLICK_POLICIES, accept):
+                        analytic = acceptance_probability(
+                            overlap, VerificationParams(
+                                theta, iterations, policy)) ** n
+                        mc = float(row.mean())
                         cell[policy] = {"analytic": analytic, "monte_carlo": mc}
                         checks.append(_band_check(
                             f"false-accept n={n} theta={theta:g} "
@@ -575,8 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="store, teleport, and unlock end to end")
     add_common(p)
     p.add_argument("--message", default="1011")
-    p.add_argument("--otp-qubits", type=_in_range(int, 1, DEFAULT_MAX_QUBITS),
-                   default=1)
+    p.add_argument("--otp-qubits", type=_qubit_count, default=1)
     _add_box_flags(p)
     p.add_argument("--repeat", type=_shot_count, default=1,
                    help="wrong-password repetitions for rate estimation")
@@ -588,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--shots", type=_shot_count, default=DEFAULT_SHOTS)
     # tuples: every parse through main shares these default objects
-    p.add_argument("--grid-n", type=lambda s: _parse_grid(s, _sweep_n),
+    p.add_argument("--grid-n", type=lambda s: _parse_grid(s, _qubit_count),
                    default=(1, 2, 3))
     p.add_argument("--grid-theta", type=lambda s: _parse_grid(s, _finite),
                    default=(0.1, 0.2, 0.5))

@@ -385,26 +385,31 @@ def record_probability(record: str, alpha_sq: float,
 
 def sample_acceptance_runs(alpha_sq: float, params: VerificationParams,
                            runs: int, rng: RandomStream) -> np.ndarray:
-    """Boolean accept/reject outcome of ``runs`` independent verification runs.
+    """``[i]``: the accept/reject outcome of ``runs`` independent
+    verification runs under ``CLICK_POLICIES[i]``, from one pass of draws.
 
     A run that has not clicked has P(|0>) ``a2``: it clicks at a step when
     its draw is below ``p1 = a2 * sin^2(theta)``, and otherwise moves to
     ``a2 * cos^2(theta) / (1 - p1)``.  Every such run has gone through the
     same steps from the same ``alpha_sq``, so all of them share one ``a2``
-    chain, one float per step.  A run that clicked sits in |0>: the strict
-    policy rejects it and the paper policy accepts it, whatever it draws
-    next.  So the runs keep only a click mask, and the closing
-    z-measurement accepts a run that never clicked when its last draw is
-    below ``a2``.  Statistically identical to repeated :func:`run_box` on a
-    single qubit, at array speed.  Each test is :meth:`RandomStream.below`,
-    ``randoms(runs) < p`` read off the raw words.
+    chain, one float per step.  A run that clicked sits in |0> whatever it
+    draws next, and the click policy is a rule on its record: the paper
+    policy accepts it and the strict policy rejects it.  So the runs keep
+    only a click mask, the closing z-measurement finds a run that never
+    clicked in |0> when its last draw is below ``a2``, and one pass judges
+    every run under both policies: row 0 is ``final | clicked`` (paper),
+    row 1 ``final & ~clicked`` (strict); ``params.click_policy`` takes no
+    part.  Each row is statistically identical to repeated :func:`run_box`
+    on a single qubit under its policy, at array speed.  Each test is
+    :meth:`RandomStream.below`, ``randoms(runs) < p`` read off the raw
+    words.
 
     Draws are step-major: step ``j`` takes ``runs`` draws and the closing
-    readout ``runs`` more, so ``rng`` advances by ``runs * (N + 1)`` under
-    either policy.  This is the one exception to the per-shot draw contract:
-    run ``i``'s draws come from one stream per call and depend on ``runs``,
-    not from sub-stream ``i``.  Drawing each run's numbers from its own
-    sub-stream with ``shot_uniforms`` takes about ten times as long.
+    readout ``runs`` more, so ``rng`` advances by ``runs * (N + 1)``.  This
+    is the one exception to the per-shot draw contract: run ``i``'s draws
+    come from one stream per call and depend on ``runs``, not from
+    sub-stream ``i``.  Drawing each run's numbers from its own sub-stream
+    with ``shot_uniforms`` takes about ten times as long.
     """
     a2 = _clamp_p0(alpha_sq)
     _require_int("runs", runs)
@@ -420,6 +425,4 @@ def sample_acceptance_runs(alpha_sq: float, params: VerificationParams,
         # has no survivor to follow
         a2 = a2 * cos_sq / (1.0 - p1) if p1 < 1.0 else 1.0
     final = rng.below(a2, runs)
-    if params.click_policy == STRICT_ABORT:
-        return final & ~clicked
-    return final | clicked
+    return np.stack((final | clicked, final & ~clicked))

@@ -24,10 +24,11 @@ gates on one part each, as the per-part gates of
 :func:`qlocker.apply_rotation` and :func:`qlocker.apply_inverse_rotation`
 must reproduce.
 
-``reference_acceptance_runs`` is ``sweep``'s accept/reject sampler as
-one P(|0>) per run, every step a fresh set of arrays, as
-:func:`qlocker.verification.sample_acceptance_runs`, on one shared chain
-and a click mask, must reproduce from the same draws.
+``reference_acceptance_runs`` is ``sweep``'s accept/reject sampler under
+one click policy, as one P(|0>) per run, every step a fresh set of
+arrays; the row of that policy in
+:func:`qlocker.verification.sample_acceptance_runs`, one pass on one
+shared chain and a click mask, must reproduce it from the same draws.
 
 ``weak_steps`` replays the box's weak steps on qubit ``k`` of every row
 of an n-qubit array, one kernel call per step on the box's own draws, and

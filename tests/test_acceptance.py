@@ -135,9 +135,11 @@ def test_criterion_5_acceptance_law():
                     mass = accepted_mass(alpha_sq, params)
                     worst_law = max(worst_law, abs(mass - alpha_sq))
                     runs = 100_000
-                    rate = q.verification.sample_acceptance_runs(
-                        alpha_sq, params, runs,
-                        RandomStream(4242, (stream,))).mean()
+                    accept = q.verification.sample_acceptance_runs(
+                        alpha_sq, params, runs, RandomStream(4242, (stream,)))
+                    # the paper policy's row, the policy of the law
+                    rate = accept[q.verification.CLICK_POLICIES.index(
+                        q.PAPER_DEFAULT)].mean()
                     stream += 1
                     sigma = math.sqrt(alpha_sq * (1 - alpha_sq) / runs)
                     if sigma == 0.0:

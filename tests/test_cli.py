@@ -6,9 +6,10 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from qlocker import cli, statevector, verification
+from qlocker import RandomStream, cli, statevector, verification
 from qlocker.cli import build_parser, main
 
 
@@ -310,6 +311,34 @@ class TestSweep:
         assert lines[0].startswith("n,theta,iterations,overlap,policy")
         assert len(lines) == 3  # both policies for the single cell
 
+    def test_strict_never_accepts_more_than_paper(self, capsys):
+        # each record is judged under both policies, and a strict accept is
+        # a paper accept, so no cell counts more strict than paper accepts;
+        # the laws give strict = paper * cos^(2nN)(theta)
+        assert main(["sweep", "--seed", "42"]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert len(cells) == 54
+        assert all(cell["strict"]["monte_carlo"]
+                   <= cell["paper"]["monte_carlo"] for cell in cells)
+
+    @pytest.mark.parametrize("grid_theta, cell", [("0.3", 0), ("0,0.3", 1)])
+    def test_a_cell_draws_from_its_own_sub_streams(self, capsys, grid_theta,
+                                                   cell):
+        # qubit k of cell c passes over sub-stream (c, k) of the seed, and a
+        # degenerate cell counts; 9 qubits take 9 sub-streams of one cell
+        assert main(["sweep", "--seed", "7", "--shots", "3000",
+                     "--grid-n", "9", "--grid-theta", grid_theta,
+                     "--grid-iterations", "5", "--grid-overlap", "0.9"]) == 0
+        got = json.loads(capsys.readouterr().out)["cells"][cell]
+        params = verification.VerificationParams(0.3, 5)
+        accept = np.logical_and.reduce([
+            verification.sample_acceptance_runs(
+                0.9, params, 3000, RandomStream(7).substream(cell).substream(k))
+            for k in range(9)])
+        assert [got[policy]["monte_carlo"]
+                for policy in verification.CLICK_POLICIES] == [
+            float(row.mean()) for row in accept]
+
     def test_sin_squared_of_one_runs_quietly(self, capsys):
         # sin^2(theta) rounds to 1.0: a run at P(|0>) = 1 clicks for sure,
         # and no run divides by its 1 - p1 = 0
@@ -461,8 +490,8 @@ def test_bad_input_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # sweep check j seeds qubit k from sub-stream 8*j + k
-    ["sweep", "--grid-n", "1,9"],
+    # a sweep password, like the locker's, is capped at 24 qubits
+    ["sweep", "--grid-n", "1,25"],
     # the password register is capped at 24 qubits
     ["locker-demo", "--otp-qubits", "0"],
     ["locker-demo", "--otp-qubits", "-1"],
@@ -555,8 +584,8 @@ def test_too_long_a_box_exits_3(argv, capsys):
 
 
 def test_largest_sizes_parse():
-    args = build_parser().parse_args(["sweep", "--grid-n", "1,8"])
-    assert args.grid_n == [1, 8]
+    args = build_parser().parse_args(["sweep", "--grid-n", "1,24"])
+    assert args.grid_n == [1, 24]
     args = build_parser().parse_args(["locker-demo", "--otp-qubits", "24"])
     assert args.otp_qubits == 24
     args = build_parser().parse_args(["sweep", "--grid-iterations", "0,38"])

@@ -177,10 +177,22 @@ DIGESTS = {
         "locker-demo", "--otp-qubits", "2", "--repeat", "798"],
     "digest-locker-demo-cut-above": [
         "locker-demo", "--otp-qubits", "2", "--repeat", "799"],
+    # the long runs above as CSV: the CSV writer over a long converge
+    # record table, many blocks of three-basis counts, and a many-block
+    # locker's attempts
+    "digest-converge-long-box-csv": [
+        "converge", "--iterations", "1000", "--seed", "1", "--format",
+        "csv"],
+    "digest-verify-demo-many-blocks-csv": [
+        "verify-demo", "--shots", "1048576", "--format", "csv"],
+    "digest-locker-demo-many-blocks-csv": [
+        "locker-demo", "--otp-qubits", "2", "--wrong-overlap", "0.5",
+        "--repeat", "100000", "--format", "csv"],
 }
 # digests that take seconds in process, which only --check-digests runs
 SLOW_DIGESTS = {"digest-converge-long-box", "digest-converge-strict-long-box",
-                "digest-converge-longest-window"}
+                "digest-converge-longest-window",
+                "digest-converge-long-box-csv"}
 
 
 def golden_file(name: str, argv: list[str]) -> Path:

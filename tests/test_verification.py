@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import qlocker as q
 from qlocker import RandomStream, VerificationParams
 from qlocker.tomography import FULL_REDUCED
-from qlocker.verification import sample_acceptance_runs
+from qlocker.verification import CLICK_POLICIES, sample_acceptance_runs
 from conftest import accepted_mass, every_record, random_qubit_state
 from oracles import (iterate_once, perturbation_step, phase_aligned_distance,
                      qubit_probabilities, reference_acceptance_runs,
@@ -601,11 +601,16 @@ class TestPerturbationStep:
         assert all(y > x for x, y in zip(beta_history, beta_history[1:]))
 
 
+# sample_acceptance_runs' row of each click policy
+PAPER_ROW, STRICT_ROW = (CLICK_POLICIES.index(policy)
+                         for policy in (q.PAPER_DEFAULT, q.STRICT_ABORT))
+
+
 class TestSampler:
     def test_matches_law_at_1e5(self):
         params = VerificationParams(theta=0.2, iterations=6)
         rate = sample_acceptance_runs(0.37, params, 100_000,
-                                      RandomStream(5)).mean()
+                                      RandomStream(5))[PAPER_ROW].mean()
         sigma = math.sqrt(0.37 * 0.63 / 100_000)
         assert abs(rate - 0.37) < 4 * sigma
 
@@ -614,7 +619,7 @@ class TestSampler:
                                     click_policy=q.STRICT_ABORT)
         expect = 0.6 * math.cos(0.3) ** 8
         rate = sample_acceptance_runs(0.6, params, 100_000,
-                                      RandomStream(6)).mean()
+                                      RandomStream(6))[STRICT_ROW].mean()
         sigma = math.sqrt(expect * (1 - expect) / 100_000)
         assert abs(rate - expect) < 4 * sigma
 
@@ -622,13 +627,12 @@ class TestSampler:
         params = VerificationParams(theta=0.2, iterations=10)
         for alpha_sq, seed in ((0.0, 7), (1.0, 8)):
             accept = sample_acceptance_runs(alpha_sq, params, 5000,
-                                            RandomStream(seed))
+                                            RandomStream(seed))[PAPER_ROW]
             assert accept.mean() == alpha_sq
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
-    @given(policy=st.sampled_from((q.PAPER_DEFAULT, q.STRICT_ABORT)),
-           theta=st.one_of(st.sampled_from([1e-3, 1.5, NEAR_RIGHT_ANGLE]),
+    @given(theta=st.one_of(st.sampled_from([1e-3, 1.5, NEAR_RIGHT_ANGLE]),
                            st.floats(0.0, math.pi / 2, exclude_min=True,
                                      exclude_max=True)),
            iterations=st.integers(0, 200),
@@ -636,14 +640,27 @@ class TestSampler:
                               st.floats(0.0, 1.0)),
            runs=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
     def test_matches_the_per_run_oracle_bit_for_bit(
-            self, policy, theta, iterations, alpha_sq, runs, seed):
-        params = VerificationParams(theta, iterations, policy)
-        got_rng, want_rng = RandomStream(seed), RandomStream(seed)
-        got = sample_acceptance_runs(alpha_sq, params, runs, got_rng)
-        want = reference_acceptance_runs(alpha_sq, params, runs, want_rng)
-        assert np.array_equal(got, want)
-        # the same draws in the same order: both streams stand at one place
-        assert got_rng.randoms(1) == want_rng.randoms(1)
+            self, theta, iterations, alpha_sq, runs, seed):
+        # one pass gives each policy's row: the oracle's runs under that
+        # policy, on a stream of the same seed
+        got_rng = RandomStream(seed)
+        got = sample_acceptance_runs(
+            alpha_sq, VerificationParams(theta, iterations), runs, got_rng)
+        assert got.shape == (len(CLICK_POLICIES), runs)
+        want_rngs = []
+        for row, policy in zip(got, CLICK_POLICIES):
+            want_rngs.append(RandomStream(seed))
+            want = reference_acceptance_runs(
+                alpha_sq, VerificationParams(theta, iterations, policy), runs,
+                want_rngs[-1])
+            assert np.array_equal(row, want), policy
+        # the policies judge one record: a strict accept never clicked and
+        # read 0, which the paper policy accepts too
+        assert not (got[STRICT_ROW] & ~got[PAPER_ROW]).any()
+        # the same draws in the same order: every stream stands at one
+        # place, (N + 1) * runs draws in
+        after = got_rng.randoms(1)
+        assert all(rng.randoms(1) == after for rng in want_rngs)
 
     @pytest.mark.parametrize("policy, theta, alpha_sq, iterations", [
         *itertools.product((q.PAPER_DEFAULT, q.STRICT_ABORT),
@@ -659,9 +676,13 @@ class TestSampler:
         draws, want = threshold_draws(alpha_sq, theta, iterations,
                                       policy == q.STRICT_ABORT)
         assert want.any() and want.all() == (iterations == 52)
-        for sampler in (sample_acceptance_runs, reference_acceptance_runs):
-            got = sampler(alpha_sq, params, len(want), QueueStream(draws))
-            assert np.array_equal(got, want), sampler.__name__
+        row = CLICK_POLICIES.index(policy)
+        got = sample_acceptance_runs(alpha_sq, params, len(want),
+                                     QueueStream(draws))
+        assert np.array_equal(got[row], want)
+        got = reference_acceptance_runs(alpha_sq, params, len(want),
+                                        QueueStream(draws))
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("policy", (q.PAPER_DEFAULT, q.STRICT_ABORT))
     @pytest.mark.parametrize("alpha_sq", [0.0, 0.5, 1.0])
@@ -669,8 +690,9 @@ class TestSampler:
                                                         alpha_sq):
         # pytest turns the RuntimeWarning of a division by zero into an error
         params = VerificationParams(NEAR_RIGHT_ANGLE, 3, policy)
+        row = CLICK_POLICIES.index(policy)
         accept = sample_acceptance_runs(alpha_sq, params, 2000,
-                                        RandomStream(11))
+                                        RandomStream(11))[row]
         want = reference_acceptance_runs(alpha_sq, params, 2000,
                                          RandomStream(11))
         assert np.array_equal(accept, want)
@@ -686,15 +708,20 @@ class TestSampler:
         params = VerificationParams(1.2, 30)
         draws = [np.array([0.0])] + [np.array([0.99])] * 29 + [
             np.array([0.5])]
-        for sampler in (sample_acceptance_runs, reference_acceptance_runs):
-            got = sampler(0.5, params, 1, QueueStream(draws))
-            assert got.tolist() == [True], sampler.__name__
+        got = sample_acceptance_runs(0.5, params, 1, QueueStream(draws))
+        assert got[PAPER_ROW].tolist() == [True]
+        assert got[STRICT_ROW].tolist() == [False]
+        got = reference_acceptance_runs(0.5, params, 1, QueueStream(draws))
+        assert got.tolist() == [True]
 
-    @pytest.mark.parametrize("policy, bytes_per_run",
-                             [(q.PAPER_DEFAULT, 16), (q.STRICT_ABORT, 20)])
-    def test_memory_per_run(self, policy, bytes_per_run):
-        # under either policy a click mask, one step's raw words and the
-        # mask of their test
+    # the ids keep each policy's former bound (paper 16, strict 20); one
+    # pass now serves both policies, so both cases hold it to 16
+    @pytest.mark.parametrize("policy", [q.PAPER_DEFAULT, q.STRICT_ABORT],
+                             ids=["paper-16", "strict-20"])
+    def test_memory_per_run(self, policy):
+        # a click mask, one step's raw words and the mask of their test,
+        # then each policy's row, whatever params.click_policy says:
+        # cli.py's bound on sweep's shots rests on these 16 bytes a run
         runs = 1 << 18
         params = VerificationParams(0.5, 4, policy)
         tracemalloc.start()
@@ -704,7 +731,7 @@ class TestSampler:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= bytes_per_run * runs
+        assert peak <= 16 * runs
 
     def test_no_runs_is_an_error(self):
         with pytest.raises(ValueError, match="runs must be >= 1"):
@@ -750,10 +777,10 @@ def test_acceptance_probability_takes_a_rounding_error_above_one():
 def _strict_runs(alpha_sq):
     """Two strict one-step runs whose first draw is the click probability
     of alpha_sq = 1, so a P(|0>) left above 1 clicks there."""
-    params = VerificationParams(0.3, 1, q.STRICT_ABORT)
+    params = VerificationParams(0.3, 1)
     draws = [np.array([math.sin(0.3) ** 2, 0.9]), np.array([0.5, 0.5])]
     return sample_acceptance_runs(alpha_sq, params, 2,
-                                  QueueStream(draws)).tolist()
+                                  QueueStream(draws))[STRICT_ROW].tolist()
 
 
 # every law that takes a P(|0>), as a function of it

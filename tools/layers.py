@@ -48,9 +48,9 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
   each step's draws and by its early stop once every row has clicked;
   each box reads its draws step-major, as ``shot_uniforms`` lays them
   out;
-- ``verification.sample_acceptance_runs``: 32768 runs of a 38-step box at
-  theta 0.2 on P(|0>) = 0.5, under each policy, as ``sweep`` samples a
-  cell;
+- ``verification.sample_acceptance_runs``: one call of 32768 runs of a
+  38-step box at theta 0.2 on P(|0>) = 0.5, judged under both policies, as
+  ``sweep`` samples one password qubit of a cell;
 - ``teleport.teleport``: one qubit, with a fresh Bell pair;
 - ``locker.apply_inverse_rotation``: the one-time password as a product
   of 2 and of 24 factors (three kernel calls with one entry per factor),
@@ -249,11 +249,9 @@ def layers() -> dict:
         params = q.VerificationParams(0.1, 500, policy)
         out["verification._box_rows"][f"4096x500 {policy}"] = best(
             lambda: verification._box_rows(rows, 0, params, draws), 2)
-    out["verification.sample_acceptance_runs"] = {
-        policy: best(lambda: verification.sample_acceptance_runs(
-            0.5, q.VerificationParams(0.2, 38, policy), 32768,
-            sweep_stream), 20)
-        for policy in verification.CLICK_POLICIES}
+    out["verification.sample_acceptance_runs"] = best(
+        lambda: verification.sample_acceptance_runs(
+            0.5, q.VerificationParams(0.2, 38), 32768, sweep_stream), 20)
     psi = random_register(1, 1)
     out["teleport.teleport"] = best(
         lambda: q.teleport(psi.copy(), q.open_channel("layers"), stream),
