@@ -133,9 +133,10 @@ def _in_range(cast, low, high=math.inf):
     return parse
 
 
-# sweep's sampler holds at most 16 bytes per shot at once, a bound
-# tests/test_verification.py pins, so 2**24 shots or repetitions stay within
-# 256 MiB
+# sweep holds at most 18 bytes per shot at once, its sampler's 16 and one
+# 2-byte accumulator whatever its grid, bounds tests/test_verification.py
+# and tests/test_cli.py pin, so 2**24 shots or repetitions stay within
+# 288 MiB
 _shot_count = _in_range(int, 1, 1 << 24)
 _seed = _in_range(int, 0)  # SeedSequence takes non-negative integers only
 _probability = _in_range(float, 0.0, 1.0)
@@ -429,20 +430,46 @@ def cmd_locker_demo(args) -> dict:
 def cmd_sweep(args) -> dict:
     """The false-accept table, one cell per grid point.
 
-    A cell makes one pass of draws per password qubit ``k``, from
-    sub-stream ``(c, k)`` of the seed, where ``c`` is the cell's index in
-    ``cells`` (degenerate cells count).  Each pass is judged under both
-    click policies at once (:func:`sample_acceptance_runs`), and each
-    policy's accepts are ANDed over the n qubits: a click policy is a rule
-    on a run's record, not a different run.  This is the one exception to
-    the per-shot draw contract."""
+    An n-qubit password is accepted only if each of its qubits passes the
+    box, so the cells that differ only in n share their passes (common
+    random numbers): each ``(theta, N, overlap)`` group makes
+    ``max(grid_n)`` passes of draws, pass ``k`` from sub-stream ``(g, k)``
+    of the seed, where ``g`` is the group's index in theta, N, overlap
+    order (degenerate groups count).  Each pass is judged under both click
+    policies at once (:func:`sample_acceptance_runs`), and each policy's
+    accepts are ANDed pass by pass: the n-qubit cell reads the AND of the
+    first n passes, so its law is exact, and the cells of one group are
+    correlated.  A click policy is a rule on a run's record, not a
+    different run.  This is the one exception to the per-shot draw
+    contract."""
     master = RandomStream(args.seed)
+    passes = max(args.grid_n)
+    group = 0
     cells = []
     checks = []
     for theta in args.grid_theta:
         for iterations in args.grid_iterations:
+            # rates[j][n]: each policy's accept rate of the n-qubit cell at
+            # the j-th overlap
+            rates = []
+            for overlap in args.grid_overlap:
+                stream = master.substream(group)
+                group += 1
+                rate = {}
+                rates.append(rate)
+                if theta == 0.0:
+                    continue
+                params = VerificationParams(theta, iterations)
+                # row i: every shot's accept under CLICK_POLICIES[i]
+                accept = np.ones((len(CLICK_POLICIES), args.shots),
+                                 dtype=bool)
+                for k in range(passes):
+                    accept &= sample_acceptance_runs(
+                        overlap, params, args.shots, stream.substream(k))
+                    if k + 1 in args.grid_n:
+                        rate[k + 1] = [float(row.mean()) for row in accept]
             for n in args.grid_n:
-                for overlap in args.grid_overlap:
+                for overlap, rate in zip(args.grid_overlap, rates):
                     if theta == 0.0:
                         cells.append({
                             "theta": theta, "iterations": iterations,
@@ -451,22 +478,12 @@ def cmd_sweep(args) -> dict:
                                     "verification is inert",
                         })
                         continue
-                    cell_stream = master.substream(len(cells))
-                    params = VerificationParams(theta, iterations)
-                    # row i: every shot's accept under CLICK_POLICIES[i]
-                    accept = np.ones((len(CLICK_POLICIES), args.shots),
-                                     dtype=bool)
-                    for k in range(n):
-                        accept &= sample_acceptance_runs(
-                            overlap, params, args.shots,
-                            cell_stream.substream(k))
                     cell = {"theta": theta, "iterations": iterations,
                             "n": n, "overlap": overlap, "degenerate": False}
-                    for policy, row in zip(CLICK_POLICIES, accept):
+                    for policy, mc in zip(CLICK_POLICIES, rate[n]):
                         analytic = acceptance_probability(
                             overlap, VerificationParams(
                                 theta, iterations, policy)) ** n
-                        mc = float(row.mean())
                         cell[policy] = {"analytic": analytic, "monte_carlo": mc}
                         checks.append(_band_check(
                             f"false-accept n={n} theta={theta:g} "

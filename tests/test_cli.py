@@ -321,23 +321,94 @@ class TestSweep:
         assert all(cell["strict"]["monte_carlo"]
                    <= cell["paper"]["monte_carlo"] for cell in cells)
 
-    @pytest.mark.parametrize("grid_theta, cell", [("0.3", 0), ("0,0.3", 1)])
-    def test_a_cell_draws_from_its_own_sub_streams(self, capsys, grid_theta,
-                                                   cell):
-        # qubit k of cell c passes over sub-stream (c, k) of the seed, and a
-        # degenerate cell counts; 9 qubits take 9 sub-streams of one cell
+    def test_a_cell_ands_the_first_n_passes_of_its_group(self, capsys):
+        # pass k of the (theta, N, overlap) group g runs over sub-stream
+        # (g, k) of the seed, and degenerate groups count; the n-qubit cell
+        # is the AND of its group's first n passes.  Cells run n before
+        # overlap, so cell and group indices differ here
         assert main(["sweep", "--seed", "7", "--shots", "3000",
-                     "--grid-n", "9", "--grid-theta", grid_theta,
-                     "--grid-iterations", "5", "--grid-overlap", "0.9"]) == 0
-        got = json.loads(capsys.readouterr().out)["cells"][cell]
+                     "--grid-n", "3,1", "--grid-theta", "0,0.3",
+                     "--grid-iterations", "5",
+                     "--grid-overlap", "0.9,0.5"]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert [cell["degenerate"] for cell in cells] == [True] * 4 + [False] * 4
         params = verification.VerificationParams(0.3, 5)
-        accept = np.logical_and.reduce([
-            verification.sample_acceptance_runs(
-                0.9, params, 3000, RandomStream(7).substream(cell).substream(k))
-            for k in range(9)])
-        assert [got[policy]["monte_carlo"]
-                for policy in verification.CLICK_POLICIES] == [
-            float(row.mean()) for row in accept]
+        # (group, overlap, n) of cells 4 to 7
+        for cell, (group, overlap, n) in zip(
+                cells[4:], [(2, 0.9, 3), (3, 0.5, 3), (2, 0.9, 1),
+                            (3, 0.5, 1)]):
+            assert (cell["overlap"], cell["n"]) == (overlap, n)
+            accept = np.logical_and.reduce([
+                verification.sample_acceptance_runs(
+                    overlap, params, 3000,
+                    RandomStream(7).substream(group).substream(k))
+                for k in range(n)])
+            assert [cell[policy]["monte_carlo"]
+                    for policy in verification.CLICK_POLICIES] == [
+                float(row.mean()) for row in accept]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--seed", "42"],
+        ["sweep", "--shots", "512", "--grid-theta", "0.05,1.2,1.5",
+         "--grid-iterations", "0,1,200", "--grid-overlap", "0,0.5,1",
+         "--grid-n", "1,3"]], ids=["default", "wide"])
+    def test_a_group_never_accepts_more_with_more_qubits(self, capsys, argv):
+        # the n-qubit cell is the (n-1)-qubit cell ANDed with one more pass
+        # of the same runs, so each policy's rate never rises with n
+        assert main(argv) == 0
+        groups = {}
+        for cell in json.loads(capsys.readouterr().out)["cells"]:
+            key = (cell["theta"], cell["iterations"], cell["overlap"])
+            groups.setdefault(key, []).append(cell)
+        for cells in groups.values():
+            cells.sort(key=lambda cell: cell["n"])
+            for policy in verification.CLICK_POLICIES:
+                rates = [cell[policy]["monte_carlo"] for cell in cells]
+                assert rates == sorted(rates, reverse=True)
+
+    def test_equal_n_gives_identical_cells(self, capsys):
+        assert main(["sweep", "--shots", "2000", "--grid-n", "3,1,3",
+                     "--grid-theta", "0.3", "--grid-iterations", "5",
+                     "--grid-overlap", "0.5,0.9"]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert [cell["n"] for cell in cells] == [3, 3, 1, 1, 3, 3]
+        assert cells[:2] == cells[4:]
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["sweep"], 54),
+        (["sweep", "--grid-n", "24", "--grid-theta", "0.5",
+          "--grid-iterations", "38", "--grid-overlap", "0.5",
+          "--shots", "64"], 24)], ids=["default", "n24"])
+    def test_a_group_makes_one_pass_per_qubit(self, monkeypatch, capsys,
+                                              argv, calls):
+        # 18 groups of 3 passes by default, one group of 24 passes; drawing
+        # each cell afresh would take 108 and 24
+        count = {"sampler": 0}
+        monkeypatch.setattr(cli, "sample_acceptance_runs", counting(
+            count, "sampler", verification.sample_acceptance_runs))
+        assert main(argv) in (0, 4)
+        capsys.readouterr()
+        assert count == {"sampler": calls}
+
+    @pytest.mark.parametrize("grid_n", ["1,2,3", "1,2,3,4,5,6,7,8"])
+    def test_memory_per_shot(self, capsys, grid_n):
+        # the sampler's 16 bytes a shot and one accumulator of both
+        # policies' accepts, 2 bytes a shot, however many cells share it;
+        # a first small run builds the parser outside the measurement
+        argv = ["sweep", "--grid-n", grid_n, "--grid-theta", "0.5",
+                "--grid-iterations", "4", "--grid-overlap", "0.5"]
+        assert main([*argv, "--shots", "8"]) in (0, 4)
+        shots = 1 << 18
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = main([*argv, "--shots", str(shots)])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 4)
+        capsys.readouterr()
+        assert peak <= 18 * shots
 
     def test_sin_squared_of_one_runs_quietly(self, capsys):
         # sin^2(theta) rounds to 1.0: a run at P(|0>) = 1 clicks for sure,

@@ -188,6 +188,12 @@ DIGESTS = {
     "digest-locker-demo-many-blocks-csv": [
         "locker-demo", "--otp-qubits", "2", "--wrong-overlap", "0.5",
         "--repeat", "100000", "--format", "csv"],
+    # one theta row of the perfbench sweep workload: 6 (theta, N, overlap)
+    # groups of 3 passes of 32768 runs, each n-qubit cell the AND of its
+    # group's first n passes
+    "digest-sweep-workload": [
+        "sweep", "--shots", "32768", "--grid-theta", "0.2", "--seed",
+        "9001"],
 }
 # digests that take seconds in process, which only --check-digests runs
 SLOW_DIGESTS = {"digest-converge-long-box", "digest-converge-strict-long-box",

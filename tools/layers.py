@@ -50,7 +50,8 @@ microseconds per call, on fixed inputs drawn from fixed seeds:
   out;
 - ``verification.sample_acceptance_runs``: one call of 32768 runs of a
   38-step box at theta 0.2 on P(|0>) = 0.5, judged under both policies, as
-  ``sweep`` samples one password qubit of a cell;
+  ``sweep`` samples one password qubit of a (theta, N, overlap) group,
+  which every cell of the group with more qubits than that reads;
 - ``teleport.teleport``: one qubit, with a fresh Bell pair;
 - ``locker.apply_inverse_rotation``: the one-time password as a product
   of 2 and of 24 factors (three kernel calls with one entry per factor),
