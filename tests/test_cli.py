@@ -321,6 +321,25 @@ class TestSweep:
         assert all(cell["strict"]["monte_carlo"]
                    <= cell["paper"]["monte_carlo"] for cell in cells)
 
+    @pytest.mark.parametrize("grid_theta, cell", [("0.3", 0), ("0,0.3", 1)])
+    def test_a_cell_draws_from_its_own_sub_streams(self, capsys, grid_theta,
+                                                   cell):
+        # with one n and one overlap each cell is its own group, so qubit k
+        # of cell c passes over sub-stream (c, k) of the seed, and a
+        # degenerate cell counts; 9 qubits take 9 sub-streams of one cell
+        assert main(["sweep", "--seed", "7", "--shots", "3000",
+                     "--grid-n", "9", "--grid-theta", grid_theta,
+                     "--grid-iterations", "5", "--grid-overlap", "0.9"]) == 0
+        got = json.loads(capsys.readouterr().out)["cells"][cell]
+        params = verification.VerificationParams(0.3, 5)
+        accept = np.logical_and.reduce([
+            verification.sample_acceptance_runs(
+                0.9, params, 3000, RandomStream(7).substream(cell).substream(k))
+            for k in range(9)])
+        assert [got[policy]["monte_carlo"]
+                for policy in verification.CLICK_POLICIES] == [
+            float(row.mean()) for row in accept]
+
     def test_a_cell_ands_the_first_n_passes_of_its_group(self, capsys):
         # pass k of the (theta, N, overlap) group g runs over sub-stream
         # (g, k) of the seed, and degenerate groups count; the n-qubit cell
